@@ -10,21 +10,35 @@ its inverse backward from its output.  A call configuration records
 * the labels of everything implicitly available at the call: values
   already in hand on the path that reaches the call site.
 
-Reachability is a least fixed point, computed with a FIFO worklist over
-exact-equality deduplicated configurations.  Stepping through a callee
-strips the callee's own labels from the incoming availability, which is
-what bounds the treatment of recursion to a single unrolling: a
-recursive call can see implicit arguments from the previous incarnation
-but cannot tell incarnations apart beyond that.
+Stepping through a callee strips the callee's own labels from the
+incoming availability, which is what bounds the treatment of recursion
+to a single unrolling: a recursive call can see implicit arguments from
+the previous incarnation but cannot tell incarnations apart beyond that.
 
-Walking a body in the conventional direction is direct: a pattern calls
+The one-step rule is ``call``, built on two body walks.  Walking a body
+in the conventional direction (``term_down``) is direct: a pattern calls
 nothing, an application yields one configuration, and a case passes the
 scrutinee's and branch pattern's labels as extra availability into each
-branch.  Walking against the conventional direction starts from the
-result instead, so the walk returns pairs of (configurations, labels
-known "from the future"): a result pattern makes its labels available,
-an application flips the callee and consumes the callee's body root as
-its argument, and a case analyzes branch bodies before the scrutinee.
+branch.  Walking against the conventional direction (``term_up``) starts
+from the result instead, so the walk returns pairs of (configurations,
+labels known "from the future") per inverse path: a result pattern makes
+its labels available, an application flips the callee and consumes the
+callee's body root as its argument, and a case analyzes branch bodies
+before the scrutinee.  ``term_up`` walks each scrutinee once per body
+path; it stays as the per-path reference rule that tests compare with.
+
+Either walk only ever unions the entering availability with labels
+taken from the body, so a configured call reaches exactly the
+configurations ``(callee', arguments, entering | T)`` for a fixed set of
+triples per callee and direction: its *summary*, in the manner of IFDS
+summary edges (Reps, Horwitz & Sagiv, POPL'95).  ``configurations``
+builds each summary once, the first time a callee is reached in a
+direction, by walking the body with empty availability.  The backward
+summary comes from one bottom-up walk that keeps a flat set of
+configurations and a set of availability sets, since only the union
+over paths is ever used.  The reachability fixed point is then a FIFO
+worklist of set unions over exact-equality deduplicated
+configurations; no tree is walked per popped configuration.
 
 Configurations carry a complete-lattice order (same caller, callee, and
 argument labels; inclusion on implicit labels), exposed for clients and
@@ -35,6 +49,7 @@ rather than joining them, preserving path-sensitive availability.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -101,14 +116,12 @@ class CallConfiguration:
         return underlying_name(self.callee)
 
     def sort_key(self):
-        # labels are mapped through their total-order key so that mixed
-        # integer/symbolic label sets stay comparable
         return (
             self.caller,
             self.callee_name,
             invert_depth(self.callee),
-            sorted(map(label_sort_key, self.argument_labels)),
-            sorted(map(label_sort_key, self.implicit_labels)),
+            _label_order(self.argument_labels),
+            _label_order(self.implicit_labels),
         )
 
     def __str__(self) -> str:
@@ -118,6 +131,24 @@ class CallConfiguration:
             f"({self.caller}, {pretty_funref(self.callee)}, "
             f"{{{args}}}, {{{imps}}})"
         )
+
+
+_SYMBOLIC = (INPUT, OUTPUT)  # in label_sort_key order
+
+
+def _label_order(labels: LabelSet) -> tuple[list, tuple]:
+    """Orders label sets as ``sorted(map(label_sort_key, labels))`` does,
+    with every comparison made in C.
+
+    Symbolic labels follow all integers; the infinity marker makes an
+    integer prefix followed by a symbolic label compare above a longer
+    integer run, and the symbolic tuple breaks ties between equal runs.
+    """
+    integers = sorted(labels.difference(_SYMBOLIC))
+    symbolic = tuple(l for l in _SYMBOLIC if l in labels)
+    if symbolic:
+        integers.append(math.inf)
+    return integers, symbolic
 
 
 ConfigurationSet = frozenset  # of CallConfiguration
@@ -238,19 +269,90 @@ def seed_configurations(program: LabeledProgram) -> tuple[CallConfiguration, Cal
 def configurations(program: LabeledProgram) -> ConfigurationSet:
     """Least set of call configurations reachable from the entry points.
 
-    FIFO worklist closure; termination follows from the finite label
-    universe.  The result is a set, so it does not depend on pop order.
+    FIFO worklist closure over the callees' summaries; termination
+    follows from the finite label universe.  The result is the set that
+    closing over ``call`` gives, so it does not depend on pop order.
     """
     seeds = seed_configurations(program)
     seen: set[CallConfiguration] = set(seeds)
     queue = deque(seeds)
+    summaries: dict[tuple[str, Direction], _Summary] = {}
     while queue:
         config = queue.popleft()
-        for reached in call(config, program):
+        key = (config.callee_name, config.direction)
+        summary = summaries.get(key)
+        if summary is None:
+            summary = summaries[key] = _summary(config, program)
+        name, own_labels, reachable = summary
+        if not reachable:
+            continue
+        entering = (config.implicit_labels | config.argument_labels) - own_labels
+        for callee, arguments, gained in reachable:
+            reached = CallConfiguration(name, callee, arguments, entering | gained)
             if reached not in seen:
                 seen.add(reached)
                 queue.append(reached)
     return frozenset(seen)
+
+
+# A callee's name, its own labels, and the (callee reference, argument
+# labels, gained labels) of every call its body reaches in one direction.
+_Summary = tuple[str, LabelSet, list[tuple[FunctionRef, LabelSet, LabelSet]]]
+
+
+def _summary(config: CallConfiguration, program: LabeledProgram) -> _Summary:
+    """What ``call`` gives for ``config``'s callee and direction, with the
+    entering availability left out."""
+    definition = _definition(program, config.callee)
+    name = definition.name
+    if config.direction is Direction.DOWN:
+        reached = term_down(name, _EMPTY, definition.body)
+        reachable = [(c.callee, c.argument_labels, c.implicit_labels) for c in reached]
+    else:
+        calls: dict[tuple[FunctionRef, LabelSet], set[LabelSet]] = {}
+        _walk_up({_EMPTY}, definition.body, _EMPTY, program, calls)
+        reachable = [
+            (callee, arguments, gained)
+            for (callee, arguments), gains in calls.items()
+            for gained in gains
+        ]
+    own_labels = labels_of_many(definition.parameter, definition.body)
+    return name, own_labels, reachable
+
+
+def _walk_up(
+    implicits: set[LabelSet],
+    term: Term,
+    then: LabelSet,
+    program: LabeledProgram,
+    calls: dict[tuple[FunctionRef, LabelSet], set[LabelSet]],
+) -> set[LabelSet]:
+    """``term_up`` for every entering availability in ``implicits`` at once,
+    merged over paths.
+
+    Records the implicit labels that some inverse path brings to each
+    call, keyed by the flipped callee and its argument labels, in
+    ``calls``.  Returns every availability set that some path ends with,
+    each joined with ``then`` so that no intermediate generation of sets
+    is built.  Each node is walked once, where ``term_up`` walks a
+    scrutinee once per path through the branch bodies.
+    """
+    if isinstance(term, PatternTerm):
+        gained = labels_of(term.pattern) | then
+        return {implicit | gained for implicit in implicits}
+    if isinstance(term, Apply):
+        argument = frozenset((body_root_label(_definition(program, term.callee).body),))
+        calls.setdefault((flip(term.callee), argument), set()).update(implicits)
+        gained = labels_of(term.argument) | {_own_label(term)} | then
+        return {implicit | gained for implicit in implicits}
+    if isinstance(term, Case):
+        then = then | {_own_label(term)}
+        available: set[LabelSet] = set()
+        for pattern, body in term.branches:
+            scrutinee_implicits = _walk_up(implicits, body, labels_of(pattern), program, calls)
+            available |= _walk_up(scrutinee_implicits, term.scrutinee, then, program, calls)
+        return available
+    raise ValueError(f"cannot analyze sugared term {term!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +426,21 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
     on a component of their own parameter are considered.  The forward
     side is matched per call site through its argument labels; the
     backward side is matched per caller and callee, since inverse-walk
-    configurations do not record the site they were emitted from.
+    configurations do not record the site they were emitted from.  A
+    label counts as available on a side when some configuration matched
+    there holds it, so each side's labels are unioned once per key and
+    every call site looks its keys up.
     """
+    down: dict[tuple[str, str, LabelSet], set] = {}
+    up: dict[tuple[str, str], set] = {}
+    for c in configs:
+        if c.direction is Direction.DOWN:
+            labels = down.setdefault((c.caller, c.callee_name, c.argument_labels), set())
+        else:
+            labels = up.setdefault((c.caller, c.callee_name), set())
+        labels |= c.argument_labels
+        labels |= c.implicit_labels
+
     hints: list[Hint] = []
     paths_cache: dict[str, tuple[tuple[int, ...], ...]] = {}
     for fd in program.functions.values():
@@ -338,25 +453,11 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
             paths = paths_cache.get(callee_name, ())
             if not paths:
                 continue
-            site_labels = labels_of(site.argument)
-            down = [
-                c
-                for c in configs
-                if c.caller == fd.name
-                and c.callee_name == callee_name
-                and c.direction is Direction.DOWN
-                and c.argument_labels == site_labels
-            ]
-            up = [
-                c
-                for c in configs
-                if c.caller == fd.name
-                and c.callee_name == callee_name
-                and c.direction is Direction.UP
-            ]
-            if not down or not up:
+            down_labels = down.get((fd.name, callee_name, labels_of(site.argument)))
+            up_labels = up.get((fd.name, callee_name))
+            if down_labels is None or up_labels is None:
                 continue
-            witness = _site_witness(site.argument, paths, occurrences, down, up)
+            witness = _site_witness(site.argument, paths, occurrences, down_labels, up_labels)
             if witness:
                 hints.append(
                     Hint(fd.name, callee_name, _own_label(site), tuple(sorted(witness)))
@@ -369,8 +470,8 @@ def _site_witness(
     argument: Pattern,
     paths: tuple[tuple[int, ...], ...],
     occurrences: dict[str, frozenset[int]],
-    down: list[CallConfiguration],
-    up: list[CallConfiguration],
+    down_labels: set,
+    up_labels: set,
 ) -> set[int]:
     witness: set[int] = set()
     for path in paths:
@@ -383,18 +484,8 @@ def _site_witness(
         per_path: set[int] = set()
         for name in names:
             occs = occurrences.get(name, frozenset())
-            down_hits = {
-                l
-                for c in down
-                for l in occs & (c.argument_labels | c.implicit_labels)
-                if isinstance(l, int)
-            }
-            up_hits = {
-                l
-                for c in up
-                for l in occs & (c.argument_labels | c.implicit_labels)
-                if isinstance(l, int)
-            }
+            down_hits = occs & down_labels
+            up_hits = occs & up_labels
             if not down_hits or not up_hits:
                 per_path.clear()
                 break

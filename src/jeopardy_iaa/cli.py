@@ -27,10 +27,11 @@ from .parser import ParseError, line_col, parse, parse_value
 from .printer import pretty_program, pretty_value
 from .syntax import (
     Diagnostic,
+    INPUT,
+    OUTPUT,
     Program,
     constructor_table,
     invert_depth,
-    label_sort_key,
     validate,
     validate_value,
 )
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_IO = 2
 EXIT_RUNTIME = 3
+
+_SYMBOLIC = (INPUT, OUTPUT)  # in label_sort_key order
 
 
 class _CommandError(Exception):
@@ -107,8 +110,9 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _labels_json(value) -> list:
-    return sorted(value, key=label_sort_key)
+def _labels_json(value: frozenset) -> list:
+    # the order of label_sort_key: integers, then the symbolic labels
+    return sorted(value.difference(_SYMBOLIC)) + [l for l in _SYMBOLIC if l in value]
 
 
 def _configuration_row(config: CallConfiguration) -> dict:
@@ -132,8 +136,9 @@ def _hint_row(hint: Hint) -> dict:
 
 def analysis_report(labeled: LabeledProgram) -> dict:
     """The analyze command's payload: configurations, hints, label index."""
-    configs = sorted(configurations(labeled), key=CallConfiguration.sort_key)
-    hints = symmetry_hints(labeled, frozenset(configs))
+    found = configurations(labeled)
+    configs = sorted(found, key=CallConfiguration.sort_key)
+    hints = symmetry_hints(labeled, found)
     return {
         "configurations": [_configuration_row(c) for c in configs],
         "hints": [_hint_row(h) for h in hints],

@@ -106,14 +106,25 @@ def _random_core_term(rng: random.Random, budget: int):
     return Case(scrutinee, None, tuple(branches)), used
 
 
-def random_labeled_program(rng: random.Random, budget: int = 12):
-    """A labeled core program whose function ``h`` has a random body."""
+def random_labeled_program(rng: random.Random, budget: int = 12, branching: bool = False):
+    """A labeled core program whose function ``h`` has a random body.
+
+    With ``branching``, ``f`` cases on its parameter, so call sites of
+    ``f`` can earn symmetry hints.
+    """
     body, _ = _random_core_term(rng, budget)
     data = DataDef("d", (("c0", ()), ("c1", ("d",)), ("c2", ("d", "d"))))
+    f_body = PatternTerm(Var("x"))
+    if branching:
+        f_body = Case(
+            PatternTerm(Var("x")),
+            None,
+            ((Con("c0", ()), PatternTerm(Var("x"))), (Con("c1", (Var("w"),)), PatternTerm(Var("w")))),
+        )
     program = Program(
         (
             data,
-            FunDef("f", Var("x"), None, None, PatternTerm(Var("x"))),
+            FunDef("f", Var("x"), None, None, f_body),
             FunDef("g", Var("y"), None, None, Apply(Direct("f"), Var("y"))),
             FunDef("h", Var("z"), None, None, body),
         ),
@@ -143,3 +154,40 @@ def pointwise_below(lo, hi) -> bool:
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Generated scaling families, as sources.
+
+
+def diamond(k: int) -> str:
+    """k sequential two-way cases; each branch calls a two-branch ``g``
+    and each result is the scrutinee of the next case.
+
+    The report has 2^k + 2k + 1 configurations: the k forward calls to
+    ``g`` see one availability each, the backward walk enumerates the
+    2^k branch paths.
+    """
+    body = f"x{k}"
+    for i in range(k, 0, -1):
+        body = (
+            f"case (case x{i - 1} of\n  ; [z] -> g x{i - 1}\n"
+            f"  ; [s y{i}] -> g y{i}) of\n  ; x{i} -> {body}"
+        )
+    return (
+        "data t = [z] [s t].\n\n"
+        "g v =\n  case v of\n  ; [z] -> [z]\n  ; [s w] -> [s w].\n\n"
+        f"f x0 =\n  {body}.\n\nmain f.\n"
+    )
+
+
+def ring(n: int) -> str:
+    """n functions, each calling the next; 3n + 1 configurations."""
+    names = [f"r_{i}" for i in range(n)]
+    parts = ["data t = [z] [s t]."]
+    for i, name in enumerate(names):
+        parts.append(
+            f"{name} x =\n  case x of\n  ; [z]   -> [z]\n  ; [s k] -> {names[(i + 1) % n]} k."
+        )
+    parts.append(f"main {names[0]}.")
+    return "\n\n".join(parts) + "\n"

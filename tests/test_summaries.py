@@ -1,0 +1,182 @@
+"""Differential checks of the summary-based closure and the indexed hints.
+
+``configurations`` must equal a naive FIFO closure over the one-step
+reference rule ``call``, including the type of any exception raised,
+and ``symmetry_hints`` must equal the linear scan that compares every
+configuration against every call site.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+
+import pytest
+
+from jeopardy_iaa import annotate, desugar_program, parse
+from jeopardy_iaa.analysis import (
+    CallConfiguration,
+    Direction,
+    Hint,
+    UndefinedCalleeError,
+    _branching_parameter_paths,
+    _call_sites,
+    _pattern_vars,
+    _subpattern_at,
+    _variable_occurrences,
+    call,
+    configurations,
+    seed_configurations,
+    symmetry_hints,
+)
+from jeopardy_iaa.cli import _labels_json
+from jeopardy_iaa.labeler import labels_of
+from jeopardy_iaa.syntax import (
+    Apply,
+    Direct,
+    FunDef,
+    Inverted,
+    Program,
+    Var,
+    label_sort_key,
+    underlying_name,
+)
+
+from conftest import (
+    ALL_FIXTURES,
+    diamond,
+    load_labeled,
+    random_label_sets,
+    random_labeled_program,
+    ring,
+)
+
+
+def naive_configurations(program):
+    seeds = seed_configurations(program)
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        for reached in call(queue.popleft(), program):
+            if reached not in seen:
+                seen.add(reached)
+                queue.append(reached)
+    return frozenset(seen)
+
+
+def linear_hints(program, configs):
+    """Every call site scans every configuration for its caller and callee."""
+    hints = []
+    paths_cache = {fd.name: _branching_parameter_paths(fd) for fd in program.functions.values()}
+    for fd in program.functions.values():
+        occurrences = _variable_occurrences(fd)
+        for site in _call_sites(fd.body):
+            callee_name = underlying_name(site.callee)
+            paths = paths_cache.get(callee_name, ())
+            if not paths:
+                continue
+            site_labels = labels_of(site.argument)
+            down = [
+                c
+                for c in configs
+                if c.caller == fd.name
+                and c.callee_name == callee_name
+                and c.direction is Direction.DOWN
+                and c.argument_labels == site_labels
+            ]
+            up = [
+                c
+                for c in configs
+                if c.caller == fd.name
+                and c.callee_name == callee_name
+                and c.direction is Direction.UP
+            ]
+            if not down or not up:
+                continue
+            witness = set()
+            for path in paths:
+                sub = _subpattern_at(site.argument, path)
+                if sub is None:
+                    continue
+                names = [v.name for v in _pattern_vars(sub)]
+                if not names:
+                    continue
+                per_path = set()
+                for name in names:
+                    occs = occurrences.get(name, frozenset())
+                    down_hits = {
+                        l
+                        for c in down
+                        for l in occs & (c.argument_labels | c.implicit_labels)
+                        if isinstance(l, int)
+                    }
+                    up_hits = {
+                        l
+                        for c in up
+                        for l in occs & (c.argument_labels | c.implicit_labels)
+                        if isinstance(l, int)
+                    }
+                    if not down_hits or not up_hits:
+                        per_path.clear()
+                        break
+                    per_path |= down_hits | up_hits
+                witness |= per_path
+            if witness:
+                hints.append(Hint(fd.name, callee_name, site.label, tuple(sorted(witness))))
+    hints.sort(key=lambda h: (h.function, h.call_label))
+    return hints
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as error:  # the reference's exception type is the expected result
+        return type(error)
+
+
+def _check(program):
+    expected = _outcome(naive_configurations, program)
+    actual = _outcome(configurations, program)
+    assert actual == expected
+    if isinstance(expected, frozenset):
+        assert symmetry_hints(program, expected) == linear_hints(program, expected)
+
+
+def test_random_programs_match_the_reference():
+    rng = random.Random(20221206)
+    for index in range(1000):
+        _check(random_labeled_program(rng, budget=6 + index % 25, branching=index % 2 == 1))
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
+def test_fixtures_match_the_reference(fixture):
+    _check(load_labeled(fixture.name))
+
+
+@pytest.mark.parametrize("source", [diamond(k) for k in range(1, 7)] + [ring(1), ring(5)])
+def test_generated_programs_match_the_reference(source):
+    _check(annotate(desugar_program(parse(source))))
+
+
+@pytest.mark.parametrize("body", [Apply(Direct("q"), Var("z")), Apply(Inverted(Direct("q")), Var("z"))])
+@pytest.mark.parametrize("main", [Direct("h"), Inverted(Direct("h"))])
+def test_undefined_callee_raises_like_the_reference(body, main):
+    program = annotate(Program((FunDef("h", Var("z"), None, None, body),), main))
+    assert _outcome(configurations, program) is UndefinedCalleeError
+    _check(program)
+
+
+def test_report_order_is_label_sort_key_order():
+    rng = random.Random(7)
+    sets = [frozenset(), frozenset({"input"}), frozenset({"output"}), frozenset({"input", "output"})]
+    for _ in range(300):
+        small, big = random_label_sets(rng, universe=6)
+        sets += [small, big]
+    for labels in sets:
+        assert _labels_json(labels) == sorted(labels, key=label_sort_key)
+    for a in sets:
+        for b in sets[:60]:
+            ca = CallConfiguration("f", Direct("g"), a, b)
+            cb = CallConfiguration("f", Direct("g"), b, a)
+            expected = sorted(map(label_sort_key, a)) < sorted(map(label_sort_key, b))
+            assert (ca.sort_key() < cb.sort_key()) == expected
