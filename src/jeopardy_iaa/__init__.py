@@ -29,7 +29,6 @@ from .labeler import (
     annotate,
     body_root_label,
     labels_of,
-    labels_of_many,
 )
 from .parser import ParseError, parse, parse_value
 from .printer import (

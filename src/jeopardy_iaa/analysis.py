@@ -53,7 +53,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .labeler import LabeledProgram, body_root_label, labels_of, labels_of_many
+from .labeler import LabeledProgram, body_root_label, labels_of
 from .printer import pretty_funref
 from .syntax import (
     Apply,
@@ -71,6 +71,8 @@ from .syntax import (
     flip,
     invert_depth,
     label_sort_key,
+    nodes,
+    pattern_variables,
     underlying_name,
 )
 
@@ -247,7 +249,7 @@ def call(config: CallConfiguration, program: LabeledProgram) -> ConfigurationSet
     re-accumulated by the body walk.
     """
     definition = _definition(program, config.callee)
-    own_labels = labels_of_many(definition.parameter, definition.body)
+    own_labels = labels_of(definition.parameter) | labels_of(definition.body)
     entering = (config.implicit_labels | config.argument_labels) - own_labels
     name = definition.name
     if config.direction is Direction.DOWN:
@@ -316,7 +318,7 @@ def _summary(config: CallConfiguration, program: LabeledProgram) -> _Summary:
             for (callee, arguments), gains in calls.items()
             for gained in gains
         ]
-    own_labels = labels_of_many(definition.parameter, definition.body)
+    own_labels = labels_of(definition.parameter) | labels_of(definition.body)
     return name, own_labels, reachable
 
 
@@ -446,9 +448,20 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
     for fd in program.functions.values():
         paths_cache[fd.name] = _branching_parameter_paths(fd)
 
+    callers = {caller for caller, _, _ in down}
     for fd in program.functions.values():
-        occurrences = _variable_occurrences(fd)
-        for site in _call_sites(fd.body):
+        if fd.name not in callers:
+            continue  # no site of a function that calls nothing forward can match
+        occurrences: dict[str, set[int]] = {}
+        sites: list[Apply] = []
+        for root in (fd.parameter, fd.body):
+            for node in nodes(root):
+                kind = type(node)
+                if kind is Var:
+                    occurrences.setdefault(node.name, set()).add(node.label)
+                elif kind is Apply:
+                    sites.append(node)
+        for site in sites:
             callee_name = underlying_name(site.callee)
             paths = paths_cache.get(callee_name, ())
             if not paths:
@@ -469,7 +482,7 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
 def _site_witness(
     argument: Pattern,
     paths: tuple[tuple[int, ...], ...],
-    occurrences: dict[str, frozenset[int]],
+    occurrences: dict[str, set[int]],
     down_labels: set,
     up_labels: set,
 ) -> set[int]:
@@ -478,7 +491,7 @@ def _site_witness(
         sub = _subpattern_at(argument, path)
         if sub is None:
             continue
-        names = [v.name for v in _pattern_vars(sub)]
+        names = [v.name for v in pattern_variables(sub)]
         if not names:
             continue  # a ground scrutinee component branches statically
         per_path: set[int] = set()
@@ -492,15 +505,6 @@ def _site_witness(
             per_path |= down_hits | up_hits
         witness |= per_path
     return witness
-
-
-def _pattern_vars(pattern: Pattern) -> list[Var]:
-    if isinstance(pattern, Var):
-        return [pattern]
-    out: list[Var] = []
-    for arg in pattern.args:
-        out.extend(_pattern_vars(arg))
-    return out
 
 
 def _subpattern_at(pattern: Pattern, path: tuple[int, ...]) -> Pattern | None:
@@ -556,44 +560,3 @@ def _variable_paths(pattern: Pattern) -> list[tuple[Var, tuple[int, ...]]]:
         for var, sub in _variable_paths(arg):
             out.append((var, (index,) + sub))
     return out
-
-
-def _variable_occurrences(fd: FunDef) -> dict[str, frozenset[int]]:
-    """Labels of every occurrence of each variable name in a definition."""
-    acc: dict[str, set[int]] = {}
-
-    def pattern(p: Pattern) -> None:
-        if isinstance(p, Var):
-            if p.label is not None:
-                acc.setdefault(p.name, set()).add(p.label)
-            return
-        for arg in p.args:
-            pattern(arg)
-
-    def term(t: Term) -> None:
-        if isinstance(t, PatternTerm):
-            pattern(t.pattern)
-        elif isinstance(t, Apply):
-            pattern(t.argument)
-        elif isinstance(t, Case):
-            term(t.scrutinee)
-            for p, b in t.branches:
-                pattern(p)
-                term(b)
-
-    pattern(fd.parameter)
-    term(fd.body)
-    return {name: frozenset(labels) for name, labels in acc.items()}
-
-
-def _call_sites(term: Term) -> list[Apply]:
-    if isinstance(term, PatternTerm):
-        return []
-    if isinstance(term, Apply):
-        return [term]
-    if isinstance(term, Case):
-        sites = _call_sites(term.scrutinee)
-        for _, body in term.branches:
-            sites.extend(_call_sites(body))
-        return sites
-    return []

@@ -43,13 +43,13 @@ from .syntax import (
     Pattern,
     PatternTerm,
     Program,
+    SUGAR_TERM_TYPES,
     Term,
     TupleTerm,
     Var,
     data_defs,
     fun_defs,
-    is_core_term,
-    pattern_variables,
+    nodes,
     underlying_name,
 )
 
@@ -58,55 +58,28 @@ class DesugarError(Exception):
     """A sugar form clashes with a user declaration it depends on."""
 
 
-def _used_names(program: Program) -> set[str]:
-    names: set[str] = set()
-
-    def walk_pattern(pattern: Pattern) -> None:
-        for var in pattern_variables(pattern):
-            names.add(var.name)
-        if isinstance(pattern, Con):
-            names.add(pattern.name)
-            for arg in pattern.args:
-                walk_pattern(arg)
-
-    def walk(term: Term) -> None:
-        if isinstance(term, PatternTerm):
-            walk_pattern(term.pattern)
-        elif isinstance(term, Apply):
-            walk_pattern(term.argument)
-        elif isinstance(term, GeneralApply):
-            walk(term.argument)
-        elif isinstance(term, Case):
-            walk(term.scrutinee)
-            for pattern, body in term.branches:
-                walk_pattern(pattern)
-                walk(body)
-        elif isinstance(term, LetTerm):
-            walk_pattern(term.pattern)
-            walk(term.bound)
-            walk(term.body)
-        elif isinstance(term, ConApp):
-            names.add(term.name)
-            for arg in term.args:
-                walk(arg)
-        elif isinstance(term, TupleTerm):
-            walk(term.first)
-            walk(term.second)
-        elif isinstance(term, ConsTerm):
-            walk(term.head)
-            walk(term.tail)
-
+def _names(program: Program) -> tuple[set[str], set[str]]:
+    """Every identifier the program uses, and the constructor names that
+    its function definitions mention."""
+    used: set[str] = set()
+    mentioned: set[str] = set()
     for definition in program.definitions:
         if isinstance(definition, DataDef):
-            names.add(definition.type_name)
+            used.add(definition.type_name)
             for con_name, components in definition.constructors:
-                names.add(con_name)
-                names.update(components)
-        else:
-            names.add(definition.name)
-            walk_pattern(definition.parameter)
-            walk(definition.body)
-    return names
+                used.add(con_name)
+                used.update(components)
+            continue
+        used.add(definition.name)
+        for root in (definition.parameter, definition.body):
+            for node in nodes(root):
+                kind = type(node)
+                if kind is Var:
+                    used.add(node.name)
+                elif kind is Con or kind is ConApp:
+                    mentioned.add(node.name)
+    used |= mentioned
+    return used, mentioned
 
 
 class _Fresh:
@@ -132,7 +105,7 @@ class _Fresh:
 class _Desugarer:
     def __init__(self, program: Program):
         self.program = program
-        self.used = _used_names(program)
+        self.used, self.mentioned = _names(program)
         self.fun_types = {
             fd.name: fd.parameter_type for fd in fun_defs(program)
         }
@@ -173,7 +146,7 @@ class _Desugarer:
             definitions.append(self.desugar_fun_def(definition))
         for pattern_con in ("pair", "cons", "nil"):
             # patterns collapsed at parse time also rely on the builtins
-            if pattern_con not in self.declared and self._program_mentions(pattern_con):
+            if pattern_con not in self.declared and pattern_con in self.mentioned:
                 self.needed_builtins.add(pattern_con)
         if self.needed_builtins:
             type_name = "builtin"
@@ -187,40 +160,6 @@ class _Desugarer:
             )
             definitions.append(DataDef(type_name, constructors))
         return Program(tuple(definitions), self.program.main)
-
-    def _program_mentions(self, con_name: str) -> bool:
-        def in_pattern(pattern: Pattern) -> bool:
-            if isinstance(pattern, Con):
-                if pattern.name == con_name:
-                    return True
-                return any(in_pattern(arg) for arg in pattern.args)
-            return False
-
-        def in_term(term: Term) -> bool:
-            if isinstance(term, PatternTerm):
-                return in_pattern(term.pattern)
-            if isinstance(term, Apply):
-                return in_pattern(term.argument)
-            if isinstance(term, GeneralApply):
-                return in_term(term.argument)
-            if isinstance(term, Case):
-                return in_term(term.scrutinee) or any(
-                    in_pattern(p) or in_term(b) for p, b in term.branches
-                )
-            if isinstance(term, LetTerm):
-                return in_pattern(term.pattern) or in_term(term.bound) or in_term(term.body)
-            if isinstance(term, ConApp):
-                return term.name == con_name or any(in_term(a) for a in term.args)
-            if isinstance(term, TupleTerm):
-                return in_term(term.first) or in_term(term.second)
-            if isinstance(term, ConsTerm):
-                return in_term(term.head) or in_term(term.tail)
-            return False
-
-        for fd in fun_defs(self.program):
-            if in_pattern(fd.parameter) or in_term(fd.body):
-                return True
-        return False
 
     def desugar_fun_def(self, definition: FunDef) -> FunDef:
         self.fresh = _Fresh(self.used)
@@ -323,5 +262,5 @@ def assert_core(program: Program) -> None:
     for definition in fun_defs(program):
         if not isinstance(definition.parameter, Var):
             raise AssertionError(f"function '{definition.name}' still has a pattern parameter")
-        if not is_core_term(definition.body):
+        if any(isinstance(node, SUGAR_TERM_TYPES) for node in nodes(definition.body)):
             raise AssertionError(f"function '{definition.name}' still contains sugar")

@@ -26,6 +26,7 @@ from .syntax import (
     Span,
     Term,
     Var,
+    nodes,
 )
 
 
@@ -102,52 +103,31 @@ def annotate(program: Program) -> LabeledProgram:
     return LabeledProgram(labeled_program, labeler.index, functions)
 
 
+# node types that are program points, named as in error messages
+_POINT_KINDS = {Var: "pattern", Con: "pattern", Apply: "application", Case: "case"}
+
+
 def labels_of(node: Pattern | Term) -> frozenset[int]:
     """All labels on a node and its descendants.
 
-    Requires a labeled tree; an unlabeled node is an error rather than
-    silently contributing nothing.
+    Requires a labeled core tree; an unlabeled or sugared node is an
+    error rather than silently contributing nothing.
     """
-    out: set[int] = set()
-    _collect(node, out)
+    if type(node) is PatternTerm:
+        node = node.pattern
+    if type(node) is Var and node.label is not None:
+        return frozenset((node.label,))
+    out: list[int] = []
+    for n in nodes(node):
+        kind = type(n)
+        if kind is PatternTerm:
+            continue
+        if kind not in _POINT_KINDS:
+            raise ValueError(f"cannot collect labels from sugared term {n!r}")
+        if n.label is None:
+            raise ValueError(f"unlabeled {_POINT_KINDS[kind]} node: {n!r}")
+        out.append(n.label)
     return frozenset(out)
-
-
-def labels_of_many(*nodes: Pattern | Term) -> frozenset[int]:
-    out: set[int] = set()
-    for node in nodes:
-        _collect(node, out)
-    return frozenset(out)
-
-
-def _collect(node: Pattern | Term, out: set[int]) -> None:
-    if isinstance(node, PatternTerm):
-        _collect(node.pattern, out)
-        return
-    if isinstance(node, (Var, Con)):
-        if node.label is None:
-            raise ValueError(f"unlabeled pattern node: {node!r}")
-        out.add(node.label)
-        if isinstance(node, Con):
-            for arg in node.args:
-                _collect(arg, out)
-        return
-    if isinstance(node, Apply):
-        if node.label is None:
-            raise ValueError(f"unlabeled application node: {node!r}")
-        out.add(node.label)
-        _collect(node.argument, out)
-        return
-    if isinstance(node, Case):
-        if node.label is None:
-            raise ValueError(f"unlabeled case node: {node!r}")
-        out.add(node.label)
-        _collect(node.scrutinee, out)
-        for pattern, body in node.branches:
-            _collect(pattern, out)
-            _collect(body, out)
-        return
-    raise ValueError(f"cannot collect labels from sugared term {node!r}")
 
 
 def body_root_label(term: Term) -> int:

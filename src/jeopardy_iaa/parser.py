@@ -184,6 +184,15 @@ class _Parser:
     def _leave(self) -> None:
         self.depth -= 1
 
+    def _numeral(self) -> int:
+        """Consume a numeral token; its value is the nesting depth it
+        stands for, so it is bounded like any other nesting."""
+        token = self.advance()
+        digits = token.text.lstrip("0")
+        if len(digits) > len(str(_MAX_DEPTH)) or int(digits or "0") > _MAX_DEPTH:
+            self.fail("numeral too large", token)
+        return int(token.text)
+
     # -- program ------------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -307,8 +316,7 @@ class _Parser:
                 self.advance()
                 return self.fresh_wildcard(token.span)
             if token.kind == "number":
-                self.advance()
-                return self._nat_pattern(int(token.text), token.span)
+                return self._nat_pattern(self._numeral(), token.span)
             if token.kind == "[":
                 start = self.advance()
                 if self.peek().kind == "]":
@@ -446,8 +454,7 @@ class _Parser:
                 self.advance()
                 return PatternTerm(self.fresh_wildcard(token.span), span=token.span)
             if token.kind == "number":
-                self.advance()
-                pattern = self._nat_pattern(int(token.text), token.span)
+                pattern = self._nat_pattern(self._numeral(), token.span)
                 return PatternTerm(pattern, span=token.span)
             if token.kind == "[":
                 return self.parse_bracket_term()
@@ -498,8 +505,7 @@ class _Parser:
         try:
             token = self.peek()
             if token.kind == "number":
-                self.advance()
-                return self._nat_value(int(token.text))
+                return self._nat_value(self._numeral())
             if token.kind == "[":
                 self.advance()
                 if self.peek().kind == "]":

@@ -9,6 +9,8 @@ stage:
   (post-desugaring) form,
 * function references, wrapped in any number of inversion markers,
 * data and function definitions, whole programs, and runtime values,
+* ``nodes``, the one pre-order traversal of pattern, term and value
+  trees that every read-only walk is built on,
 * ``validate``, the well-formedness check every downstream stage
   assumes has passed.
 
@@ -89,20 +91,6 @@ class Con:
 
 
 Pattern = Union[Var, Con]
-
-
-def pattern_nodes(pattern: Pattern) -> Iterator[Pattern]:
-    """Pre-order traversal of a pattern tree."""
-    yield pattern
-    if isinstance(pattern, Con):
-        for arg in pattern.args:
-            yield from pattern_nodes(arg)
-
-
-def pattern_variables(pattern: Pattern) -> Iterator[Var]:
-    for node in pattern_nodes(pattern):
-        if isinstance(node, Var):
-            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +186,7 @@ class GeneralApply:
 
 Term = Union[PatternTerm, Apply, Case, ConApp, TupleTerm, ConsTerm, LetTerm, GeneralApply]
 
-CORE_TERM_TYPES = (PatternTerm, Apply, Case)
 SUGAR_TERM_TYPES = (ConApp, TupleTerm, ConsTerm, LetTerm, GeneralApply)
-
-
-def is_core_term(term: Term) -> bool:
-    """True when no sugared node occurs anywhere in the term."""
-    if isinstance(term, PatternTerm):
-        return True
-    if isinstance(term, Apply):
-        return True
-    if isinstance(term, Case):
-        return is_core_term(term.scrutinee) and all(
-            is_core_term(body) for _, body in term.branches
-        )
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +241,56 @@ class Value:
 
     name: str
     args: tuple["Value", ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+
+
+def nodes(root: Pattern | Term | Value) -> Iterator[Pattern | Term | Value]:
+    """Every node of a pattern, term (core or sugared) or value tree.
+
+    Pre-order, children left to right, in source order: a case's
+    scrutinee, then each branch's pattern and body; a let's pattern,
+    bound term and body.  A pattern used as a term yields its wrapper
+    and then the pattern.  The walk keeps its own stack, so a tree of
+    any depth is safe.
+    """
+    stack = [root]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        yield node
+        kind = type(node)
+        if kind is Var:
+            continue
+        if kind is Con or kind is Value or kind is ConApp:
+            stack += node.args[::-1]
+        elif kind is PatternTerm:
+            push(node.pattern)
+        elif kind is Apply or kind is GeneralApply:
+            push(node.argument)
+        elif kind is Case:
+            for pattern, body in reversed(node.branches):
+                push(body)
+                push(pattern)
+            push(node.scrutinee)
+        elif kind is TupleTerm:
+            push(node.second)
+            push(node.first)
+        elif kind is ConsTerm:
+            push(node.tail)
+            push(node.head)
+        elif kind is LetTerm:
+            push(node.body)
+            push(node.bound)
+            push(node.pattern)
+        else:
+            raise TypeError(f"not a pattern, term or value node: {node!r}")
+
+
+def pattern_variables(pattern: Pattern) -> Iterator[Var]:
+    return (node for node in nodes(pattern) if type(node) is Var)
 
 
 # ---------------------------------------------------------------------------
@@ -371,66 +395,69 @@ def constructor_table(program: Program) -> tuple[dict[str, ConstructorInfo], lis
     return table, diagnostics
 
 
-def _check_constructors(pattern: Pattern, table: dict[str, ConstructorInfo], out: list[Diagnostic]) -> None:
-    if isinstance(pattern, Var):
-        return
-    info = table.get(pattern.name)
+def _check_constructor(
+    name: str, argc: int, span: Span | None, table: dict[str, ConstructorInfo], out: list[Diagnostic]
+) -> None:
+    info = table.get(name)
     if info is None:
         out.append(
             Diagnostic(
                 "undefined-constructor",
-                f"constructor '{pattern.name}' is not declared",
-                pattern.span,
+                f"constructor '{name}' is not declared",
+                span,
             )
         )
-    elif info.arity != len(pattern.args):
+    elif info.arity != argc:
         out.append(
             Diagnostic(
                 "arity-mismatch",
-                f"constructor '{pattern.name}' takes {info.arity} "
-                f"argument(s), got {len(pattern.args)}",
-                pattern.span,
+                f"constructor '{name}' takes {info.arity} "
+                f"argument(s), got {argc}",
+                span,
             )
         )
-    for arg in pattern.args:
-        _check_constructors(arg, table, out)
 
 
-def _check_binding_pattern(pattern: Pattern, table: dict[str, ConstructorInfo], out: list[Diagnostic]) -> None:
-    """Checks for patterns that bind variables: linearity on top of shape."""
-    _check_constructors(pattern, table, out)
-    seen: set[str] = set()
-    for var in pattern_variables(pattern):
-        if var.name in seen:
-            out.append(
-                Diagnostic(
-                    "nonlinear-pattern",
-                    f"variable '{var.name}' bound twice in one pattern",
-                    var.span,
-                )
-            )
-        seen.add(var.name)
-
-
-def _check_pattern_term(
-    pattern: Pattern,
+def _check_pattern(
+    root: Pattern | Value,
     table: dict[str, ConstructorInfo],
-    bound: frozenset[str],
     out: list[Diagnostic],
-) -> None:
-    """A pattern in term position: constructors must exist, every
-    variable must be in scope.  Repeated variables are fine here; a term
-    may copy a binding."""
-    _check_constructors(pattern, table, out)
-    for var in pattern_variables(pattern):
-        if var.name not in bound:
-            out.append(
+    bound: frozenset[str] | None = None,
+) -> set[str]:
+    """Check a pattern or value in one walk; return its variables' names.
+
+    Every constructor must be declared with the right arity.  A pattern
+    that binds (``bound`` is None) must be linear; a pattern in term
+    position must use only variables in ``bound``, and may repeat them,
+    since a term may copy a binding.  All constructor diagnostics come
+    before the variable diagnostics, each group in pre-order.
+    """
+    names: set[str] = set()
+    variables: list[Diagnostic] = []
+    for node in nodes(root):
+        if type(node) is not Var:
+            # values carry no span
+            _check_constructor(node.name, len(node.args), getattr(node, "span", None), table, out)
+        elif bound is None:
+            if node.name in names:
+                variables.append(
+                    Diagnostic(
+                        "nonlinear-pattern",
+                        f"variable '{node.name}' bound twice in one pattern",
+                        node.span,
+                    )
+                )
+            names.add(node.name)
+        elif node.name not in bound:
+            variables.append(
                 Diagnostic(
                     "unbound-variable",
-                    f"variable '{var.name}' is not in scope",
-                    var.span,
+                    f"variable '{node.name}' is not in scope",
+                    node.span,
                 )
             )
+    out.extend(variables)
+    return names
 
 
 def validate(program: Program) -> list[Diagnostic]:
@@ -472,43 +499,24 @@ def validate(program: Program) -> list[Diagnostic]:
 
     def check_term(term: Term, bound: frozenset[str]) -> None:
         if isinstance(term, PatternTerm):
-            _check_pattern_term(term.pattern, table, bound, diagnostics)
+            _check_pattern(term.pattern, table, diagnostics, bound)
         elif isinstance(term, Apply):
             check_ref(term.callee, term.span)
-            _check_pattern_term(term.argument, table, bound, diagnostics)
+            _check_pattern(term.argument, table, diagnostics, bound)
         elif isinstance(term, GeneralApply):
             check_ref(term.callee, term.span)
             check_term(term.argument, bound)
         elif isinstance(term, Case):
             check_term(term.scrutinee, bound)
             for pattern, body in term.branches:
-                _check_binding_pattern(pattern, table, diagnostics)
-                names = frozenset(v.name for v in pattern_variables(pattern))
+                names = _check_pattern(pattern, table, diagnostics)
                 check_term(body, bound | names)
         elif isinstance(term, LetTerm):
             check_term(term.bound, bound)
-            _check_binding_pattern(term.pattern, table, diagnostics)
-            names = frozenset(v.name for v in pattern_variables(term.pattern))
+            names = _check_pattern(term.pattern, table, diagnostics)
             check_term(term.body, bound | names)
         elif isinstance(term, ConApp):
-            info = table.get(term.name)
-            if info is None:
-                diagnostics.append(
-                    Diagnostic(
-                        "undefined-constructor",
-                        f"constructor '{term.name}' is not declared",
-                        term.span,
-                    )
-                )
-            elif info.arity != len(term.args):
-                diagnostics.append(
-                    Diagnostic(
-                        "arity-mismatch",
-                        f"constructor '{term.name}' takes {info.arity} "
-                        f"argument(s), got {len(term.args)}",
-                        term.span,
-                    )
-                )
+            _check_constructor(term.name, len(term.args), term.span, table, diagnostics)
             for arg in term.args:
                 check_term(arg, bound)
         elif isinstance(term, TupleTerm):
@@ -523,8 +531,7 @@ def validate(program: Program) -> list[Diagnostic]:
     for definition in fun_defs(program):
         if definition.name in functions and functions[definition.name] is not definition:
             continue  # duplicate, already reported
-        _check_binding_pattern(definition.parameter, table, diagnostics)
-        bound = frozenset(v.name for v in pattern_variables(definition.parameter))
+        bound = frozenset(_check_pattern(definition.parameter, table, diagnostics))
         check_term(definition.body, bound)
 
     check_ref(program.main, None)
@@ -534,26 +541,5 @@ def validate(program: Program) -> list[Diagnostic]:
 def validate_value(value: Value, table: dict[str, ConstructorInfo]) -> list[Diagnostic]:
     """Check a runtime value against a program's constructor table."""
     diagnostics: list[Diagnostic] = []
-
-    def walk(v: Value) -> None:
-        info = table.get(v.name)
-        if info is None:
-            diagnostics.append(
-                Diagnostic(
-                    "undefined-constructor",
-                    f"constructor '{v.name}' is not declared",
-                )
-            )
-        elif info.arity != len(v.args):
-            diagnostics.append(
-                Diagnostic(
-                    "arity-mismatch",
-                    f"constructor '{v.name}' takes {info.arity} "
-                    f"argument(s), got {len(v.args)}",
-                )
-            )
-        for arg in v.args:
-            walk(arg)
-
-    walk(value)
+    _check_pattern(value, table, diagnostics)
     return diagnostics

@@ -199,3 +199,18 @@ def test_run_inverted_main(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(inverted), "[c]")
     assert code == 3
     assert "inverted-call" in err
+
+
+def test_parse_refuses_a_numeral_too_large(capsys, tmp_path):
+    source = tmp_path / "big.jpd"
+    source.write_text("data nat = [zero] [successor nat].\nf x = 3000.\nmain f.\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "parse", str(source))
+    assert code == 1
+    assert err == f"{source}:2:7: parse error: numeral too large\n"
+
+
+def test_run_refuses_an_input_numeral_too_large(capsys):
+    code, out, err = run_cli(capsys, "run", str(FIXTURES / "main_sum.jpd"), "(2000, 0)")
+    assert code == 1
+    assert out == ""
+    assert err == "invalid input value: numeral too large\n"

@@ -167,6 +167,18 @@ def test_builtin_injection_only_when_needed():
     assert all(not isinstance(d, DataDef) or d.type_name == "d" for d in plain.definitions)
 
 
+def test_builtin_injection_for_sugar_met_only_in_patterns():
+    # the parser builds these pair, cons and nil patterns directly
+    core = desugar_program(parse("f (a, b : []) = (b, a). main f."))
+    injected = [d for d in core.definitions if isinstance(d, DataDef)]
+    assert [name for name, _ in injected[0].constructors] == ["cons", "nil", "pair"]
+
+
+def test_assert_core_finds_sugar_below_a_case():
+    with pytest.raises(AssertionError, match="still contains sugar"):
+        assert_core(parse("f x = case x of ; y -> (f y, y). main f."))
+
+
 def test_user_pair_with_wrong_arity_is_an_error():
     program = parse("data d = [pair d d d] [c]. f x = (f x, x). main f.")
     assert validate(program) == []

@@ -162,3 +162,21 @@ def test_value_literals():
     assert parse_value("([zero], [nil])") == Value("pair", (Value("zero"), Value("nil")))
     with pytest.raises(ParseError):
         parse_value("[zero] trailing")
+
+
+@pytest.mark.parametrize(
+    "text", ["401", "(0, 401)", "1000000", "9" * 5000], ids=["401", "pair", "million", "5000-digits"]
+)
+def test_numerals_are_bounded_by_the_nesting_limit(text):
+    with pytest.raises(ParseError, match="numeral too large") as caught:
+        parse_value(text)
+    assert text[caught.value.span.start:caught.value.span.end].isdigit()
+
+
+def test_numeral_at_the_nesting_limit_is_accepted():
+    value = parse_value("0400")
+    depth = 0
+    while value.args:
+        value = value.args[0]
+        depth += 1
+    assert depth == 400

@@ -20,10 +20,7 @@ from jeopardy_iaa.analysis import (
     Hint,
     UndefinedCalleeError,
     _branching_parameter_paths,
-    _call_sites,
-    _pattern_vars,
     _subpattern_at,
-    _variable_occurrences,
     call,
     configurations,
     seed_configurations,
@@ -33,10 +30,14 @@ from jeopardy_iaa.cli import _labels_json
 from jeopardy_iaa.labeler import labels_of
 from jeopardy_iaa.syntax import (
     Apply,
+    Case,
     Direct,
     FunDef,
     Inverted,
+    Pattern,
+    PatternTerm,
     Program,
+    Term,
     Var,
     label_sort_key,
     underlying_name,
@@ -62,6 +63,61 @@ def naive_configurations(program):
                 seen.add(reached)
                 queue.append(reached)
     return frozenset(seen)
+
+
+# The recursive walks that symmetry_hints used before it was built on
+# syntax.nodes, kept verbatim so that the reference shares no code with
+# the walker it checks.
+
+
+def _pattern_vars(pattern: Pattern) -> list[Var]:
+    if isinstance(pattern, Var):
+        return [pattern]
+    out: list[Var] = []
+    for arg in pattern.args:
+        out.extend(_pattern_vars(arg))
+    return out
+
+
+def _variable_occurrences(fd: FunDef) -> dict[str, frozenset[int]]:
+    """Labels of every occurrence of each variable name in a definition."""
+    acc: dict[str, set[int]] = {}
+
+    def pattern(p: Pattern) -> None:
+        if isinstance(p, Var):
+            if p.label is not None:
+                acc.setdefault(p.name, set()).add(p.label)
+            return
+        for arg in p.args:
+            pattern(arg)
+
+    def term(t: Term) -> None:
+        if isinstance(t, PatternTerm):
+            pattern(t.pattern)
+        elif isinstance(t, Apply):
+            pattern(t.argument)
+        elif isinstance(t, Case):
+            term(t.scrutinee)
+            for p, b in t.branches:
+                pattern(p)
+                term(b)
+
+    pattern(fd.parameter)
+    term(fd.body)
+    return {name: frozenset(labels) for name, labels in acc.items()}
+
+
+def _call_sites(term: Term) -> list[Apply]:
+    if isinstance(term, PatternTerm):
+        return []
+    if isinstance(term, Apply):
+        return [term]
+    if isinstance(term, Case):
+        sites = _call_sites(term.scrutinee)
+        for _, body in term.branches:
+            sites.extend(_call_sites(body))
+        return sites
+    return []
 
 
 def linear_hints(program, configs):

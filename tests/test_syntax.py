@@ -78,3 +78,19 @@ def test_function_ref_helpers():
     assert invert_depth(ref) == 2
     assert flip(ref) == Inverted(Direct("f"))
     assert flip(Direct("f")) == Inverted(Direct("f"))
+
+
+def diagnosed(program_text: str) -> list[tuple[str, str]]:
+    return [(d.kind, d.message.split("'")[1]) for d in validate(parse(program_text))]
+
+
+def test_pattern_diagnostics_put_constructors_before_variables():
+    assert diagnosed("f (x, (x, [q])) = x. main f.") == [
+        ("undefined-constructor", "q"),
+        ("nonlinear-pattern", "x"),
+    ]
+    assert diagnosed("f x = [a x w [q]]. main f.") == [
+        ("undefined-constructor", "a"),
+        ("undefined-constructor", "q"),
+        ("unbound-variable", "w"),
+    ]
