@@ -6,17 +6,19 @@
     jeopardy-iaa analyze  FILE [--format text|json] [--show-labels]
     jeopardy-iaa run      FILE INPUT [--trace] [--max-calls N]
 
-Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors,
-3 runtime errors.  Every command validates the program before running
-any later stage.  JSON output is deterministic: the same input file
-always produces identical bytes.
+Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors
+(a closed output pipe too), 3 runtime errors.  Every command validates
+the program before running any later stage.  JSON output is
+deterministic: the same input file always produces identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring
 from typing import Sequence
 
 from .analysis import CallConfiguration, Hint, configurations, symmetry_hints
@@ -25,23 +27,12 @@ from .evaluator import DEFAULT_MAX_CALLS, EvalError, run_main
 from .labeler import LabeledProgram, annotate
 from .parser import ParseError, line_col, parse, parse_value
 from .printer import pretty_program, pretty_value
-from .syntax import (
-    Diagnostic,
-    INPUT,
-    OUTPUT,
-    Program,
-    constructor_table,
-    invert_depth,
-    validate,
-    validate_value,
-)
+from .syntax import Diagnostic, Program, constructor_table, validate, validate_value
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_IO = 2
 EXIT_RUNTIME = 3
-
-_SYMBOLIC = (INPUT, OUTPUT)  # in label_sort_key order
 
 
 class _CommandError(Exception):
@@ -110,19 +101,24 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _labels_json(value: frozenset) -> list:
-    # the order of label_sort_key: integers, then the symbolic labels
-    return sorted(value.difference(_SYMBOLIC)) + [l for l in _SYMBOLIC if l in value]
+def _labels_json(order: tuple[list, tuple]) -> list:
+    """A label set in label_sort_key order, from its ``_label_order`` pair:
+    the integers without the ``inf`` marker, then the symbolic labels."""
+    integers, symbolic = order
+    return integers[:-1] + list(symbolic) if symbolic else integers
 
 
-def _configuration_row(config: CallConfiguration) -> dict:
+def _configuration_row(key: tuple) -> dict:
+    """The report row of the configuration whose sort key is ``key``."""
+    caller, callee, depth, argument_order, implicit_order = key
+    inverted = depth % 2 == 1  # each inversion flips the direction
     return {
-        "caller": config.caller,
-        "callee": config.callee_name,
-        "inverted": invert_depth(config.callee) % 2 == 1,
-        "direction": config.direction.value,
-        "argument_labels": _labels_json(config.argument_labels),
-        "implicit_labels": _labels_json(config.implicit_labels),
+        "caller": caller,
+        "callee": callee,
+        "inverted": inverted,
+        "direction": "up" if inverted else "down",
+        "argument_labels": _labels_json(argument_order),
+        "implicit_labels": _labels_json(implicit_order),
     }
 
 
@@ -137,10 +133,11 @@ def _hint_row(hint: Hint) -> dict:
 def analysis_report(labeled: LabeledProgram) -> dict:
     """The analyze command's payload: configurations, hints, label index."""
     found = configurations(labeled)
-    configs = sorted(found, key=CallConfiguration.sort_key)
     hints = symmetry_hints(labeled, found)
+    # unique keys: a name and an inversion depth fix the callee
+    keys = sorted(map(CallConfiguration.sort_key, found))
     return {
-        "configurations": [_configuration_row(c) for c in configs],
+        "configurations": [_configuration_row(key) for key in keys],
         "hints": [_hint_row(h) for h in hints],
         "labels": {
             str(label): {"function": info.function, "kind": info.kind}
@@ -149,13 +146,85 @@ def analysis_report(labeled: LabeledProgram) -> dict:
     }
 
 
+def _json_value(value, newline: str) -> str:
+    """The text of ``value``; each of its lines after the first starts
+    with ``newline``'s indentation."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is list or kind is dict:
+        if not value:
+            return "[]" if kind is list else "{}"
+        inner = newline + "  "
+        opening, closing, items = _json_items(value, inner)
+        return opening + inner + ("," + inner).join(items) + newline + closing
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_items(value: list | dict, inner: str) -> tuple[str, str, list[str]]:
+    """The brackets of a list or dict and the text of each item, key
+    included, for items indented at ``inner``."""
+    if type(value) is list:
+        return "[", "]", [str(v) if type(v) is int else _json_value(v, inner) for v in value]
+    items = [encode_basestring(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())]
+    return "{", "}", items
+
+
+class _ReportEncoder(json.JSONEncoder):
+    """Writes the text of ``json.dumps(o, ensure_ascii=False,
+    sort_keys=True, indent=2)``, whatever options it is built with.
+
+    Keys are sorted, strings are escaped as ``encode_basestring`` does
+    (non-ASCII kept), every container item sits on its own line indented
+    two spaces per level, items end in ``,`` and keys in ``": "``, and an
+    empty container is ``{}`` or ``[]``.  The values are dicts with string
+    keys, lists, strings, ints, bools and None; anything else, floats and
+    tuples included, raises TypeError.  Each container is one
+    ``str.join``, where the stdlib's indented form runs its pure-Python
+    generators; the items of a top-level dict's members go straight into
+    the document's join instead.
+    """
+
+    def encode(self, o) -> str:
+        if type(o) is not dict or not o:
+            return _json_value(o, "\n")
+        # A report member holds one item per configuration or label.  Joined
+        # on its own, its text would be copied again into the document's; that
+        # copy raised the peak RSS of analyze on ring-144 from 29 to 36 MB
+        # (Linux, CPython 3.11).
+        parts = ["{"]
+        separator = "\n  "
+        for key, member in sorted(o.items()):
+            parts.append(separator + encode_basestring(key) + ": ")
+            separator = ",\n  "
+            if (type(member) is list or type(member) is dict) and member:
+                opening, closing, items = _json_items(member, "\n    ")
+                spliced = [",\n    "] * (2 * len(items))
+                spliced[0] = opening + "\n    "
+                spliced[1::2] = items
+                parts += spliced
+                parts.append("\n  " + closing)
+            else:
+                parts.append(_json_value(member, "\n  "))
+        parts.append("\n}")
+        return "".join(parts)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     labeled = _core(args.file)
     if args.show_labels:
         print(pretty_program(labeled.program, labels=True))
     report = analysis_report(labeled)
     if args.format == "json":
-        print(json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2))
+        print(json.dumps(report, cls=_ReportEncoder))
         return EXIT_OK
     for row in report["configurations"]:
         callee = row["callee"] if not row["inverted"] else f"(invert {row['callee']})"
@@ -183,8 +252,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         value = parse_value(args.input)
     except ParseError as error:
+        line, column = line_col(args.input, error.span.start)
         raise _CommandError(
-            EXIT_DIAGNOSTICS, f"invalid input value: {error.message}"
+            EXIT_DIAGNOSTICS, f"invalid input value at {line}:{column}: {error.message}"
         ) from None
     table, _ = constructor_table(labeled.program)
     diagnostics = validate_value(value, table)
@@ -250,10 +320,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except _CommandError as error:
         print(error.message, file=sys.stderr)
         return error.code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to the null
+        # device, so that the flush at exit does not fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("jeopardy-iaa: output closed before it was written (broken pipe)", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":  # pragma: no cover

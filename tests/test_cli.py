@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from jeopardy_iaa.cli import main
 
-from conftest import ALL_FIXTURES, FIXTURES
+from conftest import ALL_FIXTURES, FIXTURES, diamond
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIB = str(FIXTURES / "fib.jpd")
 
@@ -213,4 +219,26 @@ def test_run_refuses_an_input_numeral_too_large(capsys):
     code, out, err = run_cli(capsys, "run", str(FIXTURES / "main_sum.jpd"), "(2000, 0)")
     assert code == 1
     assert out == ""
-    assert err == "invalid input value: numeral too large\n"
+    assert err == "invalid input value at 1:2: numeral too large\n"
+
+
+def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
+    # diamond-7's report is about 104 KB, more than a pipe holds, so the
+    # writer is still writing when the reader closes its end
+    source = tmp_path / "diamond7.jpd"
+    source.write_text(diamond(7), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "jeopardy_iaa", "analyze", str(source), "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read().decode("utf-8")
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert "broken pipe" in err

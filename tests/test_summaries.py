@@ -26,7 +26,7 @@ from jeopardy_iaa.analysis import (
     seed_configurations,
     symmetry_hints,
 )
-from jeopardy_iaa.cli import _labels_json
+from jeopardy_iaa.cli import _configuration_row
 from jeopardy_iaa.labeler import labels_of
 from jeopardy_iaa.syntax import (
     Apply,
@@ -229,7 +229,8 @@ def test_report_order_is_label_sort_key_order():
         small, big = random_label_sets(rng, universe=6)
         sets += [small, big]
     for labels in sets:
-        assert _labels_json(labels) == sorted(labels, key=label_sort_key)
+        row = _configuration_row(CallConfiguration("f", Direct("g"), labels, labels).sort_key())
+        assert row["argument_labels"] == row["implicit_labels"] == sorted(labels, key=label_sort_key)
     for a in sets:
         for b in sets[:60]:
             ca = CallConfiguration("f", Direct("g"), a, b)
