@@ -246,17 +246,6 @@ def desugar_program(program: Program) -> Program:
     return _Desugarer(program).run()
 
 
-def desugar_constructor_term(term: ConApp, program: Program) -> Term:
-    """Apply the constructor-argument hoisting rule to one term.
-
-    Exposed for direct exercise of the rewrite; fresh names restart from
-    ``w1`` (skipping identifiers used in ``program``).
-    """
-    desugarer = _Desugarer(program)
-    desugarer.fresh = _Fresh(desugarer.used)
-    return desugarer.desugar_term(term)
-
-
 def assert_core(program: Program) -> None:
     """Raise if any sugared node survived desugaring."""
     for definition in fun_defs(program):

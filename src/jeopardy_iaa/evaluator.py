@@ -8,8 +8,9 @@ applying a reference whose direction is inverse is a runtime error.
 
 Every run produces, besides its result, the ordered trace of calls it
 performed (including the synthetic top-level call), which downstream
-checks compare against the static analysis.  A configurable call budget
-guards against divergence.
+checks compare against the static analysis.  Pending work lives on the
+interpreter's own stack, not Python's, so the configurable call budget
+is the only bound on a run; it guards against divergence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 from .analysis import Direction, direction_of
 from .labeler import LabeledProgram
+from .printer import pretty_value
 from .syntax import (
     Apply,
     Case,
@@ -26,9 +28,9 @@ from .syntax import (
     Pattern,
     PatternTerm,
     TOP,
-    Term,
     Value,
     Var,
+    nodes,
     underlying_name,
 )
 
@@ -61,107 +63,51 @@ class EvalError(Exception):
 
 Environment = dict[str, Value]
 
-_NO_MATCH = object()
-
 
 def match_pattern(pattern: Pattern, value: Value) -> Environment | None:
     """Bind a left-linear pattern against a value, or report no match."""
     bindings: Environment = {}
-    if _match(pattern, value, bindings):
-        return bindings
-    return None
-
-
-def _match(pattern: Pattern, value: Value, bindings: Environment) -> bool:
-    if isinstance(pattern, Var):
-        bindings[pattern.name] = value
-        return True
-    if pattern.name != value.name or len(pattern.args) != len(value.args):
-        return False
-    return all(_match(p, v, bindings) for p, v in zip(pattern.args, value.args))
+    pairs = [(pattern, value)]
+    while pairs:
+        pattern, value = pairs.pop()
+        if type(pattern) is Var:
+            bindings[pattern.name] = value
+        elif pattern.name != value.name or len(pattern.args) != len(value.args):
+            return None
+        else:
+            pairs += zip(pattern.args, value.args)
+    return bindings
 
 
 def instantiate(pattern: Pattern, env: Environment) -> Value:
     """Build the value a pattern denotes under an environment."""
-    if isinstance(pattern, Var):
-        try:
-            return env[pattern.name]
-        except KeyError:
-            raise EvalError(
-                "unbound-variable",
-                pattern.label,
-                f"variable '{pattern.name}' is not bound",
-            ) from None
-    return Value(pattern.name, tuple(instantiate(arg, env) for arg in pattern.args))
+    if type(pattern) is Var:
+        return _lookup(pattern, env)
+    # reversed pre-order meets every node after its subtrees, whose values
+    # sit on top of ``built`` with the first argument's uppermost
+    built: list[Value] = []
+    for node in reversed(list(nodes(pattern))):
+        if type(node) is Var:
+            built.append(_lookup(node, env))
+        elif node.args:
+            arity = len(node.args)
+            arguments = tuple(built[: -arity - 1 : -1])
+            del built[-arity:]
+            built.append(Value(node.name, arguments))
+        else:
+            built.append(Value(node.name))
+    return built[0]
 
 
-class _Evaluator:
-    def __init__(self, program: LabeledProgram, max_calls: int):
-        self.program = program
-        self.max_calls = max_calls
-        self.calls = 0
-        self.trace: list[CallEvent] = []
-
-    def apply(self, caller: str, term: Apply, env: Environment) -> Value:
-        if direction_of(term.callee) is not Direction.DOWN:
-            raise EvalError(
-                "inverted-call",
-                term.label,
-                "backward execution is not supported",
-            )
-        argument = instantiate(term.argument, env)
-        return self.call(caller, underlying_name(term.callee), argument, term.label)
-
-    def call(self, caller: str, callee: str, argument: Value, label: Label | None) -> Value:
-        self.calls += 1
-        if self.calls > self.max_calls:
-            raise EvalError(
-                "call-budget-exceeded",
-                label,
-                f"more than {self.max_calls} calls; looping program?",
-            )
-        definition = self.program.functions[callee]
-        self.trace.append(CallEvent(caller, callee, argument, label if label is not None else INPUT))
-        bindings = match_pattern(definition.parameter, argument)
-        if bindings is None:
-            raise EvalError(
-                "parameter-mismatch",
-                label,
-                f"argument does not match the parameter of '{callee}'",
-            )
-        return self.eval(callee, definition.body, bindings)
-
-    def eval(self, function: str, term: Term, env: Environment) -> Value:
-        if isinstance(term, PatternTerm):
-            return instantiate(term.pattern, env)
-        if isinstance(term, Apply):
-            return self.apply(function, term, env)
-        if isinstance(term, Case):
-            scrutinee = self.eval(function, term.scrutinee, env)
-            for pattern, body in term.branches:
-                bindings = match_pattern(pattern, scrutinee)
-                if bindings is not None:
-                    return self.eval(function, body, env | bindings)
-            raise EvalError(
-                "no-branch-matched",
-                term.label,
-                f"no case branch matched value {scrutinee}",
-            )
-        raise EvalError("sugared-term", None, f"cannot evaluate sugared term {term!r}")
-
-
-def eval_term(
-    program: LabeledProgram,
-    env: Environment,
-    term: Term,
-    function: str = TOP,
-    max_calls: int = DEFAULT_MAX_CALLS,
-) -> tuple[Value, list[CallEvent]]:
-    """Evaluate one core term under an environment covering its free
-    variables; returns the value and the calls performed."""
-    evaluator = _Evaluator(program, max_calls)
-    result = evaluator.eval(function, term, dict(env))
-    return result, evaluator.trace
+def _lookup(variable: Var, env: Environment) -> Value:
+    try:
+        return env[variable.name]
+    except KeyError:
+        raise EvalError(
+            "unbound-variable",
+            variable.label,
+            f"variable '{variable.name}' is not bound",
+        ) from None
 
 
 def run_main(
@@ -173,16 +119,66 @@ def run_main(
 
     Returns the result and the complete ordered call trace.  Running an
     inverted main is refused, and runaway recursion is cut off by the
-    call budget (or the host stack, surfaced as the same error kind).
+    call budget, the only bound on a run.
+
+    Core terms are patterns, applications and cases, so the only work
+    left pending is a case waiting for the value of its scrutinee; those
+    cases wait on ``pending``, off the Python stack.  An application
+    jumps into the callee's body and pushes nothing.
     """
     main = program.program.main
     if direction_of(main) is not Direction.DOWN:
         raise EvalError("inverted-call", INPUT, "backward execution is not supported")
-    evaluator = _Evaluator(program, max_calls)
-    try:
-        result = evaluator.call(TOP, underlying_name(main), argument, None)
-    except RecursionError:
-        raise EvalError(
-            "call-budget-exceeded", INPUT, "evaluation exceeded the host stack"
-        ) from None
-    return result, evaluator.trace
+    trace: list[CallEvent] = []
+    pending: list[tuple[str, Case, Environment]] = []
+    # the call to make next; the top-level call has no application site
+    caller, callee, site = TOP, underlying_name(main), None
+    while True:
+        if len(trace) >= max_calls:
+            raise EvalError(
+                "call-budget-exceeded",
+                site,
+                f"more than {max_calls} calls; looping program?",
+            )
+        definition = program.functions[callee]
+        trace.append(CallEvent(caller, callee, argument, INPUT if site is None else site))
+        env = match_pattern(definition.parameter, argument)
+        if env is None:
+            raise EvalError(
+                "parameter-mismatch",
+                site,
+                f"argument does not match the parameter of '{callee}'",
+            )
+        function, term = callee, definition.body
+        # run the body until its next call; a value resumes the innermost
+        # pending case, or is the result when none is left
+        while type(term) is not Apply:
+            if type(term) is Case:
+                pending.append((function, term, env))
+                term = term.scrutinee
+                continue
+            if type(term) is not PatternTerm:
+                raise EvalError("sugared-term", None, f"cannot evaluate sugared term {term!r}")
+            value = instantiate(term.pattern, env)
+            if not pending:
+                return value, trace
+            function, case, env = pending.pop()
+            for pattern, body in case.branches:
+                bindings = match_pattern(pattern, value)
+                if bindings is not None:
+                    env, term = env | bindings, body
+                    break
+            else:
+                raise EvalError(
+                    "no-branch-matched",
+                    case.label,
+                    f"no case branch matched value {pretty_value(value)}",
+                )
+        if direction_of(term.callee) is not Direction.DOWN:
+            raise EvalError(
+                "inverted-call",
+                term.label,
+                "backward execution is not supported",
+            )
+        argument = instantiate(term.argument, env)
+        caller, callee, site = function, underlying_name(term.callee), term.label

@@ -4,7 +4,9 @@ Output re-parses to a structurally identical tree: pair constructors
 print as ``(a, b)``, cons cells as ``(h : t)``, ``nil`` as ``[]``, and
 compiler-generated wildcard variables as ``_``.  Cons cells and nested
 case statements are always parenthesised, which keeps the printed form
-unambiguous without tracking operator context.
+unambiguous without tracking operator context.  Patterns and values
+share one writer, ``pretty_pattern``; ``pretty_value`` is its name for
+values.
 
 With ``labels=True`` every labeled node is suffixed with a ``{-n-}``
 marker.  That form is for human inspection of analysis reports and is
@@ -46,38 +48,38 @@ def pretty_funref(ref: FunctionRef) -> str:
     return ref.name
 
 
-def pretty_pattern(pattern: Pattern, labels: bool = False) -> str:
-    if isinstance(pattern, Var):
-        name = "_" if is_wildcard_name(pattern.name) and not labels else pattern.name
-        return f"{name}{_lab(pattern.label, labels)}"
-    suffix = _lab(pattern.label, labels)
-    if pattern.name == "pair" and len(pattern.args) == 2:
-        first = pretty_pattern(pattern.args[0], labels)
-        second = pretty_pattern(pattern.args[1], labels)
-        return f"({first}, {second}){suffix}"
-    if pattern.name == "cons" and len(pattern.args) == 2:
-        head = pretty_pattern(pattern.args[0], labels)
-        tail = pretty_pattern(pattern.args[1], labels)
-        return f"({head} : {tail}){suffix}"
-    if pattern.name == "nil" and not pattern.args:
-        return f"[]{suffix}"
-    if not pattern.args:
-        return f"[{pattern.name}]{suffix}"
-    args = " ".join(pretty_pattern(arg, labels) for arg in pattern.args)
-    return f"[{pattern.name} {args}]{suffix}"
+def pretty_pattern(pattern: Pattern | Value, labels: bool = False) -> str:
+    """Print a pattern, or a value: a constructor tree without labels or
+    variables.  The writer keeps its own stack of nodes and closing text,
+    so a tree of any depth is safe."""
+    out: list[str] = []
+    stack: list[Pattern | Value | str] = [pattern]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+            continue
+        if kind is Var:
+            name = "_" if is_wildcard_name(node.name) and not labels else node.name
+            out.append(f"{name}{_lab(node.label, labels)}")
+            continue
+        suffix = _lab(node.label, labels) if labels else ""  # a value has no label
+        name, args = node.name, node.args
+        if len(args) == 2 and (name == "pair" or name == "cons"):
+            out.append("(")
+            stack += (")" + suffix, args[1], ", " if name == "pair" else " : ", args[0])
+        elif not args:
+            out.append(("[]" if name == "nil" else f"[{name}]") + suffix)
+        else:
+            out.append("[" + name)
+            stack.append("]" + suffix)
+            for arg in reversed(args):
+                stack += (arg, " ")
+    return "".join(out)
 
 
-def pretty_value(value: Value) -> str:
-    if value.name == "pair" and len(value.args) == 2:
-        return f"({pretty_value(value.args[0])}, {pretty_value(value.args[1])})"
-    if value.name == "cons" and len(value.args) == 2:
-        return f"({pretty_value(value.args[0])} : {pretty_value(value.args[1])})"
-    if value.name == "nil" and not value.args:
-        return "[]"
-    if not value.args:
-        return f"[{value.name}]"
-    args = " ".join(pretty_value(arg) for arg in value.args)
-    return f"[{value.name} {args}]"
+pretty_value = pretty_pattern
 
 
 def pretty_term(term: Term, labels: bool = False, indent: int = 0, atom: bool = False) -> str:

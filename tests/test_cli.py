@@ -207,6 +207,69 @@ def test_run_inverted_main(capsys, tmp_path):
     assert "inverted-call" in err
 
 
+def test_run_no_branch_matched_prints_the_value(capsys, tmp_path):
+    partial = tmp_path / "partial.jpd"
+    partial.write_text(
+        "data nat = [zero] [successor nat]. f n = case n of ; [zero] -> [zero]. main f.",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", str(partial), "3")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "runtime error: no-branch-matched at 1: "
+        "no case branch matched value [successor [successor [successor [zero]]]]\n"
+    )
+
+
+def numeral_text(n: int) -> str:
+    return "[successor " * n + "[zero]" + "]" * n
+
+
+# quad n = 4n, built inside a pending case, so twice n = quad (quad n) = 16n
+TWICE = (
+    "data nat = [zero] [successor nat].\n"
+    "quad n = case n of ; [zero] -> [zero] ; [successor k] ->"
+    " case quad k of ; r -> [successor [successor [successor [successor r]]]].\n"
+    "twice n = case quad n of ; q -> quad q.\n"
+    "main twice.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, value, expected",
+    [
+        ("main_sum.jpd", "(399, 29)", numeral_text(428)),
+        ("fib.jpd", "14", f"({numeral_text(610)}, {numeral_text(14)})"),
+        (TWICE, "400", numeral_text(6400)),
+    ],
+    ids=["sum-399-29", "fib-14", "twice-400"],
+)
+def test_run_is_bounded_by_the_call_budget_only(capsys, tmp_path, source, value, expected):
+    if source.endswith(".jpd"):
+        path = FIXTURES / source
+    else:
+        path = tmp_path / "twice.jpd"
+        path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), value)
+    assert (code, err) == (0, "")
+    assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "desugar", "label"])
+def test_printing_commands_take_the_largest_numeral(capsys, tmp_path, command):
+    source = tmp_path / "n400.jpd"
+    source.write_text(
+        "data nat = [zero] [successor nat].\nf x = case x of ; 400 -> 400 ; y -> [zero].\nmain f.\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, command, str(source))
+    assert (code, err) == (0, "")
+    assert out.count("[successor ") == 1 + 2 * 400  # the data definition, two numerals
+    if command != "label":
+        assert out.count(numeral_text(400)) == 2
+
+
 def test_parse_refuses_a_numeral_too_large(capsys, tmp_path):
     source = tmp_path / "big.jpd"
     source.write_text("data nat = [zero] [successor nat].\nf x = 3000.\nmain f.\n", encoding="utf-8")

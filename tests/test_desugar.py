@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from jeopardy_iaa import parse, validate
-from jeopardy_iaa.desugar import (
-    DesugarError,
-    assert_core,
-    desugar_constructor_term,
-    desugar_program,
-)
+from jeopardy_iaa.desugar import DesugarError, assert_core, desugar_program
 from jeopardy_iaa.syntax import (
     Apply,
     Case,
@@ -84,23 +79,34 @@ def test_all_pattern_constructor_unchanged():
 
 
 def test_constructor_hoisting_rule():
-    # hand application of the constructor rewrite:
-    #   [pair (sum (m, n)) m]  ->  case sum (m, n) of w1 -> [pair w1 m]
+    # hand application of the parameter and constructor rewrites:
+    #   f (m, n) = [pair (sum (m, n)) m]
+    #   ->  f w1 = case w1 of (m, n) -> case sum (m, n) of w2 -> [pair w2 m]
     program = parse(
         "data natural_number = [zero] [successor natural_number]."
         " sum (m, n) = m."
         " f (m, n) = [pair (sum (m, n)) m]."
         " main f."
     )
-    term = body_of(program, "f")
-    assert isinstance(term, ConApp)
-    rewritten = desugar_constructor_term(term, program)
+    assert isinstance(body_of(program, "f"), ConApp)
+    core = desugar_program(program)
+    pair_mn = Con("pair", (Var("m"), Var("n")))
     expected = Case(
-        Apply(Direct("sum"), Con("pair", (Var("m"), Var("n")))),
+        PatternTerm(Var("w1")),
         None,
-        ((Var("w1"), PatternTerm(Con("pair", (Var("w1"), Var("m"))))),),
+        (
+            (
+                pair_mn,
+                Case(
+                    Apply(Direct("sum"), pair_mn),
+                    None,
+                    ((Var("w2"), PatternTerm(Con("pair", (Var("w2"), Var("m"))))),),
+                ),
+            ),
+        ),
     )
-    assert rewritten == expected
+    assert next(fd for fd in fun_defs(core) if fd.name == "f").parameter == Var("w1")
+    assert body_of(core, "f") == expected
 
 
 def test_multi_argument_hoisting_is_left_to_right():

@@ -54,6 +54,7 @@ def test_match_binds_components():
 
 def test_match_failure():
     assert match_pattern(Con("zero"), nat(1)) is None
+    assert match_pattern(Con("pair", (Var("a"),)), Value("pair", (nat(0), nat(0)))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,13 @@ def test_call_budget():
     with pytest.raises(EvalError) as info:
         run_main(program, Value("c"), max_calls=100)
     assert info.value.kind == "call-budget-exceeded"
+    # the budget counts calls, the top-level one included: sum (2, 1) makes 3
+    summing = load_labeled("main_sum.jpd")
+    argument = Value("pair", (nat(2), nat(1)))
+    assert nat_of(run_main(summing, argument, max_calls=3)[0]) == 3
+    with pytest.raises(EvalError) as info:
+        run_main(summing, argument, max_calls=2)
+    assert info.value.kind == "call-budget-exceeded"
 
 
 def test_trace_agrees_with_analysis():
@@ -183,16 +191,11 @@ def test_input_sugar_round_trip():
     assert parse_value("3") == nat(3)
 
 
-def test_eval_term_on_a_body():
-    from jeopardy_iaa.evaluator import eval_term
-
+def test_sum_calls_itself_after_the_top_level_call():
     program = load_labeled("main_sum.jpd")
-    body = program.functions["sum"].body
-    value, trace = eval_term(
-        program, {"w1": Value("pair", (nat(2), nat(1)))}, body, function="sum"
-    )
+    value, trace = run_main(program, Value("pair", (nat(2), nat(1))))
     assert nat_of(value) == 3
-    assert all(event.caller == "sum" for event in trace)
+    assert [(e.caller, e.callee) for e in trace] == [(TOP, "sum"), ("sum", "sum"), ("sum", "sum")]
 
 
 def test_parameter_mismatch_on_hand_built_program():

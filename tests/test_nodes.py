@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, labels_of, parse
 from jeopardy_iaa.desugar import assert_core
+from jeopardy_iaa.evaluator import instantiate, match_pattern
+from jeopardy_iaa.printer import pretty_pattern, pretty_value
 from jeopardy_iaa.syntax import (
     Apply,
     Case,
@@ -157,3 +159,12 @@ def test_walks_do_not_use_the_python_stack():
     assert validate_value(value, table) == []
     assert_core(program)
     assert validate(Program((data, FunDef("g", pattern, None, None, PatternTerm(Var("x")))), Direct("g"))) == []
+
+    numeral = "[successor " * DEPTH + "[zero]" + "]" * DEPTH
+    assert pretty_value(value) == numeral
+    assert pretty_pattern(pattern) == "[successor " * DEPTH + "x" + "]" * DEPTH
+    closing = "".join(f"]{{-{label}-}}" for label in range(DEPTH - 1, -1, -1))
+    assert pretty_pattern(pattern, labels=True) == "[successor " * DEPTH + f"x{{-{DEPTH}-}}" + closing
+    assert match_pattern(pattern, Value("successor", (value,))) == {"x": Value("successor", (Value("zero"),))}
+    # compared as text: dataclass equality recurses
+    assert pretty_value(instantiate(pattern, {"x": Value("zero")})) == numeral

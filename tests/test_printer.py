@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import parse, pretty_program
-from jeopardy_iaa.printer import pretty_funref, pretty_value
-from jeopardy_iaa.syntax import Direct, Inverted, Value
+from jeopardy_iaa.printer import pretty_funref, pretty_pattern, pretty_value
+from jeopardy_iaa.syntax import Con, Direct, Inverted, Pattern, Value, Var, is_wildcard_name
 
 from conftest import ALL_FIXTURES, load_core
 
@@ -75,3 +76,77 @@ def test_mixed_sugar_round_trip():
     )
     first = parse(source)
     assert parse(pretty_program(first)) == first
+
+
+# -- the iterative writer against the recursive printer it replaced -------------
+#
+# reference_pattern and reference_value are the earlier recursive
+# pretty_pattern and pretty_value, copied verbatim apart from their names,
+# so that the reference shares no code with the writer it checks.
+
+
+def _lab(label: int | None, labels: bool) -> str:
+    return f"{{-{label}-}}" if labels and label is not None else ""
+
+
+def reference_pattern(pattern: Pattern, labels: bool = False) -> str:
+    if isinstance(pattern, Var):
+        name = "_" if is_wildcard_name(pattern.name) and not labels else pattern.name
+        return f"{name}{_lab(pattern.label, labels)}"
+    suffix = _lab(pattern.label, labels)
+    if pattern.name == "pair" and len(pattern.args) == 2:
+        first = reference_pattern(pattern.args[0], labels)
+        second = reference_pattern(pattern.args[1], labels)
+        return f"({first}, {second}){suffix}"
+    if pattern.name == "cons" and len(pattern.args) == 2:
+        head = reference_pattern(pattern.args[0], labels)
+        tail = reference_pattern(pattern.args[1], labels)
+        return f"({head} : {tail}){suffix}"
+    if pattern.name == "nil" and not pattern.args:
+        return f"[]{suffix}"
+    if not pattern.args:
+        return f"[{pattern.name}]{suffix}"
+    args = " ".join(reference_pattern(arg, labels) for arg in pattern.args)
+    return f"[{pattern.name} {args}]{suffix}"
+
+
+def reference_value(value: Value) -> str:
+    if value.name == "pair" and len(value.args) == 2:
+        return f"({reference_value(value.args[0])}, {reference_value(value.args[1])})"
+    if value.name == "cons" and len(value.args) == 2:
+        return f"({reference_value(value.args[0])} : {reference_value(value.args[1])})"
+    if value.name == "nil" and not value.args:
+        return "[]"
+    if not value.args:
+        return f"[{value.name}]"
+    args = " ".join(reference_value(arg) for arg in value.args)
+    return f"[{value.name} {args}]"
+
+
+# pair, cons and nil at every arity, so that the sugar and its near misses show
+_constructors = st.sampled_from(["pair", "cons", "nil", "zero", "successor"])
+_labels = st.none() | st.integers(0, 99)
+
+patterns = st.recursive(
+    st.builds(Var, st.sampled_from(["x", "k", "_1", "_12"]), _labels),
+    lambda inner: st.builds(Con, _constructors, st.lists(inner, max_size=3).map(tuple), _labels),
+    max_leaves=12,
+)
+
+values = st.recursive(
+    st.builds(Value, _constructors),
+    lambda inner: st.builds(Value, _constructors, st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(patterns, st.booleans())
+def test_pattern_writer_is_the_recursive_printer(pattern, labels):
+    assert pretty_pattern(pattern, labels) == reference_pattern(pattern, labels)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values)
+def test_value_writer_is_the_recursive_printer(value):
+    assert pretty_value(value) == reference_value(value)
