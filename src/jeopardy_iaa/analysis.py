@@ -88,9 +88,7 @@ def opposite(direction: Direction) -> Direction:
 
 def direction_of(ref: FunctionRef) -> Direction:
     """Conventional for a direct reference, flipped once per inversion."""
-    if isinstance(ref, Inverted):
-        return opposite(direction_of(ref.inner))
-    return Direction.DOWN
+    return Direction.UP if invert_depth(ref) % 2 else Direction.DOWN
 
 
 class UndefinedCalleeError(Exception):

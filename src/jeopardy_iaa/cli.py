@@ -22,7 +22,7 @@ from json.encoder import encode_basestring
 from typing import Sequence
 
 from .analysis import CallConfiguration, Hint, configurations, symmetry_hints
-from .desugar import DesugarError, desugar_program
+from .desugar import desugar_program
 from .evaluator import DEFAULT_MAX_CALLS, EvalError, run_main
 from .labeler import LabeledProgram, annotate
 from .parser import ParseError, line_col, parse, parse_value
@@ -76,11 +76,7 @@ def _format_diagnostic(path: str, source: str, diagnostic: Diagnostic) -> str:
 
 def _core(path: str) -> LabeledProgram:
     _, program = _parse_and_validate(path)
-    try:
-        core = desugar_program(program)
-    except DesugarError as error:
-        raise _CommandError(EXIT_DIAGNOSTICS, f"{path}: desugar error: {error}") from None
-    return annotate(core)
+    return annotate(desugar_program(program))
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:

@@ -6,12 +6,10 @@ rewrites are:
 
 * a constructor term with non-pattern arguments hoists each such
   argument into an enclosing case binding a fresh variable, left to
-  right with the leftmost case outermost;
-* pair and cons sugar reduce to ``pair``/``cons`` constructor terms,
-  the empty list to ``[nil]``;
+  right with the leftmost case outermost, ascribed with the
+  constructor's declared component type when present;
 * an application argument that is not a pattern is hoisted the same
   way, ascribed with the callee's declared parameter type when present;
-* ``let p : tau = t in t'`` becomes ``case t : tau of p -> t'``;
 * a function whose parameter is not a single variable gets a fresh
   variable parameter and a case on it, so every core function has a
   single variable parameter.
@@ -22,6 +20,9 @@ capture and the result still parses.  When a program uses pair/cons/nil
 without declaring them, a data definition for the missing constructors
 is appended; re-running the desugarer on its own output is the
 identity.
+
+Pair, list and ``let`` sugar never reach this module: the parser reads
+them as the constructor terms and cases they stand for.
 """
 
 from __future__ import annotations
@@ -30,32 +31,24 @@ from dataclasses import replace
 
 from .syntax import (
     Apply,
-    BUILTIN_CONSTRUCTORS,
     Case,
     Con,
     ConApp,
-    ConsTerm,
     DataDef,
     FunDef,
     FunctionRef,
     GeneralApply,
-    LetTerm,
     Pattern,
     PatternTerm,
     Program,
     SUGAR_TERM_TYPES,
     Term,
-    TupleTerm,
     Var,
-    data_defs,
+    constructor_table,
     fun_defs,
     nodes,
     underlying_name,
 )
-
-
-class DesugarError(Exception):
-    """A sugar form clashes with a user declaration it depends on."""
 
 
 def _names(program: Program) -> tuple[set[str], set[str]]:
@@ -109,33 +102,8 @@ class _Desugarer:
         self.fun_types = {
             fd.name: fd.parameter_type for fd in fun_defs(program)
         }
-        self.declared: dict[str, tuple[int, tuple[str | None, ...]]] = {}
-        for definition in data_defs(program):
-            for con_name, components in definition.constructors:
-                self.declared.setdefault(con_name, (len(components), components))
-        self.needed_builtins: set[str] = set()
+        self.constructors, _ = constructor_table(program)
         self.fresh: _Fresh | None = None
-
-    # -- builtin bookkeeping ------------------------------------------------
-
-    def _require_builtin(self, name: str) -> None:
-        arity = BUILTIN_CONSTRUCTORS[name]
-        declared = self.declared.get(name)
-        if declared is None:
-            self.needed_builtins.add(name)
-        elif declared[0] != arity:
-            raise DesugarError(
-                f"'{name}' sugar needs a {arity}-ary constructor, but "
-                f"'{name}' is declared with arity {declared[0]}"
-            )
-
-    def _component_types(self, con_name: str) -> tuple[str | None, ...]:
-        declared = self.declared.get(con_name)
-        if declared is not None:
-            return declared[1]
-        return (None,) * BUILTIN_CONSTRUCTORS.get(con_name, 0)
-
-    # -- rewriting ----------------------------------------------------------
 
     def run(self) -> Program:
         definitions = []
@@ -144,19 +112,18 @@ class _Desugarer:
                 definitions.append(definition)
                 continue
             definitions.append(self.desugar_fun_def(definition))
-        for pattern_con in ("pair", "cons", "nil"):
-            # patterns collapsed at parse time also rely on the builtins
-            if pattern_con not in self.declared and pattern_con in self.mentioned:
-                self.needed_builtins.add(pattern_con)
-        if self.needed_builtins:
+        # a mentioned pair/cons/nil the program does not declare
+        builtins = sorted(
+            name for name in self.mentioned if self.constructors[name].builtin
+        )
+        if builtins:
             type_name = "builtin"
             suffix = 1
             while type_name in self.used:
                 suffix += 1
                 type_name = f"builtin{suffix}"
             constructors = tuple(
-                (name, ((type_name,) * BUILTIN_CONSTRUCTORS[name]))
-                for name in sorted(self.needed_builtins)
+                (name, (type_name,) * self.constructors[name].arity) for name in builtins
             )
             definitions.append(DataDef(type_name, constructors))
         return Program(tuple(definitions), self.program.main)
@@ -185,21 +152,8 @@ class _Desugarer:
             scrutinee = self.desugar_term(term.scrutinee)
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
             return replace(term, scrutinee=scrutinee, branches=branches)
-        if isinstance(term, LetTerm):
-            return Case(
-                self.desugar_term(term.bound),
-                term.type_name,
-                ((term.pattern, self.desugar_term(term.body)),),
-                span=term.span,
-            )
         if isinstance(term, GeneralApply):
             return self._desugar_application(term.callee, term.argument)
-        if isinstance(term, TupleTerm):
-            self._require_builtin("pair")
-            return self.desugar_constructor("pair", (term.first, term.second))
-        if isinstance(term, ConsTerm):
-            self._require_builtin("cons")
-            return self.desugar_constructor("cons", (term.head, term.tail))
         if isinstance(term, ConApp):
             return self.desugar_constructor(term.name, term.args)
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
@@ -224,7 +178,7 @@ class _Desugarer:
         """
         assert self.fresh is not None
         desugared = [self.desugar_term(arg) for arg in args]
-        component_types = self._component_types(name)
+        component_types = self.constructors[name].components
         hoisted: list[tuple[Var, Term, str | None]] = []
         final_args: list[Pattern] = []
         for index, arg in enumerate(desugared):
@@ -232,8 +186,7 @@ class _Desugarer:
                 final_args.append(arg.pattern)
             else:
                 fresh = self.fresh.next()
-                ascription = component_types[index] if index < len(component_types) else None
-                hoisted.append((fresh, arg, ascription))
+                hoisted.append((fresh, arg, component_types[index]))
                 final_args.append(fresh)
         result: Term = PatternTerm(Con(name, tuple(final_args)))
         for fresh, arg, ascription in reversed(hoisted):

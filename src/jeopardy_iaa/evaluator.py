@@ -131,8 +131,8 @@ def run_main(
         raise EvalError("inverted-call", INPUT, "backward execution is not supported")
     trace: list[CallEvent] = []
     pending: list[tuple[str, Case, Environment]] = []
-    # the call to make next; the top-level call has no application site
-    caller, callee, site = TOP, underlying_name(main), None
+    # the call to make next; the top-level call's site is the input
+    caller, callee, site = TOP, underlying_name(main), INPUT
     while True:
         if len(trace) >= max_calls:
             raise EvalError(
@@ -141,7 +141,7 @@ def run_main(
                 f"more than {max_calls} calls; looping program?",
             )
         definition = program.functions[callee]
-        trace.append(CallEvent(caller, callee, argument, INPUT if site is None else site))
+        trace.append(CallEvent(caller, callee, argument, site))
         env = match_pattern(definition.parameter, argument)
         if env is None:
             raise EvalError(

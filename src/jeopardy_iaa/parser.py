@@ -12,10 +12,12 @@ Ascription ambiguities are resolved in favour of the type annotation: in
 ``f (p : x) = ...`` the name after ``:`` is a type; a cons pattern in
 those positions needs its own parentheses.
 
-Terms collapse to core pattern form whenever their parts are all
-patterns, so ``(k, [successor n])`` parses as the pattern
-``[pair k [successor n]]``.  Sugared nodes survive parsing only when a
-non-pattern part forces them.
+Pairs and list cells are read as the ``pair``/``cons`` constructor
+terms they stand for, and ``let p : tau = t in t'`` as
+``case t : tau of ; p -> t'``.  A constructor term collapses to core
+pattern form whenever its parts are all patterns, so
+``(k, [successor n])`` parses as the pattern ``[pair k [successor n]]``;
+it stays a ``ConApp`` only when a non-pattern part forces it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .syntax import (
     Case,
     Con,
     ConApp,
-    ConsTerm,
     DataDef,
     Direct,
     FunDef,
@@ -35,13 +36,11 @@ from .syntax import (
     GeneralApply,
     Inverted,
     KEYWORDS,
-    LetTerm,
     Pattern,
     PatternTerm,
     Program,
     Span,
     Term,
-    TupleTerm,
     Value,
     Var,
 )
@@ -276,18 +275,23 @@ class _Parser:
         return pattern, None
 
     def parse_funref(self) -> FunctionRef:
-        token = self.peek()
-        if token.kind == "name":
-            self.advance()
-            return Direct(token.text)
-        if token.kind == "(":
+        # each (invert ...) marker is one level of nesting
+        markers = 0
+        while self.peek().kind == "(":
+            self._enter()
+            markers += 1
             self.advance()
             self.expect("invert", "'invert'")
-            inner = self.parse_funref()
+        token = self.peek()
+        if token.kind != "name":
+            self.fail("expected a function reference", token)
+        self.advance()
+        ref: FunctionRef = Direct(token.text)
+        for _ in range(markers):
             self.expect(")")
-            return Inverted(inner)
-        self.fail("expected a function reference", token)
-        raise AssertionError  # unreachable
+            ref = Inverted(ref)
+        self.depth -= markers
+        return ref
 
     # -- patterns -----------------------------------------------------------
 
@@ -372,15 +376,8 @@ class _Parser:
     def _fold_cons(self, items: list[Term]) -> Term:
         result = items[-1]
         for item in reversed(items[:-1]):
-            if isinstance(item, PatternTerm) and isinstance(result, PatternTerm):
-                span = Span(
-                    _pattern_start(item.pattern), _pattern_end(result.pattern)
-                )
-                result = PatternTerm(
-                    Con("cons", (item.pattern, result.pattern), span=span), span=span
-                )
-            else:
-                result = ConsTerm(item, result)
+            span = Span(item.span.start, result.span.end)
+            result = _constructor_term("cons", (item, result), span)
         return result
 
     def parse_case(self) -> Case:
@@ -409,7 +406,7 @@ class _Parser:
             span=Span(start.start, self.peek().start),
         )
 
-    def parse_let(self) -> LetTerm:
+    def parse_let(self) -> Case:
         start = self.expect("let")
         pattern = self.parse_pattern_atom()
         type_name: str | None = None
@@ -420,8 +417,8 @@ class _Parser:
         bound = self.parse_term()
         self.expect("in", "'in'")
         body = self.parse_term()
-        return LetTerm(
-            pattern, type_name, bound, body, span=Span(start.start, self.peek().start)
+        return Case(
+            bound, type_name, ((pattern, body),), span=Span(start.start, self.peek().start)
         )
 
     def parse_app_or_atom(self) -> Term:
@@ -430,11 +427,7 @@ class _Parser:
             self.advance()
             return self._application(Direct(token.text), token.span)
         if token.kind == "(" and self.peek(1).kind == "invert":
-            self.advance()
-            self.expect("invert")
-            inner = self.parse_funref()
-            self.expect(")")
-            return self._application(Inverted(inner), token.span)
+            return self._application(self.parse_funref(), token.span)
         return self.parse_atom_term()
 
     def _application(self, callee: FunctionRef, span: Span) -> Term:
@@ -467,7 +460,7 @@ class _Parser:
                     self.advance()
                     second = self.parse_term()
                     end = self.expect(")", "')' after pair")
-                    return self._tuple(first, second, Span(start.start, end.end))
+                    return _constructor_term("pair", (first, second), Span(start.start, end.end))
                 self.expect(")")
                 return first
             self.fail(f"expected a term, found {token.text or 'end of input'!r}", token)
@@ -486,17 +479,7 @@ class _Parser:
         while self.peek().kind != "]":
             args.append(self.parse_atom_term())
         end = self.advance()
-        span = Span(start.start, end.end)
-        if all(isinstance(arg, PatternTerm) for arg in args):
-            pattern = Con(name.text, tuple(arg.pattern for arg in args), span=span)
-            return PatternTerm(pattern, span=span)
-        return ConApp(name.text, tuple(args), span=span)
-
-    def _tuple(self, first: Term, second: Term, span: Span) -> Term:
-        if isinstance(first, PatternTerm) and isinstance(second, PatternTerm):
-            pattern = Con("pair", (first.pattern, second.pattern), span=span)
-            return PatternTerm(pattern, span=span)
-        return TupleTerm(first, second, span=span)
+        return _constructor_term(name.text, tuple(args), Span(start.start, end.end))
 
     # -- values -------------------------------------------------------------
 
@@ -534,6 +517,15 @@ class _Parser:
         for _ in range(n):
             result = Value("successor", (result,))
         return result
+
+
+def _constructor_term(name: str, args: tuple[Term, ...], span: Span) -> Term:
+    """A constructor applied to terms: a pattern when every argument is
+    one, otherwise a ``ConApp`` for the desugarer to take apart."""
+    if all(type(arg) is PatternTerm for arg in args):
+        pattern = Con(name, tuple(arg.pattern for arg in args), span=span)
+        return PatternTerm(pattern, span=span)
+    return ConApp(name, args, span=span)
 
 
 def _pattern_start(pattern: Pattern) -> int:

@@ -1,10 +1,12 @@
 """Pretty printer for Jeopardy programs, terms, patterns, and values.
 
-Output re-parses to a structurally identical tree: pair constructors
-print as ``(a, b)``, cons cells as ``(h : t)``, ``nil`` as ``[]``, and
-compiler-generated wildcard variables as ``_``.  Cons cells and nested
-case statements are always parenthesised, which keeps the printed form
-unambiguous without tracking operator context.  Patterns and values
+Output re-parses to a structurally identical tree: pair constructors,
+in patterns and terms alike, print as ``(a, b)``, cons cells as
+``(h : t)``, ``nil`` as ``[]``, and compiler-generated wildcard
+variables as ``_``.  The parser reads ``let`` as a case, so a ``let``
+prints as that case.  Cons cells and nested case statements are always
+parenthesised, which keeps the printed form unambiguous without
+tracking operator context.  Patterns and values
 share one writer, ``pretty_pattern``; ``pretty_value`` is its name for
 values.
 
@@ -20,21 +22,19 @@ from .syntax import (
     Case,
     Con,
     ConApp,
-    ConsTerm,
     DataDef,
     FunDef,
     FunctionRef,
     GeneralApply,
-    Inverted,
-    LetTerm,
     Pattern,
     PatternTerm,
     Program,
     Term,
-    TupleTerm,
     Value,
     Var,
+    invert_depth,
     is_wildcard_name,
+    underlying_name,
 )
 
 
@@ -43,9 +43,8 @@ def _lab(label: int | None, labels: bool) -> str:
 
 
 def pretty_funref(ref: FunctionRef) -> str:
-    if isinstance(ref, Inverted):
-        return f"(invert {pretty_funref(ref.inner)})"
-    return ref.name
+    depth = invert_depth(ref)
+    return "(invert " * depth + underlying_name(ref) + ")" * depth
 
 
 def pretty_pattern(pattern: Pattern | Value, labels: bool = False) -> str:
@@ -95,28 +94,19 @@ def pretty_term(term: Term, labels: bool = False, indent: int = 0, atom: bool = 
         return f"({text})" if atom else text
     if isinstance(term, Case):
         return _pretty_case(term, labels, indent, atom)
-    if isinstance(term, LetTerm):
-        ascription = f" : {term.type_name}" if term.type_name else ""
-        bound = pretty_term(term.bound, labels, indent)
-        body = pretty_term(term.body, labels, indent)
-        text = f"let {pretty_pattern(term.pattern, labels)}{ascription} = {bound} in {body}"
-        return f"({text})" if atom else text
-    if isinstance(term, TupleTerm):
-        first = pretty_term(term.first, labels, indent)
-        second = pretty_term(term.second, labels, indent)
-        return f"({first}, {second})"
-    if isinstance(term, ConsTerm):
-        head = pretty_term(term.head, labels, indent, atom=True)
-        tail = pretty_term(term.tail, labels, indent, atom=True)
-        return f"({head} : {tail})"
     if isinstance(term, ConApp):
-        args = " ".join(pretty_term(arg, labels, indent, atom=True) for arg in term.args)
-        return f"[{term.name} {args}]"
+        name, args = term.name, term.args
+        if len(args) == 2 and name == "pair":
+            return f"({pretty_term(args[0], labels, indent)}, {pretty_term(args[1], labels, indent)})"
+        atoms = [pretty_term(arg, labels, indent, atom=True) for arg in args]
+        if len(args) == 2 and name == "cons":
+            return f"({atoms[0]} : {atoms[1]})"
+        return f"[{name} {' '.join(atoms)}]"
     raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
 
 
 def _pretty_case(term: Case, labels: bool, indent: int, atom: bool) -> str:
-    scrutinee = pretty_term(term.scrutinee, labels, indent, atom=isinstance(term.scrutinee, (Case, LetTerm)))
+    scrutinee = pretty_term(term.scrutinee, labels, indent, atom=isinstance(term.scrutinee, Case))
     ascription = f" : {term.scrutinee_type}" if term.scrutinee_type else ""
     pad = " " * (indent + 2)
     lines = [f"case{_lab(term.label, labels)} {scrutinee}{ascription} of"]

@@ -134,7 +134,9 @@ class Case:
     span: Span | None = field(default=None, compare=False, repr=False)
 
 
-# Sugared terms, eliminated by the desugarer.
+# Sugared terms, eliminated by the desugarer.  The parser reads pairs,
+# list cells and ``let`` as the constructor terms and cases they stand
+# for, so these two are the only sugar left.
 
 
 @dataclass(frozen=True)
@@ -147,35 +149,6 @@ class ConApp:
 
 
 @dataclass(frozen=True)
-class TupleTerm:
-    """Pair sugar ``(t1, t2)`` with a non-pattern component."""
-
-    first: "Term"
-    second: "Term"
-    span: Span | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class ConsTerm:
-    """List sugar ``t1 : t2`` with a non-pattern component."""
-
-    head: "Term"
-    tail: "Term"
-    span: Span | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class LetTerm:
-    """``let p : tau = t in t'``."""
-
-    pattern: Pattern
-    type_name: str | None
-    bound: "Term"
-    body: "Term"
-    span: Span | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class GeneralApply:
     """Application whose argument is an arbitrary term, not yet a pattern."""
 
@@ -184,9 +157,9 @@ class GeneralApply:
     span: Span | None = field(default=None, compare=False, repr=False)
 
 
-Term = Union[PatternTerm, Apply, Case, ConApp, TupleTerm, ConsTerm, LetTerm, GeneralApply]
+Term = Union[PatternTerm, Apply, Case, ConApp, GeneralApply]
 
-SUGAR_TERM_TYPES = (ConApp, TupleTerm, ConsTerm, LetTerm, GeneralApply)
+SUGAR_TERM_TYPES = (ConApp, GeneralApply)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +224,9 @@ def nodes(root: Pattern | Term | Value) -> Iterator[Pattern | Term | Value]:
     """Every node of a pattern, term (core or sugared) or value tree.
 
     Pre-order, children left to right, in source order: a case's
-    scrutinee, then each branch's pattern and body; a let's pattern,
-    bound term and body.  A pattern used as a term yields its wrapper
-    and then the pattern.  The walk keeps its own stack, so a tree of
-    any depth is safe.
+    scrutinee, then each branch's pattern and body.  A pattern used as a
+    term yields its wrapper and then the pattern.  The walk keeps its own
+    stack, so a tree of any depth is safe.
     """
     stack = [root]
     push = stack.append
@@ -275,16 +247,6 @@ def nodes(root: Pattern | Term | Value) -> Iterator[Pattern | Term | Value]:
                 push(body)
                 push(pattern)
             push(node.scrutinee)
-        elif kind is TupleTerm:
-            push(node.second)
-            push(node.first)
-        elif kind is ConsTerm:
-            push(node.tail)
-            push(node.head)
-        elif kind is LetTerm:
-            push(node.body)
-            push(node.bound)
-            push(node.pattern)
         else:
             raise TypeError(f"not a pattern, term or value node: {node!r}")
 
@@ -511,20 +473,10 @@ def validate(program: Program) -> list[Diagnostic]:
             for pattern, body in term.branches:
                 names = _check_pattern(pattern, table, diagnostics)
                 check_term(body, bound | names)
-        elif isinstance(term, LetTerm):
-            check_term(term.bound, bound)
-            names = _check_pattern(term.pattern, table, diagnostics)
-            check_term(term.body, bound | names)
         elif isinstance(term, ConApp):
             _check_constructor(term.name, len(term.args), term.span, table, diagnostics)
             for arg in term.args:
                 check_term(arg, bound)
-        elif isinstance(term, TupleTerm):
-            check_term(term.first, bound)
-            check_term(term.second, bound)
-        elif isinstance(term, ConsTerm):
-            check_term(term.head, bound)
-            check_term(term.tail, bound)
         else:  # pragma: no cover - exhaustive over Term
             raise TypeError(f"unknown term node: {term!r}")
 

@@ -199,6 +199,12 @@ def test_run_runtime_error_exit_code(capsys, tmp_path):
     assert "call-budget-exceeded" in err
 
 
+def test_run_budget_spent_at_the_top_level_call_names_the_input(capsys):
+    code, out, err = run_cli(capsys, "run", FIB, "3", "--max-calls", "0")
+    assert (code, out) == (3, "")
+    assert err == "runtime error: call-budget-exceeded at input: more than 0 calls; looping program?\n"
+
+
 def test_run_inverted_main(capsys, tmp_path):
     inverted = tmp_path / "inv.jpd"
     inverted.write_text("data d = [c]. f x = x. main (invert f).", encoding="utf-8")
@@ -283,6 +289,56 @@ def test_run_refuses_an_input_numeral_too_large(capsys):
     assert code == 1
     assert out == ""
     assert err == "invalid input value at 1:2: numeral too large\n"
+
+
+def invert_chain(n: int) -> str:
+    return "(invert " * n + "id" + ")" * n
+
+
+# an inversion chain as the main declaration, and as the callee of an application
+CHAIN_PROGRAMS = {
+    "main": lambda n: f"id x = x.\nmain {invert_chain(n)}.\n",
+    "callee": lambda n: f"id x = x.\nf x = {invert_chain(n)} x.\nmain f.\n",
+}
+
+
+@pytest.mark.parametrize("command", ["parse", "analyze"])
+@pytest.mark.parametrize("position", ["main", "callee"])
+def test_an_inversion_chain_too_deep_is_a_located_parse_error(capsys, tmp_path, command, position):
+    source = tmp_path / "chain.jpd"
+    source.write_text(CHAIN_PROGRAMS[position](2000), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(source))
+    assert (code, out) == (1, "")
+    # one line, at the marker that passes the parser's nesting bound
+    line, column, message = err.removeprefix(f"{source}:").split(":", 2)
+    assert (line, message) == ("2", " parse error: nesting too deep\n")
+    assert source.read_text(encoding="utf-8").splitlines()[1][int(column) - 1 :].startswith("(invert ")
+
+
+@pytest.mark.parametrize("position", ["main", "callee"])
+def test_a_deep_inversion_chain_analyzes(capsys, tmp_path, position):
+    source = tmp_path / "chain.jpd"
+    source.write_text(CHAIN_PROGRAMS[position](300), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(source))
+    assert (code, err) == (0, "")
+    assert "id [down]" in out
+
+
+@pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze", "run"])
+@pytest.mark.parametrize(
+    "source, diagnostic",
+    [
+        ("data t = [pair t t t] [z].\nf x = (f x, x).\nmain f.\n", "2:7: arity-mismatch: constructor 'pair' takes 3"),
+        ("data t = [cons t] [z].\nf x = (f x : x).\nmain f.\n", "2:8: arity-mismatch: constructor 'cons' takes 1"),
+    ],
+    ids=["pair", "cons"],
+)
+def test_sugar_under_a_user_constructor_of_another_arity(capsys, tmp_path, command, source, diagnostic):
+    path = tmp_path / "sugar.jpd"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), *(["[z]"] if command == "run" else []))
+    assert (code, out) == (1, "")
+    assert err == f"{path}:{diagnostic} argument(s), got 2\n"
 
 
 def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):

@@ -21,16 +21,13 @@ from jeopardy_iaa.syntax import (
     Case,
     Con,
     ConApp,
-    ConsTerm,
     DataDef,
     Direct,
     FunDef,
     GeneralApply,
     Inverted,
-    LetTerm,
     PatternTerm,
     Program,
-    TupleTerm,
     Value,
     Var,
     constructor_table,
@@ -42,7 +39,7 @@ from jeopardy_iaa.syntax import (
 
 from conftest import ALL_FIXTURES, fixture_source, random_labeled_program
 
-NODE_TYPES = (Var, Con, PatternTerm, Apply, Case, ConApp, TupleTerm, ConsTerm, LetTerm, GeneralApply, Value)
+NODE_TYPES = (Var, Con, PatternTerm, Apply, Case, ConApp, GeneralApply, Value)
 
 
 def reference_preorder(node):
@@ -97,9 +94,8 @@ terms = st.recursive(
     lambda inner: st.one_of(
         st.builds(Case, inner, st.none(), _branches(inner), _labels),
         st.builds(ConApp, _names, st.lists(inner, min_size=1, max_size=3).map(tuple)),
-        st.builds(TupleTerm, inner, inner),
-        st.builds(ConsTerm, inner, inner),
-        st.builds(LetTerm, patterns, st.none(), inner, inner),
+        # pair and list sugar, as the parser builds it
+        st.builds(ConApp, st.sampled_from(["pair", "cons"]), st.tuples(inner, inner)),
         st.builds(GeneralApply, _refs, inner),
     ),
     max_leaves=6,

@@ -8,12 +8,12 @@ from jeopardy_iaa.syntax import (
     Apply,
     Case,
     Con,
+    ConApp,
     DataDef,
     Direct,
     GeneralApply,
     Inverted,
     PatternTerm,
-    TupleTerm,
     Value,
     Var,
     fun_defs,
@@ -57,8 +57,8 @@ def test_tuple_of_patterns_collapses():
 
 def test_tuple_with_application_stays_sugar():
     body = next(fun_defs(parse("f x = (f x, x). main f."))).body
-    assert isinstance(body, TupleTerm)
-    assert isinstance(body.first, Apply)
+    assert isinstance(body, ConApp) and body.name == "pair"
+    assert isinstance(body.args[0], Apply)
 
 
 def test_application_argument_kinds():
@@ -112,7 +112,8 @@ def test_parameter_ascription_forms():
 def test_let_parses():
     program = parse("data t = [c]. f x = let y : t = f x in y. main f.")
     body = next(fun_defs(program)).body
-    assert body.type_name == "t"
+    assert isinstance(body, Case)
+    assert body.scrutinee_type == "t"
 
 
 def test_keywords_are_reserved():
