@@ -132,13 +132,19 @@ def analysis_report(labeled: LabeledProgram) -> dict:
     hints = symmetry_hints(labeled, found)
     # unique keys: a name and an inversion depth fix the callee
     keys = sorted(map(CallConfiguration.sort_key, found))
+    # one row object per (function, kind), shared by all of its labels; the
+    # encoder writes the text of a shared row once
+    rows: dict[tuple[str, str], dict] = {}
+    labels = {}
+    for label, (function, kind, _) in sorted(labeled.index.items()):
+        row = rows.get((function, kind))
+        if row is None:
+            row = rows[function, kind] = {"function": function, "kind": kind}
+        labels[str(label)] = row
     return {
         "configurations": [_configuration_row(key) for key in keys],
         "hints": [_hint_row(h) for h in hints],
-        "labels": {
-            str(label): {"function": info.function, "kind": info.kind}
-            for label, info in sorted(labeled.index.items())
-        },
+        "labels": labels,
     }
 
 
@@ -170,7 +176,13 @@ def _json_items(value: list | dict, inner: str) -> tuple[str, str, list[str]]:
     included, for items indented at ``inner``."""
     if type(value) is list:
         return "[", "]", [str(v) if type(v) is int else _json_value(v, inner) for v in value]
-    items = [encode_basestring(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())]
+    items = []
+    made: dict[int, str] = {}  # id of a member value -> its text
+    for k, v in sorted(value.items()):
+        text = made.get(id(v))
+        if text is None:
+            text = made[id(v)] = _json_value(v, inner)
+        items.append(encode_basestring(k) + ": " + text)
     return "{", "}", items
 
 

@@ -14,6 +14,7 @@ type ascriptions are not program points either.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .syntax import (
     Apply,
@@ -30,8 +31,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class LabelInfo:
+class LabelInfo(NamedTuple):
     """What a label points at: enclosing function and node kind."""
 
     function: str
@@ -62,26 +62,26 @@ class _Labeler:
         return label
 
     def pattern(self, p: Pattern, function: str) -> Pattern:
-        if isinstance(p, Var):
-            return replace(p, label=self._next(function, "variable", p.span))
+        if type(p) is Var:
+            return Var(p.name, self._next(function, "variable", p.span), p.span)
         label = self._next(function, "constructor", p.span)
-        args = tuple(self.pattern(arg, function) for arg in p.args)
-        return replace(p, label=label, args=args)
+        args = tuple([self.pattern(arg, function) for arg in p.args])
+        return Con(p.name, args, label, p.span)
 
     def term(self, t: Term, function: str) -> Term:
-        if isinstance(t, PatternTerm):
-            return replace(t, pattern=self.pattern(t.pattern, function))
-        if isinstance(t, Apply):
+        kind = type(t)
+        if kind is PatternTerm:
+            return PatternTerm(self.pattern(t.pattern, function), t.span)
+        if kind is Apply:
             label = self._next(function, "application", t.span)
-            return replace(t, label=label, argument=self.pattern(t.argument, function))
-        if isinstance(t, Case):
+            return Apply(t.callee, self.pattern(t.argument, function), label, t.span)
+        if kind is Case:
             label = self._next(function, "case", t.span)
             scrutinee = self.term(t.scrutinee, function)
             branches = tuple(
-                (self.pattern(p, function), self.term(b, function))
-                for p, b in t.branches
+                [(self.pattern(p, function), self.term(b, function)) for p, b in t.branches]
             )
-            return replace(t, label=label, scrutinee=scrutinee, branches=branches)
+            return Case(scrutinee, t.scrutinee_type, branches, label, t.span)
         raise ValueError(f"cannot label sugared term {t!r}; desugar first")
 
 

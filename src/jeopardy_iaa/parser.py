@@ -3,9 +3,10 @@
 Definitions end with ``.``; case branches are introduced by ``;`` and use
 ``->``; constructor forms are bracketed ``[c t1 ... tn]``; pairs are
 written ``(t1, t2)``, list cells ``t1 : t2`` and the empty list ``[]``;
-comments run from ``--`` to end of line.  Natural-number literals stand
-for their ``[zero]``/``[successor ...]`` encodings.  The wildcard ``_``
-parses as a fresh reserved variable (printed back as ``_``).
+comments run from ``--`` to end of line.  Natural-number literals,
+written in ASCII digits, stand for their ``[zero]``/``[successor ...]``
+encodings.  The wildcard ``_`` parses as a fresh reserved variable
+(printed back as ``_``).
 
 Ascription ambiguities are resolved in favour of the type annotation: in
 ``case t : x of``, ``let p : x = ...`` and a parenthesised parameter
@@ -22,7 +23,8 @@ it stays a ``ConApp`` only when a non-pattern part forces it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .syntax import (
     Apply,
@@ -45,7 +47,6 @@ from .syntax import (
     Var,
 )
 
-_PUNCT = ("->", ".", ";", ",", "(", ")", "[", "]", "=", ":")
 _MAX_DEPTH = 400
 
 
@@ -67,8 +68,7 @@ def line_col(source: str, offset: int) -> tuple[int, int]:
     return line, column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name', 'number', 'wildcard', 'eof', a keyword, or a punct
     text: str
     start: int
@@ -79,62 +79,43 @@ class Token:
         return Span(self.start, self.end)
 
 
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() and c.isascii()
-
-
-def _is_name_char(c: str) -> bool:
-    return (c.isalnum() and c.isascii()) or c == "_"
+# One alternative per token class, ASCII only; whitespace and comments
+# match without a group, so their ``lastgroup`` is None.  A ``_`` that
+# starts an identifier matches nothing and is reported where it stands.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|--[^\n]*"
+    r"|(?P<punct>->|[.;,()\[\]=:])"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<wildcard>_(?![A-Za-z0-9_]))"
+)
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of ``source``, ending in one ``eof`` token."""
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
+    append = tokens.append
+    new = tuple.__new__  # Token's own __new__ is a Python-level call
+    end = 0
+    for found in _TOKEN.finditer(source):
+        start, stop = found.span()
+        if start != end:
+            break  # source[end] starts no token
+        end = stop
+        kind = found.lastgroup
+        if kind is None:
             continue
-        if source.startswith("--", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token("->", "->", i, i + 2))
-            i += 2
-            continue
-        if c in ".;,()[]=:":
-            tokens.append(Token(c, c, i, i + 1))
-            i += 1
-            continue
-        if c == "_":
-            if i + 1 < n and _is_name_char(source[i + 1]):
-                raise ParseError(
-                    "identifiers must start with a letter",
-                    Span(i, i + 1),
-                )
-            tokens.append(Token("wildcard", "_", i, i + 1))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("number", source[i:j], i, j))
-            i = j
-            continue
-        if _is_name_start(c):
-            j = i
-            while j < n and _is_name_char(source[j]):
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "name"
-            tokens.append(Token(kind, text, i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", Span(i, i + 1))
-    tokens.append(Token("eof", "", n, n))
+        text = found.group()
+        if kind == "punct":
+            kind = text
+        elif kind == "name" and text in KEYWORDS:
+            kind = text
+        append(new(Token, (kind, text, start, stop)))
+    if end < len(source):
+        if source[end] == "_":
+            raise ParseError("identifiers must start with a letter", Span(end, end + 1))
+        raise ParseError(f"unexpected character {source[end]!r}", Span(end, end + 1))
+    append(Token("eof", "", end, end))
     return tokens
 
 
@@ -144,7 +125,9 @@ _ATOM_START = ("name", "number", "wildcard", "[", "(")
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.tokens = tokenize(source)
+        tokens = tokenize(source)
+        # two more end markers, so that ``peek`` up to two ahead is an index
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
         self.wildcards = 0
         self.depth = 0
@@ -152,8 +135,7 @@ class _Parser:
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -368,7 +350,9 @@ class _Parser:
                 if scrutinee and self.peek(1).kind == "name" and self.peek(2).kind == "of":
                     break  # the ':' belongs to the case ascription
                 self.advance()
+                self._enter()  # each item after a ':' is one level deeper
                 items.append(self.parse_app_or_atom())
+            self.depth -= len(items) - 1
             return self._fold_cons(items)
         finally:
             self._leave()
@@ -442,10 +426,12 @@ class _Parser:
             token = self.peek()
             if token.kind == "name":
                 self.advance()
-                return PatternTerm(Var(token.text, span=token.span), span=token.span)
+                span = token.span
+                return PatternTerm(Var(token.text, span=span), span=span)
             if token.kind == "wildcard":
                 self.advance()
-                return PatternTerm(self.fresh_wildcard(token.span), span=token.span)
+                span = token.span
+                return PatternTerm(self.fresh_wildcard(span), span=span)
             if token.kind == "number":
                 pattern = self._nat_pattern(self._numeral(), token.span)
                 return PatternTerm(pattern, span=token.span)

@@ -107,7 +107,12 @@ def _random_core_term(rng: random.Random, budget: int):
 
 
 def random_labeled_program(rng: random.Random, budget: int = 12, branching: bool = False):
-    """A labeled core program whose function ``h`` has a random body.
+    """``random_core_program``, labeled."""
+    return annotate(random_core_program(rng, budget, branching))
+
+
+def random_core_program(rng: random.Random, budget: int = 12, branching: bool = False):
+    """A core program whose function ``h`` has a random body.
 
     With ``branching``, ``f`` cases on its parameter, so call sites of
     ``f`` can earn symmetry hints.
@@ -121,7 +126,7 @@ def random_labeled_program(rng: random.Random, budget: int = 12, branching: bool
             None,
             ((Con("c0", ()), PatternTerm(Var("x"))), (Con("c1", (Var("w"),)), PatternTerm(Var("w")))),
         )
-    program = Program(
+    return Program(
         (
             data,
             FunDef("f", Var("x"), None, None, f_body),
@@ -130,7 +135,6 @@ def random_labeled_program(rng: random.Random, budget: int = 12, branching: bool
         ),
         Direct("h"),
     )
-    return annotate(program)
 
 
 def random_label_sets(rng: random.Random, universe: int):
@@ -190,4 +194,25 @@ def ring(n: int) -> str:
             f"{name} x =\n  case x of\n  ; [z]   -> [z]\n  ; [s k] -> {names[(i + 1) % n]} k."
         )
     parts.append(f"main {names[0]}.")
+    return "\n\n".join(parts) + "\n"
+
+
+def sugar_library(functions: int, rng: random.Random) -> str:
+    """``functions`` sugar-heavy functions: let, pairs, lists, numerals
+    and nested applications, each calling earlier ones; main is the last."""
+    parts = ["data nat = [zero] [successor nat].", "inc n = [successor n]."]
+    names = ["inc"]
+    for i in range(functions):
+        name, callee = f"lib_{i}", rng.choice(names)
+        a, b = rng.randrange(7), rng.randrange(7)
+        shapes = (
+            f"{name} (a, b) =\n  let c : nat = {a} in\n  ({callee} ({callee} a), (c : (b : ({b} : []))))",
+            f"{name} xs =\n  case xs of\n  ; (h : t) -> ({callee} (h, t), [successor {a}])\n  ; [] -> ({b}, [])",
+            f"{name} p =\n  case p of\n  ; (a, b) ->\n    let c = inc (inc b) in\n    (c : ({callee} a : ({a} : [])))",
+            f"{name} q =\n  case q of\n  ; (x, (y, z)) -> let w = {callee} (x, (y : [])) in (w, (z, {a}))\n"
+            f"  ; r -> ({callee} (r, {b}), r)",
+        )
+        parts.append(shapes[rng.randrange(len(shapes))] + ".")
+        names.append(name)
+    parts.append(f"main {names[-1]}.")
     return "\n\n".join(parts) + "\n"

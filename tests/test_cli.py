@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 from jeopardy_iaa.cli import main
 
-from conftest import ALL_FIXTURES, FIXTURES, diamond
+from conftest import ALL_FIXTURES, FIXTURES, diamond, sugar_library
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -291,6 +292,44 @@ def test_run_refuses_an_input_numeral_too_large(capsys):
     assert err == "invalid input value at 1:2: numeral too large\n"
 
 
+@pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze", "run"])
+def test_a_unicode_digit_in_a_source_is_a_located_parse_error(capsys, tmp_path, command):
+    source = tmp_path / "digit.jpd"
+    source.write_text("data t = [z].\nf x = ².\nmain f.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(source), *(["[z]"] if command == "run" else []))
+    assert (code, out) == (1, "")
+    assert err == f"{source}:2:7: parse error: unexpected character '²'\n"
+
+
+@pytest.mark.parametrize("value", ["³", "٣"])
+def test_a_unicode_digit_in_a_run_input_is_a_located_error(capsys, value):
+    code, out, err = run_cli(capsys, "run", FIB, value)
+    assert (code, out) == (1, "")
+    assert err == f"invalid input value at 1:1: unexpected character '{value}'\n"
+
+
+def list_program(item: str, length: int) -> str:
+    return f"id y = y.\nf x = {' : '.join([item] * length)}.\nmain f.\n"
+
+
+@pytest.mark.parametrize("item", ["x", "id x"], ids=["variables", "applications"])
+def test_a_long_list_is_a_located_parse_error(capsys, tmp_path, item):
+    source = tmp_path / "list.jpd"
+    source.write_text(list_program(item, 1000), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(source))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{source}:2:") and err.endswith(": parse error: nesting too deep\n")
+
+
+@pytest.mark.parametrize("item", ["x", "id x"], ids=["variables", "applications"])
+def test_a_300_item_list_analyzes(capsys, tmp_path, item):
+    source = tmp_path / "list.jpd"
+    source.write_text(list_program(item, 300), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(source))
+    assert (code, err) == (0, "")
+    assert "⊤ -> f [down] A={input} I={}\n" in out
+
+
 def invert_chain(n: int) -> str:
     return "(invert " * n + "id" + ")" * n
 
@@ -361,3 +400,26 @@ def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
     assert child.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert "broken pipe" in err
+
+
+@pytest.mark.parametrize("program", ["fib", "sugar-library"])
+def test_analyze_json_is_the_same_under_every_hash_seed(capsys, tmp_path, program):
+    # the report writer reuses the text of a row shared by many labels,
+    # keyed on the row's identity; no address or hash may reach the output
+    if program == "fib":
+        source = FIB
+    else:
+        source = str(tmp_path / "library.jpd")
+        Path(source).write_text(sugar_library(130, random.Random(5)), encoding="utf-8")
+    code, in_process, _ = run_cli(capsys, "analyze", source, "--format", "json")
+    assert code == 0
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        child = subprocess.run(
+            [sys.executable, "-m", "jeopardy_iaa", "analyze", source, "--format", "json"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == in_process.encode("utf-8")

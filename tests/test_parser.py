@@ -181,3 +181,31 @@ def test_numeral_at_the_nesting_limit_is_accepted():
         value = value.args[0]
         depth += 1
     assert depth == 400
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "３"], ids=["superscript", "arabic-indic", "fullwidth"])
+def test_numerals_are_ascii_digits(digit):
+    source = f"data t = [z].\nf x = {digit}.\nmain f.\n"
+    with pytest.raises(ParseError, match=f"unexpected character '{digit}'") as caught:
+        parse(source)
+    assert line_col(source, caught.value.span.start) == (2, 7)
+    for text, column in ((digit, 0), (f"1{digit}", 1), (f"({digit}, 0)", 1)):
+        with pytest.raises(ParseError, match=f"unexpected character '{digit}'") as caught:
+            parse_value(text)
+        assert caught.value.span.start == column
+
+
+def list_of(item: str, length: int) -> str:
+    return " : ".join([item] * length)
+
+
+@pytest.mark.parametrize("item", ["x", "f x"], ids=["variables", "applications"])
+def test_a_list_counts_its_length_toward_the_nesting_bound(item):
+    source = f"f x = {list_of(item, 1000)}.\nmain f.\n"
+    with pytest.raises(ParseError, match="nesting too deep") as caught:
+        parse(source)
+    # at the atom of the 400th item: the body's term and that atom are
+    # the other two levels
+    start = caught.value.span.start
+    assert (source[start], source.count(":", 0, start)) == ("x", 399)
+    assert parse(f"f x = {list_of(item, 300)}.\nmain f.\n").main == Direct("f")

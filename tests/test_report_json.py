@@ -42,6 +42,21 @@ def test_encoder_writes_the_stdlib_indented_text(value):
     assert _ReportEncoder().encode(value) == stdlib_text(value)
 
 
+# a report shares one row object among many labels; the encoder writes
+# a shared row's text once and reuses it
+shared_rows = st.lists(json_values, min_size=1, max_size=4).flatmap(
+    lambda rows: st.dictionaries(texts, st.sampled_from(rows), max_size=8).map(
+        lambda labels: {"labels": labels, "rows": rows, "nested": [labels]}
+    )
+)
+
+
+@settings(deadline=None)
+@given(shared_rows)
+def test_encoder_writes_shared_objects_as_the_stdlib_does(value):
+    assert _ReportEncoder().encode(value) == stdlib_text(value)
+
+
 def test_encoder_ignores_the_options_it_is_built_with():
     value = {"b": [1, True, None, "x"], "a": {}, "c": [], "é": [[], {"k": -3}]}
     assert json.dumps(value, cls=_ReportEncoder) == stdlib_text(value)
