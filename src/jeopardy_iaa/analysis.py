@@ -98,7 +98,7 @@ class UndefinedCalleeError(Exception):
 LabelSet = frozenset  # of Label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallConfiguration:
     """One reachable call: caller, callee, argument labels, implicit labels."""
 
@@ -277,6 +277,10 @@ def configurations(program: LabeledProgram) -> ConfigurationSet:
     seen: set[CallConfiguration] = set(seeds)
     queue = deque(seeds)
     summaries: dict[tuple[str, Direction], _Summary] = {}
+    # the successors of a pop depend only on its summary and entering set;
+    # a pair is recorded only for summaries with several successors, where
+    # expanding it again costs more than hashing the entering set
+    expanded: set[tuple[tuple[str, Direction], LabelSet]] = set()
     while queue:
         config = queue.popleft()
         key = (config.callee_name, config.direction)
@@ -287,6 +291,10 @@ def configurations(program: LabeledProgram) -> ConfigurationSet:
         if not reachable:
             continue
         entering = (config.implicit_labels | config.argument_labels) - own_labels
+        if len(reachable) > 1:
+            if (key, entering) in expanded:
+                continue
+            expanded.add((key, entering))
         for callee, arguments, gained in reachable:
             reached = CallConfiguration(name, callee, arguments, entering | gained)
             if reached not in seen:

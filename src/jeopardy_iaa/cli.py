@@ -10,6 +10,9 @@ Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors
 (a closed output pipe too), 3 runtime errors.  Every command validates
 the program before running any later stage.  JSON output is
 deterministic: the same input file always produces identical bytes.
+A writer made for the report produces ``analyze --format json``: its
+text is byte for byte that of ``json.dumps(report, ensure_ascii=False,
+sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -148,80 +151,82 @@ def analysis_report(labeled: LabeledProgram) -> dict:
     }
 
 
-def _json_value(value, newline: str) -> str:
-    """The text of ``value``; each of its lines after the first starts
-    with ``newline``'s indentation."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is list or kind is dict:
-        if not value:
-            return "[]" if kind is list else "{}"
-        inner = newline + "  "
-        opening, closing, items = _json_items(value, inner)
-        return opening + inner + ("," + inner).join(items) + newline + closing
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+class _Texts(dict):
+    """The JSON text of each label, name and kind of one report, made the
+    first time it is asked for: ``str`` of an int, ``encode_basestring``
+    of a str.  A bool never comes in, since ``True`` and ``1`` are one key."""
+
+    def __missing__(self, value: int | str) -> str:
+        text = self[value] = str(value) if type(value) is int else encode_basestring(value)
+        return text
 
 
-def _json_items(value: list | dict, inner: str) -> tuple[str, str, list[str]]:
-    """The brackets of a list or dict and the text of each item, key
-    included, for items indented at ``inner``."""
-    if type(value) is list:
-        return "[", "]", [str(v) if type(v) is int else _json_value(v, inner) for v in value]
-    items = []
-    made: dict[int, str] = {}  # id of a member value -> its text
-    for k, v in sorted(value.items()):
-        text = made.get(id(v))
-        if text is None:
-            text = made[id(v)] = _json_value(v, inner)
-        items.append(encode_basestring(k) + ": " + text)
-    return "{", "}", items
+def _splice(parts: list[str], head: str, brackets: str, items: list[str]) -> None:
+    """Appends a report member to ``parts``: ``head``, then its list or
+    dict of ``items``, one item per line at indentation 4."""
+    if not items:
+        parts.append(head + brackets)
+        return
+    spliced = [",\n    "] * (2 * len(items))
+    spliced[0] = head + brackets[0] + "\n    "
+    spliced[1::2] = items
+    parts += spliced
+    parts.append("\n  " + brackets[1])
 
 
 class _ReportEncoder(json.JSONEncoder):
-    """Writes the text of ``json.dumps(o, ensure_ascii=False,
-    sort_keys=True, indent=2)``, whatever options it is built with.
+    """Writes an ``analysis_report`` as ``json.dumps(report,
+    ensure_ascii=False, sort_keys=True, indent=2)`` does, whatever options
+    it is built with, and takes nothing but such a report.
 
-    Keys are sorted, strings are escaped as ``encode_basestring`` does
-    (non-ASCII kept), every container item sits on its own line indented
-    two spaces per level, items end in ``,`` and keys in ``": "``, and an
-    empty container is ``{}`` or ``[]``.  The values are dicts with string
-    keys, lists, strings, ints, bools and None; anything else, floats and
-    tuples included, raises TypeError.  Each container is one
-    ``str.join``, where the stdlib's indented form runs its pure-Python
-    generators; the items of a top-level dict's members go straight into
-    the document's join instead.
+    It knows the report's three members and the keys of their rows: each
+    row is one f-string with its keys in sorted order, each label, name
+    and kind is converted once per report, and a label row shared by many
+    labels is written once.  ``_cmd_analyze`` calls it through
+    ``json.dumps``, so a wrapper around ``cli.json.dumps`` times it.
     """
 
-    def encode(self, o) -> str:
-        if type(o) is not dict or not o:
-            return _json_value(o, "\n")
-        # A report member holds one item per configuration or label.  Joined
-        # on its own, its text would be copied again into the document's; that
-        # copy raised the peak RSS of analyze on ring-144 from 29 to 36 MB
-        # (Linux, CPython 3.11).
-        parts = ["{"]
-        separator = "\n  "
-        for key, member in sorted(o.items()):
-            parts.append(separator + encode_basestring(key) + ": ")
-            separator = ",\n  "
-            if (type(member) is list or type(member) is dict) and member:
-                opening, closing, items = _json_items(member, "\n    ")
-                spliced = [",\n    "] * (2 * len(items))
-                spliced[0] = opening + "\n    "
-                spliced[1::2] = items
-                parts += spliced
-                parts.append("\n  " + closing)
-            else:
-                parts.append(_json_value(member, "\n  "))
+    def encode(self, report: dict) -> str:
+        text = _Texts().__getitem__
+
+        def labels(values: list) -> str:
+            if not values:
+                return "[]"
+            return "[\n        " + ",\n        ".join(map(text, values)) + "\n      ]"
+
+        configurations = [
+            f'{{\n      "argument_labels": {labels(row["argument_labels"])},\n'
+            f'      "callee": {text(row["callee"])},\n'
+            f'      "caller": {text(row["caller"])},\n'
+            f'      "direction": {text(row["direction"])},\n'
+            f'      "implicit_labels": {labels(row["implicit_labels"])},\n'
+            f'      "inverted": {"true" if row["inverted"] else "false"}\n    }}'
+            for row in report["configurations"]
+        ]
+        hints = [
+            f'{{\n      "call_label": {text(row["call_label"])},\n'
+            f'      "function": {text(row["function"])},\n'
+            f'      "witness_labels": {labels(row["witness_labels"])}\n    }}'
+            for row in report["hints"]
+        ]
+        # analysis_report shares one row among the labels of a (function, kind)
+        made: dict[int, str] = {}  # id of a row -> its text
+        label_items = []
+        for key, row in sorted(report["labels"].items()):
+            row_text = made.get(id(row))
+            if row_text is None:
+                row_text = made[id(row)] = (
+                    f'{{\n      "function": {text(row["function"])},\n'
+                    f'      "kind": {text(row["kind"])}\n    }}'
+                )
+            label_items.append(f"{encode_basestring(key)}: {row_text}")
+        # A member joined on its own would be copied again into the
+        # document's text; that copy raised the peak RSS of analyze on
+        # ring-144 from 29 to 36 MB (Linux, CPython 3.11).
+        parts: list[str] = []
+        _splice(parts, '{\n  "configurations": ', "[]", configurations)
+        _splice(parts, ',\n  "hints": ', "[]", hints)
+        _splice(parts, ',\n  "labels": ', "{}", label_items)
         parts.append("\n}")
         return "".join(parts)
 
@@ -286,6 +291,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _call_budget(text: str) -> int:
+    """The value of ``--max-calls``: a whole number of calls, 0 or more."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {budget}")
+    return budget
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jeopardy-iaa",
@@ -319,7 +335,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("input", help="argument value, e.g. '[successor [zero]]' or 3")
     p_run.add_argument("--trace", action="store_true", help="print every call")
-    p_run.add_argument("--max-calls", type=int, default=DEFAULT_MAX_CALLS)
+    p_run.add_argument("--max-calls", type=_call_budget, default=DEFAULT_MAX_CALLS)
     p_run.set_defaults(handler=_cmd_run)
 
     return parser

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -206,6 +207,15 @@ def test_run_budget_spent_at_the_top_level_call_names_the_input(capsys):
     assert err == "runtime error: call-budget-exceeded at input: more than 0 calls; looping program?\n"
 
 
+def test_run_refuses_a_negative_call_budget(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["run", FIB, "3", "--max-calls", "-1"])
+    captured = capsys.readouterr()
+    assert (stopped.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: jeopardy-iaa run ")
+    assert captured.err.endswith("error: argument --max-calls: must be 0 or more, got -1\n")
+
+
 def test_run_inverted_main(capsys, tmp_path):
     inverted = tmp_path / "inv.jpd"
     inverted.write_text("data d = [c]. f x = x. main (invert f).", encoding="utf-8")
@@ -321,11 +331,17 @@ def test_a_long_list_is_a_located_parse_error(capsys, tmp_path, item):
     assert err.startswith(f"{source}:2:") and err.endswith(": parse error: nesting too deep\n")
 
 
-@pytest.mark.parametrize("item", ["x", "id x"], ids=["variables", "applications"])
+@pytest.mark.parametrize(
+    "item", ["x", "id x", "f x"], ids=["variables", "applications", "self-calls"]
+)
 def test_a_300_item_list_analyzes(capsys, tmp_path, item):
     source = tmp_path / "list.jpd"
     source.write_text(list_program(item, 300), encoding="utf-8")
+    started = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", str(source))
+    # catches a closure that builds all 300 successors again on each of the
+    # 600 pops of an f configuration: that took 9 s, skipping them 0.4 s
+    assert time.perf_counter() - started <= 3
     assert (code, err) == (0, "")
     assert "⊤ -> f [down] A={input} I={}\n" in out
 

@@ -1,5 +1,6 @@
 """Golden outputs: the exact bytes of ``analyze --format json`` and of
-the printing commands ``parse``, ``desugar`` and ``label``.
+the printing commands ``parse``, ``desugar`` and ``label``, and of
+``analyze``'s text format.
 
 The report digests were recorded from the implementation that walked
 each callee body once per popped configuration; any faster closure must
@@ -8,6 +9,8 @@ closed-form configuration counts.  The printing commands' digests were
 recorded from the parser that kept pair, list-cell and ``let`` terms as
 node kinds of their own; reading them as the constructor terms and cases
 they stand for left every one unchanged but a ``let``'s ``parse`` text.
+The text-format reports and the JSON reports of diamond-10 and ring-140
+were recorded before the report got a JSON writer of its own.
 """
 
 from __future__ import annotations
@@ -50,6 +53,39 @@ RING_DIGESTS = {
     2: "4aafdf0e043115cdfd06a9f53e320cf2f9a5460e67b98dc4946044a58f46807a",
     5: "04826dcb61eaaf0413a29fab328669c0618d3e7409b697c348831d559748d50d",
     40: "2854ce16c3d4fa231827194a8d17f560652d8a3315968b47f8be82a2a1fcd8e4",
+}
+
+
+# the largest sizes the benchmark analyzes
+LARGE_REPORT_DIGESTS = {
+    "diamond-10": "8e2acbdb20ded0900e131ee1e931b71b8e19e710a54a3cd332ff286bae946cd3",
+    "ring-140": "7c8713dc7b73c4bec6294c4246709cd8e8812cf0229637a0752e382e81b46358",
+}
+
+# stdout of analyze in its text format, by program as in PRINTED_DIGESTS
+TEXT_REPORT_DIGESTS = {
+    "fib.jpd": "12e254b22e8e55f0ded6db0a54a218be3eedace2acd0c56933e11a1fa488d308",
+    "first_match.jpd": "e1c062d9cbd8a0e1930276421347aca4353ca7dce4beb07c03d509e5c4a7a444",
+    "identity.jpd": "01b93097a0fe9df9d16d87d48e9d7847009a62c0cb21ff8e34d8e4be86e3526c",
+    "invert_main.jpd": "19300fb4521b6d2613c16f0f6c9694029750cbbcbe9fc824a3e96682fb34c993",
+    "main_sum.jpd": "6baedce1ee6d30fe2af00d2e906bcd1014a74459d83875ba4c7fad37e005fdd8",
+    "mutual.jpd": "8e9d0da057e5ded401ebc3d2c8b66df926f395ae4230ffff09ae21b670a3e7b8",
+    "ring10.jpd": "5cdd8a0ef5277af434759e97d34f8e240d45abde0728b533472f50fb39c0f672",
+    "selfrec.jpd": "44c696afddea899b13eb6b5bd358a60c6f4838cdaadaa97a2bfcc7d0d8096329",
+    "sugar_soup.jpd": "79316f4bae42ad7a467d0c8c01c0744eba8b71477cc230f9ea49b6a825eb43ae",
+    "diamond-1": "053ffdde12ade71517ad326796a59acaabcb2762036b2e6284f37f53e343c000",
+    "diamond-2": "1ba7f91ae3e1571cc1717744d7d6f35037d074756edfe9f26ad9c79dcdd8cf0b",
+    "diamond-3": "93bb9a07072cb24a0e0f03f7c1fba5b7af0547b4dd6acd1bd16fd8f8fab76646",
+    "diamond-4": "7bfe971a9b3cdb084fd88bea7f514aff4173003a50094b46f1e1cf97b920a6fc",
+    "diamond-5": "6c4400dafb6bdda3a355348ef59297b0ed7d359a3bcf5326df702faee00d3e8e",
+    "diamond-6": "99f386b7e0368a63cf45a8b9915e90ba41859e6fc6b9bba88a9502e57a3f7ec6",
+    "diamond-7": "187809ddd5b1b61b7885f44d3ff4433031ad85d0b31cda06906da9013c0e37a9",
+    "diamond-8": "f3422b8537d8bc9c5e760389af43075374802b0fb1b252dfd1dc9272439eac76",
+    "diamond-9": "2f23341347e6e685716b4b7a12976b91cfcf67ce2c24709f041fd97e96263222",
+    "ring-1": "33f663c01e62994bf1b0a19e5b8817fc055a5a3f36f6fef00db30493f2a1e29b",
+    "ring-2": "a051675e4479c3cfff331588da974165106f3fe7bacf645e2c267a28cbd4f484",
+    "ring-5": "6944278e8d6a0493a6ce31249a6377a46df34f8c72dd29acedcc936d718c41ad",
+    "ring-40": "344b534ecffe1121df240061ac1b247944787ec6c4ce5e9028eb7e716cca0536",
 }
 
 
@@ -131,7 +167,7 @@ def _digest(data: bytes) -> str:
 
 def test_every_fixture_has_a_digest():
     assert sorted(FIXTURE_DIGESTS) == [f.name for f in ALL_FIXTURES]
-    for digests in PRINTED_DIGESTS.values():
+    for digests in [*PRINTED_DIGESTS.values(), TEXT_REPORT_DIGESTS]:
         assert sorted(n for n in digests if n.endswith(".jpd")) == [f.name for f in ALL_FIXTURES]
 
 
@@ -174,3 +210,15 @@ def test_ring_report_bytes(n, tmp_path, capsys):
     data = _report(path, capsys)
     assert len(json.loads(data)["configurations"]) == 3 * n + 1
     assert _digest(data) == RING_DIGESTS[n]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_REPORT_DIGESTS))
+def test_large_report_bytes(name, tmp_path, capsys):
+    assert _digest(_report(_program(name, tmp_path), capsys)) == LARGE_REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORT_DIGESTS))
+def test_text_report_bytes(name, tmp_path, capsys):
+    assert main(["analyze", str(_program(name, tmp_path))]) == 0
+    data = capsys.readouterr().out.encode("utf-8")
+    assert _digest(data) == TEXT_REPORT_DIGESTS[name]

@@ -209,7 +209,14 @@ def test_fixtures_match_the_reference(fixture):
     _check(load_labeled(fixture.name))
 
 
-@pytest.mark.parametrize("source", [diamond(k) for k in range(1, 7)] + [ring(1), ring(5)])
+# f x = f x : f x : … : f x, a summary with many successors that many
+# pops share
+SELF_CALLS = f"id y = y.\nf x = {' : '.join(['f x'] * 40)}.\nmain f.\n"
+
+
+@pytest.mark.parametrize(
+    "source", [diamond(k) for k in range(1, 7)] + [ring(1), ring(5), SELF_CALLS]
+)
 def test_generated_programs_match_the_reference(source):
     _check(annotate(desugar_program(parse(source))))
 
