@@ -34,11 +34,14 @@ triples per callee and direction: its *summary*, in the manner of IFDS
 summary edges (Reps, Horwitz & Sagiv, POPL'95).  ``configurations``
 builds each summary once, the first time a callee is reached in a
 direction, by walking the body with empty availability.  The backward
-summary comes from one bottom-up walk that keeps a flat set of
-configurations and a set of availability sets, since only the union
-over paths is ever used.  The reachability fixed point is then a FIFO
-worklist of set unions over exact-equality deduplicated
-configurations; no tree is walked per popped configuration.
+summary comes from one bottom-up walk that keeps a set of availability
+sets per call, since only the union over paths is ever used.  It walks
+each node once and builds an availability set only where a call
+records it or a later node reads it; the body's own result is never
+read.  The reachability fixed point is then a FIFO worklist of set
+unions over exact-equality deduplicated configurations; no tree is
+walked per popped configuration, and a configuration whose callee
+calls nothing in its direction is recorded but never queued.
 
 Configurations carry a complete-lattice order (same caller, callee, and
 argument labels; inclusion on implicit labels), exposed for clients and
@@ -271,67 +274,83 @@ def configurations(program: LabeledProgram) -> ConfigurationSet:
 
     FIFO worklist closure over the callees' summaries; termination
     follows from the finite label universe.  The result is the set that
-    closing over ``call`` gives, so it does not depend on pop order.
+    closing over ``call`` gives, so it does not depend on pop order.  A
+    configuration whose callee reaches no call in its direction is
+    recorded but never queued.
     """
-    seeds = seed_configurations(program)
-    seen: set[CallConfiguration] = set(seeds)
-    queue = deque(seeds)
     summaries: dict[tuple[str, Direction], _Summary] = {}
-    # the successors of a pop depend only on its summary and entering set;
-    # a pair is recorded only for summaries with several successors, where
-    # expanding it again costs more than hashing the entering set
-    expanded: set[tuple[tuple[str, Direction], LabelSet]] = set()
-    while queue:
-        config = queue.popleft()
-        key = (config.callee_name, config.direction)
+
+    def summary_of(key: tuple[str, Direction]) -> _Summary:
         summary = summaries.get(key)
         if summary is None:
-            summary = summaries[key] = _summary(config, program)
-        name, own_labels, reachable = summary
-        if not reachable:
-            continue
+            summary = summaries[key] = _summary(key, program)
+        return summary
+
+    seeds = seed_configurations(program)
+    seen: set[CallConfiguration] = set(seeds)
+    queue: deque[tuple[CallConfiguration, _Summary]] = deque()
+    for seed in seeds:
+        summary = summary_of((seed.callee_name, seed.direction))
+        if summary[2]:
+            queue.append((seed, summary))
+    while queue:
+        config, (name, own_labels, reachable, expanded) = queue.popleft()
         entering = (config.implicit_labels | config.argument_labels) - own_labels
+        # the successors of a pop depend only on its summary and entering
+        # set; a set is recorded only for summaries with several successors,
+        # where expanding it again costs more than hashing the set
         if len(reachable) > 1:
-            if (key, entering) in expanded:
+            if entering in expanded:
                 continue
-            expanded.add((key, entering))
-        for callee, arguments, gained in reachable:
+            expanded.add(entering)
+        for callee, arguments, gained, key in reachable:
             reached = CallConfiguration(name, callee, arguments, entering | gained)
-            if reached not in seen:
-                seen.add(reached)
-                queue.append(reached)
+            size = len(seen)
+            seen.add(reached)
+            if len(seen) > size:
+                summary = summary_of(key)
+                if summary[2]:
+                    queue.append((reached, summary))
     return frozenset(seen)
 
 
-# A callee's name, its own labels, and the (callee reference, argument
-# labels, gained labels) of every call its body reaches in one direction.
-_Summary = tuple[str, LabelSet, list[tuple[FunctionRef, LabelSet, LabelSet]]]
+# A callee's name, its own labels, the (callee reference, argument labels,
+# gained labels, the callee's summary key) of every call its body reaches
+# in one direction, and the entering sets already expanded through it.
+_Summary = tuple[
+    str,
+    LabelSet,
+    list[tuple[FunctionRef, LabelSet, LabelSet, tuple[str, Direction]]],
+    set[LabelSet],
+]
 
 
-def _summary(config: CallConfiguration, program: LabeledProgram) -> _Summary:
-    """What ``call`` gives for ``config``'s callee and direction, with the
-    entering availability left out."""
-    definition = _definition(program, config.callee)
-    name = definition.name
-    if config.direction is Direction.DOWN:
+def _summary(key: tuple[str, Direction], program: LabeledProgram) -> _Summary:
+    """What ``call`` gives for a callee and direction, with the entering
+    availability left out."""
+    name, direction = key
+    definition = program.functions.get(name)
+    if definition is None:
+        raise UndefinedCalleeError(f"function '{name}' is not defined")
+    if direction is Direction.DOWN:
         reached = term_down(name, _EMPTY, definition.body)
-        reachable = [(c.callee, c.argument_labels, c.implicit_labels) for c in reached]
+        calls = [(c.callee, c.argument_labels, (c.implicit_labels,)) for c in reached]
     else:
-        calls: dict[tuple[FunctionRef, LabelSet], set[LabelSet]] = {}
-        _walk_up({_EMPTY}, definition.body, _EMPTY, program, calls)
-        reachable = [
-            (callee, arguments, gained)
-            for (callee, arguments), gains in calls.items()
-            for gained in gains
-        ]
+        walked: dict[tuple[FunctionRef, LabelSet], set[LabelSet]] = {}
+        _walk_up({_EMPTY}, definition.body, None, program, walked)
+        calls = [(callee, arguments, gains) for (callee, arguments), gains in walked.items()]
+    reachable = []
+    for callee, arguments, gains in calls:
+        callee_key = (underlying_name(callee), direction_of(callee))
+        reachable += [(callee, arguments, gained, callee_key) for gained in gains]
     own_labels = labels_of(definition.parameter) | labels_of(definition.body)
-    return name, own_labels, reachable
+    return name, own_labels, reachable, set()
 
 
 def _walk_up(
     implicits: set[LabelSet],
     term: Term,
-    then: LabelSet,
+    then: LabelSet | None,
     program: LabeledProgram,
     calls: dict[tuple[FunctionRef, LabelSet], set[LabelSet]],
 ) -> set[LabelSet]:
@@ -341,25 +360,49 @@ def _walk_up(
     Records the implicit labels that some inverse path brings to each
     call, keyed by the flipped callee and its argument labels, in
     ``calls``.  Returns every availability set that some path ends with,
-    each joined with ``then`` so that no intermediate generation of sets
-    is built.  Each node is walked once, where ``term_up`` walks a
-    scrutinee once per path through the branch bodies.
+    each joined with ``then``.  Every step distributes over the union of
+    ``implicits``, so each node is walked at most once, a scrutinee on
+    the union of its branches' results, where ``term_up`` walks it once
+    per path through the branch bodies.
+
+    A set is built only where an application records it or a later node
+    reads it.  ``then`` is None where nothing reads the result: the walk
+    then records calls and returns an empty set, and a case whose
+    scrutinee holds no application walks its branches for their calls
+    only.  A pattern scrutinee's labels go into each branch's ``then``,
+    so each path pays one union there.
     """
-    if isinstance(term, PatternTerm):
+    kind = type(term)
+    if kind is PatternTerm:
+        if then is None:
+            return set()
         gained = labels_of(term.pattern) | then
         return {implicit | gained for implicit in implicits}
-    if isinstance(term, Apply):
+    if kind is Apply:
         argument = frozenset((body_root_label(_definition(program, term.callee).body),))
         calls.setdefault((flip(term.callee), argument), set()).update(implicits)
+        if then is None:
+            return set()
         gained = labels_of(term.argument) | {_own_label(term)} | then
         return {implicit | gained for implicit in implicits}
-    if isinstance(term, Case):
-        then = then | {_own_label(term)}
-        available: set[LabelSet] = set()
+    if kind is Case:
+        scrutinee = term.scrutinee
+        if then is not None:
+            then = then | {_own_label(term)}
+        if type(scrutinee) is PatternTerm:
+            if then is not None:
+                then = then | labels_of(scrutinee.pattern)
+            available: set[LabelSet] = set()
+            for pattern, body in term.branches:
+                branch_then = None if then is None else labels_of(pattern) | then
+                available |= _walk_up(implicits, body, branch_then, program, calls)
+            return available
+        bodies_read = then is not None or any(type(node) is Apply for node in nodes(scrutinee))
+        scrutinee_implicits: set[LabelSet] = set()
         for pattern, body in term.branches:
-            scrutinee_implicits = _walk_up(implicits, body, labels_of(pattern), program, calls)
-            available |= _walk_up(scrutinee_implicits, term.scrutinee, then, program, calls)
-        return available
+            body_then = labels_of(pattern) if bodies_read else None
+            scrutinee_implicits |= _walk_up(implicits, body, body_then, program, calls)
+        return _walk_up(scrutinee_implicits, scrutinee, then, program, calls)
     raise ValueError(f"cannot analyze sugared term {term!r}")
 
 

@@ -7,9 +7,10 @@
     jeopardy-iaa run      FILE INPUT [--trace] [--max-calls N]
 
 Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors
-(a closed output pipe too), 3 runtime errors.  Every command validates
-the program before running any later stage.  JSON output is
-deterministic: the same input file always produces identical bytes.
+(a closed output pipe and a source that is not UTF-8 too), 3 runtime
+errors.  Every command validates the program before running any later
+stage.  JSON output is deterministic: the same input file always
+produces identical bytes.
 A writer made for the report produces ``analyze --format json``: its
 text is byte for byte that of ``json.dumps(report, ensure_ascii=False,
 sort_keys=True, indent=2)``.
@@ -47,10 +48,20 @@ class _CommandError(Exception):
 
 def _read_source(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as error:
         raise _CommandError(EXIT_IO, f"cannot read {path}: {error.strerror or error}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise _CommandError(
+            EXIT_IO,
+            f"cannot read {path}: not UTF-8 text "
+            f"(byte 0x{data[error.start]:02x} at offset {error.start})",
+        ) from None
+    # the newline translation of a file opened in text mode
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_and_validate(path: str) -> tuple[str, Program]:

@@ -27,8 +27,6 @@ them as the constructor terms and cases they stand for.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .syntax import (
     Apply,
     Case,
@@ -141,7 +139,14 @@ class _Desugarer:
             )
             parameter = fresh
         body = self.desugar_term(body)
-        return replace(definition, parameter=parameter, body=body)
+        return FunDef(
+            definition.name,
+            parameter,
+            definition.parameter_type,
+            definition.return_type,
+            body,
+            definition.span,
+        )
 
     def desugar_term(self, term: Term) -> Term:
         if isinstance(term, PatternTerm):
@@ -151,7 +156,7 @@ class _Desugarer:
         if isinstance(term, Case):
             scrutinee = self.desugar_term(term.scrutinee)
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
-            return replace(term, scrutinee=scrutinee, branches=branches)
+            return Case(scrutinee, term.scrutinee_type, branches, term.label, term.span)
         if isinstance(term, GeneralApply):
             return self._desugar_application(term.callee, term.argument)
         if isinstance(term, ConApp):

@@ -185,6 +185,25 @@ def diamond(k: int) -> str:
     )
 
 
+def nested_scrutinees(depth: int) -> str:
+    """``depth`` cases nested in scrutinee position, the innermost on
+    ``x``, with an application of ``g`` in every branch.
+
+    The backward walk of ``f`` meets 2^depth paths, and the scrutinee
+    under the outermost case sits under ``depth - 1`` further
+    scrutinee cases, which random programs rarely nest past 2.
+    """
+    term = "x"
+    for i in range(1, depth + 1):
+        scrutinee = term if i == 1 else f"({term})"
+        term = f"case {scrutinee} of\n  ; [z] -> g x\n  ; [s a{i}] -> g a{i}"
+    return (
+        "data t = [z] [s t].\n\n"
+        "g v =\n  case v of\n  ; [z] -> [z]\n  ; [s w] -> [s w].\n\n"
+        f"f x =\n  {term}.\n\nmain f.\n"
+    )
+
+
 def ring(n: int) -> str:
     """n functions, each calling the next; 3n + 1 configurations."""
     names = [f"r_{i}" for i in range(n)]

@@ -105,6 +105,32 @@ def test_parse_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["parse"], ["desugar"], ["label"], ["analyze"], ["run", None, "[z]"]], ids=lambda a: a[0]
+)
+def test_a_source_that_is_not_utf8_is_a_read_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.jpd"
+    bad.write_bytes(b"data nat = [z] [s nat].\nf x = x.\nmain f.\n\xff\n")
+    argv = [str(bad) if arg is None else arg for arg in argv]
+    if len(argv) == 1:
+        argv.append(str(bad))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"cannot read {bad}: not UTF-8 text (byte 0xff at offset 41)\n"
+
+
+def test_sources_read_with_any_line_ending(capsys, tmp_path):
+    source = "data nat = [z] [s nat].\nf x = case x of ; [z] -> [z] ; [s y] -> f y.\nmain f.\n"
+    expected = None
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "lines.jpd"
+        path.write_bytes(source.replace("\n", newline).encode("utf-8"))
+        result = run_cli(capsys, "analyze", str(path), "--format", "json")
+        assert result[0] == 0
+        expected = expected or result
+        assert result == expected
+
+
 def test_parse_reports_validation(capsys, tmp_path):
     bad = tmp_path / "bad.jpd"
     bad.write_text("f x = foo x. main f.", encoding="utf-8")

@@ -1,10 +1,12 @@
-"""The regex scanner and the constructor-built labeler against the
-character loop and the ``dataclasses.replace`` labeler they replaced.
+"""The regex scanner, the constructor-built labeler and the
+constructor-built desugarer against the character loop and the
+``dataclasses.replace`` labeler and desugarer they replaced.
 
-Both references are kept here verbatim.  The scanners agree on every
+The references are kept here verbatim.  The scanners agree on every
 input except one: the reference reads any Unicode digit (``²``, ``٣``)
 as part of a numeral, where numerals are ASCII digits only.  The
-labelers agree on labels, on the label index and on every node's span.
+labelers agree on labels, on the label index and on every node's span;
+the desugarers on the core program and on every node's span.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jeopardy_iaa import desugar_program, labeler, parse
+from jeopardy_iaa.desugar import _Desugarer, _Fresh
 from jeopardy_iaa.parser import ParseError, tokenize as scan
 from jeopardy_iaa.printer import pretty_program
 from jeopardy_iaa.syntax import (
     KEYWORDS,
     Apply,
     Case,
+    ConApp,
     FunDef,
+    GeneralApply,
     Pattern,
     PatternTerm,
     Program,
@@ -184,6 +189,44 @@ def annotate(program: Program) -> LabeledProgram:
     return LabeledProgram(labeled_program, labeler.index, functions)
 
 
+# -- reference desugarer -----------------------------------------------------
+#
+# The two methods that rebuilt a node with ``dataclasses.replace``; the
+# rest of the desugarer is shared.
+
+
+class _ReplaceDesugarer(_Desugarer):
+    def desugar_fun_def(self, definition: FunDef) -> FunDef:
+        self.fresh = _Fresh(self.used)
+        parameter = definition.parameter
+        body = definition.body
+        if not isinstance(parameter, Var):
+            fresh = self.fresh.next()
+            body = Case(
+                PatternTerm(fresh),
+                definition.parameter_type,
+                ((parameter, body),),
+            )
+            parameter = fresh
+        body = self.desugar_term(body)
+        return replace(definition, parameter=parameter, body=body)
+
+    def desugar_term(self, term: Term) -> Term:
+        if isinstance(term, PatternTerm):
+            return term
+        if isinstance(term, Apply):
+            return term
+        if isinstance(term, Case):
+            scrutinee = self.desugar_term(term.scrutinee)
+            branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
+            return replace(term, scrutinee=scrutinee, branches=branches)
+        if isinstance(term, GeneralApply):
+            return self._desugar_application(term.callee, term.argument)
+        if isinstance(term, ConApp):
+            return self.desugar_constructor(term.name, term.args)
+        raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
+
+
 # -- scanner ------------------------------------------------------------------
 
 
@@ -239,15 +282,10 @@ def test_scanner_token_list_ends_in_one_end_marker():
 # -- labeler ------------------------------------------------------------------
 
 
-def assert_labeled_alike(program: Program) -> None:
-    new, old = labeler.annotate(program), annotate(program)
-    assert new.program == old.program
-    assert new.functions == old.functions
-    assert [(k, tuple(v)) for k, v in new.index.items()] == [
-        (k, (v.function, v.kind, v.span)) for k, v in old.index.items()
-    ]
-    # spans never take part in equality, so compare them node by node
-    for new_def, old_def in zip(new.program.definitions, old.program.definitions):
+def assert_spans_alike(new: Program, old: Program) -> None:
+    """Spans never take part in equality, so compare them node by node."""
+    assert len(new.definitions) == len(old.definitions)
+    for new_def, old_def in zip(new.definitions, old.definitions):
         assert new_def.span == old_def.span
         if type(new_def) is not FunDef:
             continue
@@ -257,6 +295,22 @@ def assert_labeled_alike(program: Program) -> None:
             assert [(type(n), n.span) for n in new_nodes] == [(type(n), n.span) for n in old_nodes]
 
 
+def assert_labeled_alike(program: Program) -> None:
+    new, old = labeler.annotate(program), annotate(program)
+    assert new.program == old.program
+    assert new.functions == old.functions
+    assert [(k, tuple(v)) for k, v in new.index.items()] == [
+        (k, (v.function, v.kind, v.span)) for k, v in old.index.items()
+    ]
+    assert_spans_alike(new.program, old.program)
+
+
+def assert_desugared_alike(program: Program) -> None:
+    new, old = desugar_program(program), _ReplaceDesugarer(program).run()
+    assert new == old
+    assert_spans_alike(new, old)
+
+
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
 def test_labeler_agrees_on_every_fixture(path):
     assert_labeled_alike(desugar_program(parse(fixture_source(path.name))))
@@ -264,6 +318,19 @@ def test_labeler_agrees_on_every_fixture(path):
 
 def test_labeler_agrees_on_a_sugar_heavy_source():
     assert_labeled_alike(desugar_program(parse(sugar_library(130, random.Random(3)))))
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
+def test_desugarer_agrees_on_every_fixture(path):
+    assert_desugared_alike(parse(fixture_source(path.name)))
+
+
+def test_desugarer_agrees_on_a_sugar_heavy_source():
+    program = parse(sugar_library(130, random.Random(3)))
+    assert_desugared_alike(program)
+    # the spans compared are real ones, not a run of Nones
+    core = desugar_program(program)
+    assert sum(n.span is not None for d in core.definitions if type(d) is FunDef for n in nodes(d.body)) > 1000
 
 
 @pytest.mark.parametrize("seed", range(40))

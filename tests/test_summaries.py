@@ -3,7 +3,9 @@
 ``configurations`` must equal a naive FIFO closure over the one-step
 reference rule ``call``, including the type of any exception raised,
 and ``symmetry_hints`` must equal the linear scan that compares every
-configuration against every call site.
+configuration against every call site.  Each backward summary must
+hold exactly the calls that the per-path rule ``term_up`` reaches, and
+the merged walk must end with exactly its availability sets.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from jeopardy_iaa.analysis import (
     UndefinedCalleeError,
     _branching_parameter_paths,
     _subpattern_at,
+    _summary,
+    _walk_up,
     call,
     configurations,
+    direction_of,
     seed_configurations,
     symmetry_hints,
+    term_up,
 )
 from jeopardy_iaa.cli import _configuration_row
 from jeopardy_iaa.labeler import labels_of
@@ -47,10 +53,17 @@ from conftest import (
     ALL_FIXTURES,
     diamond,
     load_labeled,
+    nested_scrutinees,
     random_label_sets,
     random_labeled_program,
     ring,
 )
+
+NESTED_SCRUTINEES = [nested_scrutinees(depth) for depth in range(1, 7)]
+
+
+def labeled(source):
+    return annotate(desugar_program(parse(source)))
 
 
 def naive_configurations(program):
@@ -215,10 +228,59 @@ SELF_CALLS = f"id y = y.\nf x = {' : '.join(['f x'] * 40)}.\nmain f.\n"
 
 
 @pytest.mark.parametrize(
-    "source", [diamond(k) for k in range(1, 7)] + [ring(1), ring(5), SELF_CALLS]
+    "source", [diamond(k) for k in range(1, 7)] + [ring(1), ring(5), SELF_CALLS] + NESTED_SCRUTINEES
 )
 def test_generated_programs_match_the_reference(source):
-    _check(annotate(desugar_program(parse(source))))
+    _check(labeled(source))
+
+
+def _check_backward_summaries(program):
+    """Every function reached backward: its summary against ``term_up``."""
+    reached = {c.callee_name for c in configurations(program) if c.direction is Direction.UP}
+    assert reached
+    for name in reached:
+        body = program.functions[name].body
+        paths = term_up(name, frozenset(), body, program)
+        expected: dict = {}
+        for configs, _ in paths:
+            for c in configs:
+                expected.setdefault((c.callee, c.argument_labels), set()).add(c.implicit_labels)
+        _, _, reachable, _ = _summary((name, Direction.UP), program)
+        actual: dict = {}
+        for callee, arguments, gained, key in reachable:
+            assert key == (underlying_name(callee), direction_of(callee))
+            gains = actual.setdefault((callee, arguments), set())
+            assert gained not in gains
+            gains.add(gained)
+        assert actual == expected
+        # the sets that the walk ends with, when its result is read
+        assert _walk_up({frozenset()}, body, frozenset(), program, {}) == {
+            available for _, available in paths
+        }
+
+
+def test_backward_summaries_match_term_up_on_random_programs():
+    rng = random.Random(20261018)
+    for index in range(300):
+        program = random_labeled_program(rng, budget=6 + index % 25, branching=index % 2 == 1)
+        _check_backward_summaries(program)
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
+def test_backward_summaries_match_term_up_on_fixtures(fixture):
+    _check_backward_summaries(load_labeled(fixture.name))
+
+
+GENERATED = (
+    [(f"diamond-{k}", diamond(k)) for k in range(1, 9)]
+    + [(f"ring-{n}", ring(n)) for n in (1, 5)]
+    + [(f"nested-{depth}", source) for depth, source in enumerate(NESTED_SCRUTINEES, 1)]
+)
+
+
+@pytest.mark.parametrize("source", [s for _, s in GENERATED], ids=[i for i, _ in GENERATED])
+def test_backward_summaries_match_term_up_on_generated_programs(source):
+    _check_backward_summaries(labeled(source))
 
 
 @pytest.mark.parametrize("body", [Apply(Direct("q"), Var("z")), Apply(Inverted(Direct("q")), Var("z"))])
