@@ -52,7 +52,6 @@ rather than joining them, preserving path-sensitive availability.
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -118,15 +117,6 @@ class CallConfiguration:
     def callee_name(self) -> str:
         return underlying_name(self.callee)
 
-    def sort_key(self):
-        return (
-            self.caller,
-            self.callee_name,
-            invert_depth(self.callee),
-            _label_order(self.argument_labels),
-            _label_order(self.implicit_labels),
-        )
-
     def __str__(self) -> str:
         args = ", ".join(str(l) for l in sorted(self.argument_labels, key=label_sort_key))
         imps = ", ".join(str(l) for l in sorted(self.implicit_labels, key=label_sort_key))
@@ -134,24 +124,6 @@ class CallConfiguration:
             f"({self.caller}, {pretty_funref(self.callee)}, "
             f"{{{args}}}, {{{imps}}})"
         )
-
-
-_SYMBOLIC = (INPUT, OUTPUT)  # in label_sort_key order
-
-
-def _label_order(labels: LabelSet) -> tuple[list, tuple]:
-    """Orders label sets as ``sorted(map(label_sort_key, labels))`` does,
-    with every comparison made in C.
-
-    Symbolic labels follow all integers; the infinity marker makes an
-    integer prefix followed by a symbolic label compare above a longer
-    integer run, and the symbolic tuple breaks ties between equal runs.
-    """
-    integers = sorted(labels.difference(_SYMBOLIC))
-    symbolic = tuple(l for l in _SYMBOLIC if l in labels)
-    if symbolic:
-        integers.append(math.inf)
-    return integers, symbolic
 
 
 ConfigurationSet = frozenset  # of CallConfiguration

@@ -8,30 +8,46 @@
 
 Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors
 (a closed output pipe and a source that is not UTF-8 too), 3 runtime
-errors.  Every command validates the program before running any later
-stage.  JSON output is deterministic: the same input file always
-produces identical bytes.
-A writer made for the report produces ``analyze --format json``: its
-text is byte for byte that of ``json.dumps(report, ensure_ascii=False,
-sort_keys=True, indent=2)``.
+errors, located as ``FILE:line:col:`` when their label has a span.
+Every command validates the program before running any later stage.
+JSON output is deterministic: the same input file always produces
+identical bytes.
+The report groups the configurations by (caller, callee, argument
+labels), orders the groups once and sorts each implicit set once; the
+rows of a group share one argument list.  A writer made for the report
+produces ``analyze --format json``: its text is byte for byte that of
+``json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import defaultdict
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Sequence
 
-from .analysis import CallConfiguration, Hint, configurations, symmetry_hints
+from .analysis import Hint, configurations, symmetry_hints
 from .desugar import desugar_program
 from .evaluator import DEFAULT_MAX_CALLS, EvalError, run_main
 from .labeler import LabeledProgram, annotate
 from .parser import ParseError, line_col, parse, parse_value
 from .printer import pretty_program, pretty_value
-from .syntax import Diagnostic, Program, constructor_table, validate, validate_value
+from .syntax import (
+    INPUT,
+    OUTPUT,
+    Diagnostic,
+    Program,
+    constructor_table,
+    invert_depth,
+    underlying_name,
+    validate,
+    validate_value,
+)
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -111,25 +127,29 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _labels_json(order: tuple[list, tuple]) -> list:
-    """A label set in label_sort_key order, from its ``_label_order`` pair:
-    the integers without the ``inf`` marker, then the symbolic labels."""
-    integers, symbolic = order
-    return integers[:-1] + list(symbolic) if symbolic else integers
+_SYMBOLIC = frozenset((INPUT, OUTPUT))
+_first = itemgetter(0)
 
 
-def _configuration_row(key: tuple) -> dict:
-    """The report row of the configuration whose sort key is ``key``."""
-    caller, callee, depth, argument_order, implicit_order = key
-    inverted = depth % 2 == 1  # each inversion flips the direction
-    return {
-        "caller": caller,
-        "callee": callee,
-        "inverted": inverted,
-        "direction": "up" if inverted else "down",
-        "argument_labels": _labels_json(argument_order),
-        "implicit_labels": _labels_json(implicit_order),
-    }
+def _ordered(labels: frozenset) -> tuple[list, list]:
+    """A label set's sort key and its report list, from one ``sorted``.
+
+    The report list is ``sorted(labels, key=label_sort_key)``: the
+    integers, then ``input``, then ``output``.  The key orders label sets
+    as ``sorted(map(label_sort_key, labels))`` does, with every comparison
+    made in C: an ``inf`` marker after the integers makes an integer run
+    followed by a symbolic label compare above a longer integer run, and
+    the symbolic labels after it break ties between equal runs.  A set
+    without symbolic labels gives one list for both.
+    """
+    if labels.isdisjoint(_SYMBOLIC):
+        listing = sorted(labels)
+        return listing, listing
+    listing = sorted(labels - _SYMBOLIC)
+    symbolic = [label for label in (INPUT, OUTPUT) if label in labels]
+    key = [*listing, math.inf, *symbolic]
+    listing += symbolic
+    return key, listing
 
 
 def _hint_row(hint: Hint) -> dict:
@@ -141,11 +161,45 @@ def _hint_row(hint: Hint) -> dict:
 
 
 def analysis_report(labeled: LabeledProgram) -> dict:
-    """The analyze command's payload: configurations, hints, label index."""
+    """The analyze command's payload: configurations, hints, label index.
+
+    Configurations are listed by caller, callee name, inversion depth,
+    argument labels and implicit labels, each label set in
+    ``label_sort_key`` order.  They are grouped by (caller, callee,
+    argument labels) first, so that each group is ordered once and each
+    label set is sorted once; the rows of a group share one
+    argument-list object.
+    """
     found = configurations(labeled)
     hints = symmetry_hints(labeled, found)
+    groups: defaultdict[tuple, list] = defaultdict(list)
+    for config in found:
+        groups[config.caller, config.callee, config.argument_labels].append(
+            config.implicit_labels
+        )
     # unique keys: a name and an inversion depth fix the callee
-    keys = sorted(map(CallConfiguration.sort_key, found))
+    ordered_groups = []
+    for (caller, callee, arguments), implicit_sets in groups.items():
+        key, listing = _ordered(arguments)
+        ordered_groups.append(
+            ((caller, underlying_name(callee), invert_depth(callee), key), listing, implicit_sets)
+        )
+    ordered_groups.sort(key=_first)
+    configuration_rows = []
+    for (caller, name, depth, _), arguments, implicit_sets in ordered_groups:
+        inverted = depth % 2 == 1  # each inversion flips the direction
+        direction = "up" if inverted else "down"
+        configuration_rows += [
+            {
+                "caller": caller,
+                "callee": name,
+                "inverted": inverted,
+                "direction": direction,
+                "argument_labels": arguments,
+                "implicit_labels": implicit,
+            }
+            for _, implicit in sorted(map(_ordered, implicit_sets), key=_first)
+        ]
     # one row object per (function, kind), shared by all of its labels; the
     # encoder writes the text of a shared row once
     rows: dict[tuple[str, str], dict] = {}
@@ -156,7 +210,7 @@ def analysis_report(labeled: LabeledProgram) -> dict:
             row = rows[function, kind] = {"function": function, "kind": kind}
         labels[str(label)] = row
     return {
-        "configurations": [_configuration_row(key) for key in keys],
+        "configurations": configuration_rows,
         "hints": [_hint_row(h) for h in hints],
         "labels": labels,
     }
@@ -193,8 +247,10 @@ class _ReportEncoder(json.JSONEncoder):
     It knows the report's three members and the keys of their rows: each
     row is one f-string with its keys in sorted order, each label, name
     and kind is converted once per report, and a label row shared by many
-    labels is written once.  ``_cmd_analyze`` calls it through
-    ``json.dumps``, so a wrapper around ``cli.json.dumps`` times it.
+    labels, or an argument list shared by the rows of a group, is written
+    once: its text is kept by the object's identity.  ``_cmd_analyze``
+    calls it through ``json.dumps``, so a wrapper around
+    ``cli.json.dumps`` times it.
     """
 
     def encode(self, report: dict) -> str:
@@ -205,8 +261,17 @@ class _ReportEncoder(json.JSONEncoder):
                 return "[]"
             return "[\n        " + ",\n        ".join(map(text, values)) + "\n      ]"
 
+        # analysis_report shares one argument list among the rows of a group
+        argument_texts: dict[int, str] = {}  # id of a list -> its text
+
+        def arguments(values: list) -> str:
+            values_text = argument_texts.get(id(values))
+            if values_text is None:
+                values_text = argument_texts[id(values)] = labels(values)
+            return values_text
+
         configurations = [
-            f'{{\n      "argument_labels": {labels(row["argument_labels"])},\n'
+            f'{{\n      "argument_labels": {arguments(row["argument_labels"])},\n'
             f'      "callee": {text(row["callee"])},\n'
             f'      "caller": {text(row["caller"])},\n'
             f'      "direction": {text(row["direction"])},\n'
@@ -252,8 +317,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
     for row in report["configurations"]:
         callee = row["callee"] if not row["inverted"] else f"(invert {row['callee']})"
-        arguments = ", ".join(str(l) for l in row["argument_labels"])
-        implicits = ", ".join(str(l) for l in row["implicit_labels"])
+        arguments = ", ".join(map(str, row["argument_labels"]))
+        implicits = ", ".join(map(str, row["implicit_labels"]))
         print(
             f"{row['caller']} -> {callee} [{row['direction']}] "
             f"A={{{arguments}}} I={{{implicits}}}"
@@ -271,8 +336,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _runtime_error(path: str, source: str, labeled: LabeledProgram, error: EvalError) -> str:
+    """A runtime error, located like a parse diagnostic when its label has
+    a span; ``input`` and a label without one have no place in the source."""
+    message = f"runtime error: {error.kind} at {error.label}: {error.message}"
+    info = labeled.index.get(error.label)
+    if info is None or info.span is None:
+        return message
+    line, column = line_col(source, info.span.start)
+    return f"{path}:{line}:{column}: {message}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    labeled = _core(args.file)
+    source, program = _parse_and_validate(args.file)
+    labeled = annotate(desugar_program(program))
     try:
         value = parse_value(args.input)
     except ParseError as error:
@@ -290,7 +367,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result, trace = run_main(labeled, value, max_calls=args.max_calls)
     except EvalError as error:
         raise _CommandError(
-            EXIT_RUNTIME, f"runtime error: {error.kind} at {error.label}: {error.message}"
+            EXIT_RUNTIME, _runtime_error(args.file, source, labeled, error)
         ) from None
     if args.trace:
         for event in trace:

@@ -260,9 +260,47 @@ def test_run_no_branch_matched_prints_the_value(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err == (
-        "runtime error: no-branch-matched at 1: "
+        f"{partial}:1:42: runtime error: no-branch-matched at 1: "
         "no case branch matched value [successor [successor [successor [zero]]]]\n"
     )
+
+
+LOCATED = [
+    (
+        "data nat = [zero] [successor nat].\nf n =\n  case n of\n  ; [zero] -> [zero].\nmain f.\n",
+        ["3"],
+        "3:3: runtime error: no-branch-matched at 1: "
+        "no case branch matched value [successor [successor [successor [zero]]]]",
+    ),
+    (
+        "data d = [c].\nspin x =\n  spin x.\nmain spin.\n",
+        ["[c]", "--max-calls", "5"],
+        "3:3: runtime error: call-budget-exceeded at 1: more than 5 calls; looping program?",
+    ),
+    (
+        "data d = [c].\n\nf x = (invert f) x.\n\nmain f.\n",
+        ["[c]"],
+        "3:7: runtime error: inverted-call at 1: backward execution is not supported",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source, arguments, located", LOCATED, ids=["no-branch-matched", "call-budget", "inverted-call"]
+)
+def test_run_locates_a_runtime_error_at_its_label(capsys, tmp_path, source, arguments, located):
+    path = tmp_path / "located.jpd"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), *arguments)
+    assert (code, out) == (3, "")
+    assert err == f"{path}:{located}\n"
+
+
+def test_run_error_at_a_label_without_a_span_is_not_located(capsys):
+    # main_sum.jpd's parameter tuple becomes a case the source does not spell
+    code, out, err = run_cli(capsys, "run", str(FIXTURES / "main_sum.jpd"), "[zero]")
+    assert (code, out) == (3, "")
+    assert err == "runtime error: no-branch-matched at 1: no case branch matched value [zero]\n"
 
 
 def numeral_text(n: int) -> str:
@@ -444,15 +482,17 @@ def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
     assert "broken pipe" in err
 
 
-@pytest.mark.parametrize("program", ["fib", "sugar-library"])
+@pytest.mark.parametrize("program", ["fib", "sugar-library", "diamond-10"])
 def test_analyze_json_is_the_same_under_every_hash_seed(capsys, tmp_path, program):
-    # the report writer reuses the text of a row shared by many labels,
-    # keyed on the row's identity; no address or hash may reach the output
+    # the report writer reuses the text of a row or argument list shared by
+    # many rows, keyed on its identity, and the report groups configurations
+    # in a frozenset's hash order; no address or hash may reach the output
     if program == "fib":
         source = FIB
     else:
-        source = str(tmp_path / "library.jpd")
-        Path(source).write_text(sugar_library(130, random.Random(5)), encoding="utf-8")
+        source = str(tmp_path / f"{program}.jpd")
+        text = sugar_library(130, random.Random(5)) if program == "sugar-library" else diamond(10)
+        Path(source).write_text(text, encoding="utf-8")
     code, in_process, _ = run_cli(capsys, "analyze", source, "--format", "json")
     assert code == 0
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -1,0 +1,182 @@
+"""The grouped ``analysis_report`` against the per-configuration one it
+replaced.
+
+The reference below is a verbatim copy of the earlier report builder:
+it sorted every configuration by ``CallConfiguration.sort_key``, which
+ran ``_label_order`` on both label sets, and built each row from that
+key.  The grouped builder must give equal dicts, and the report writer
+the same bytes, on every fixture, on the generated scaling families and
+on random programs.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+
+import pytest
+
+from jeopardy_iaa import annotate, desugar_program, parse
+from jeopardy_iaa.analysis import Hint, configurations, symmetry_hints
+from jeopardy_iaa.cli import _ReportEncoder, analysis_report
+from jeopardy_iaa.labeler import LabeledProgram
+from jeopardy_iaa.syntax import INPUT, OUTPUT, invert_depth
+
+from conftest import (
+    ALL_FIXTURES,
+    diamond,
+    load_labeled,
+    nested_scrutinees,
+    random_labeled_program,
+    ring,
+)
+
+
+# -- the reference: the earlier report builder, verbatim ---------------------
+
+
+def sort_key(self):
+    return (
+        self.caller,
+        self.callee_name,
+        invert_depth(self.callee),
+        _label_order(self.argument_labels),
+        _label_order(self.implicit_labels),
+    )
+
+
+_SYMBOLIC = (INPUT, OUTPUT)  # in label_sort_key order
+
+
+def _label_order(labels) -> tuple[list, tuple]:
+    """Orders label sets as ``sorted(map(label_sort_key, labels))`` does,
+    with every comparison made in C.
+
+    Symbolic labels follow all integers; the infinity marker makes an
+    integer prefix followed by a symbolic label compare above a longer
+    integer run, and the symbolic tuple breaks ties between equal runs.
+    """
+    integers = sorted(labels.difference(_SYMBOLIC))
+    symbolic = tuple(l for l in _SYMBOLIC if l in labels)
+    if symbolic:
+        integers.append(math.inf)
+    return integers, symbolic
+
+
+def _labels_json(order: tuple[list, tuple]) -> list:
+    """A label set in label_sort_key order, from its ``_label_order`` pair:
+    the integers without the ``inf`` marker, then the symbolic labels."""
+    integers, symbolic = order
+    return integers[:-1] + list(symbolic) if symbolic else integers
+
+
+def _configuration_row(key: tuple) -> dict:
+    """The report row of the configuration whose sort key is ``key``."""
+    caller, callee, depth, argument_order, implicit_order = key
+    inverted = depth % 2 == 1  # each inversion flips the direction
+    return {
+        "caller": caller,
+        "callee": callee,
+        "inverted": inverted,
+        "direction": "up" if inverted else "down",
+        "argument_labels": _labels_json(argument_order),
+        "implicit_labels": _labels_json(implicit_order),
+    }
+
+
+def _hint_row(hint: Hint) -> dict:
+    return {
+        "function": hint.function,
+        "call_label": hint.call_label,
+        "witness_labels": list(hint.witness_labels),
+    }
+
+
+def reference_report(labeled: LabeledProgram) -> dict:
+    """The analyze command's payload: configurations, hints, label index."""
+    found = configurations(labeled)
+    hints = symmetry_hints(labeled, found)
+    # unique keys: a name and an inversion depth fix the callee
+    keys = sorted(map(sort_key, found))
+    # one row object per (function, kind), shared by all of its labels; the
+    # encoder writes the text of a shared row once
+    rows: dict[tuple[str, str], dict] = {}
+    labels = {}
+    for label, (function, kind, _) in sorted(labeled.index.items()):
+        row = rows.get((function, kind))
+        if row is None:
+            row = rows[function, kind] = {"function": function, "kind": kind}
+        labels[str(label)] = row
+    return {
+        "configurations": [_configuration_row(key) for key in keys],
+        "hints": [_hint_row(h) for h in hints],
+        "labels": labels,
+    }
+
+
+# -- the checks ----------------------------------------------------------------
+
+
+def _outcome(build, program):
+    try:
+        return build(program)
+    except Exception as error:  # the reference's failure must be the same
+        return type(error)
+
+
+def _check(program: LabeledProgram) -> None:
+    expected = _outcome(reference_report, program)
+    report = _outcome(analysis_report, program)
+    if isinstance(expected, type):
+        assert report is expected
+        return
+    assert report == expected
+    text = _ReportEncoder().encode(report)
+    assert text == _ReportEncoder().encode(expected)
+    assert text == json.dumps(expected, ensure_ascii=False, sort_keys=True, indent=2)
+    # the rows of a (caller, callee, argument labels) group share one list
+    shared = {}
+    for row in report["configurations"]:
+        group = (row["caller"], row["callee"], row["inverted"], tuple(row["argument_labels"]))
+        assert shared.setdefault(group, row["argument_labels"]) is row["argument_labels"]
+
+
+def labeled(source: str) -> LabeledProgram:
+    return annotate(desugar_program(parse(source)))
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
+def test_grouped_report_matches_the_reference_on_fixtures(fixture):
+    _check(load_labeled(fixture.name))
+
+
+GENERATED = (
+    [(f"diamond-{k}", diamond(k)) for k in range(1, 11)]
+    + [(f"ring-{n}", ring(n)) for n in (1, 5, 40, 140)]
+    + [(f"nested-{depth}", nested_scrutinees(depth)) for depth in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("source", [s for _, s in GENERATED], ids=[i for i, _ in GENERATED])
+def test_grouped_report_matches_the_reference_on_generated_programs(source):
+    _check(labeled(source))
+
+
+def test_grouped_report_matches_the_reference_on_random_programs():
+    rng = random.Random(10)
+    for index in range(300):
+        budget = rng.randint(6, 30)
+        _check(random_labeled_program(rng, budget, branching=index % 2 == 1))
+
+
+def test_the_corpus_groups_several_implicit_sets_and_symbolic_labels():
+    # diamond-4's backward calls to g share argument labels across paths,
+    # and main's forward calls see ``input``
+    rows = analysis_report(labeled(diamond(4)))["configurations"]
+    groups = {}
+    for row in rows:
+        groups.setdefault(id(row["argument_labels"]), []).append(row)
+    assert max(map(len, groups.values())) > 1
+    assert any("input" in row["implicit_labels"] for row in rows)
+    assert any("output" in row["implicit_labels"] for row in rows)

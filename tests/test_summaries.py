@@ -17,7 +17,6 @@ import pytest
 
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import (
-    CallConfiguration,
     Direction,
     Hint,
     UndefinedCalleeError,
@@ -32,7 +31,7 @@ from jeopardy_iaa.analysis import (
     symmetry_hints,
     term_up,
 )
-from jeopardy_iaa.cli import _configuration_row
+from jeopardy_iaa.cli import _ordered
 from jeopardy_iaa.labeler import labels_of
 from jeopardy_iaa.syntax import (
     Apply,
@@ -298,11 +297,8 @@ def test_report_order_is_label_sort_key_order():
         small, big = random_label_sets(rng, universe=6)
         sets += [small, big]
     for labels in sets:
-        row = _configuration_row(CallConfiguration("f", Direct("g"), labels, labels).sort_key())
-        assert row["argument_labels"] == row["implicit_labels"] == sorted(labels, key=label_sort_key)
+        assert _ordered(labels)[1] == sorted(labels, key=label_sort_key)
     for a in sets:
         for b in sets[:60]:
-            ca = CallConfiguration("f", Direct("g"), a, b)
-            cb = CallConfiguration("f", Direct("g"), b, a)
             expected = sorted(map(label_sort_key, a)) < sorted(map(label_sort_key, b))
-            assert (ca.sort_key() < cb.sort_key()) == expected
+            assert (_ordered(a)[0] < _ordered(b)[0]) == expected
