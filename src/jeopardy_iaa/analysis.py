@@ -51,7 +51,6 @@ rather than joining them, preserving path-sensitive availability.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
@@ -63,7 +62,6 @@ from .syntax import (
     FunDef,
     FunctionRef,
     INPUT,
-    Inverted,
     OUTPUT,
     Pattern,
     PatternTerm,
@@ -71,26 +69,10 @@ from .syntax import (
     Term,
     Var,
     flip,
-    invert_depth,
     label_sort_key,
     nodes,
     pattern_variables,
-    underlying_name,
 )
-
-
-class Direction(enum.Enum):
-    DOWN = "down"
-    UP = "up"
-
-
-def opposite(direction: Direction) -> Direction:
-    return Direction.UP if direction is Direction.DOWN else Direction.DOWN
-
-
-def direction_of(ref: FunctionRef) -> Direction:
-    """Conventional for a direct reference, flipped once per inversion."""
-    return Direction.UP if invert_depth(ref) % 2 else Direction.DOWN
 
 
 class UndefinedCalleeError(Exception):
@@ -108,14 +90,6 @@ class CallConfiguration:
     callee: FunctionRef
     argument_labels: LabelSet
     implicit_labels: LabelSet
-
-    @property
-    def direction(self) -> Direction:
-        return direction_of(self.callee)
-
-    @property
-    def callee_name(self) -> str:
-        return underlying_name(self.callee)
 
     def __str__(self) -> str:
         args = ", ".join(str(l) for l in sorted(self.argument_labels, key=label_sort_key))
@@ -206,10 +180,9 @@ def _own_label(term: Term) -> int:
 
 
 def _definition(program: LabeledProgram, ref: FunctionRef) -> FunDef:
-    name = underlying_name(ref)
-    definition = program.functions.get(name)
+    definition = program.functions.get(ref.name)
     if definition is None:
-        raise UndefinedCalleeError(f"function '{name}' is not defined")
+        raise UndefinedCalleeError(f"function '{ref.name}' is not defined")
     return definition
 
 
@@ -225,7 +198,7 @@ def call(config: CallConfiguration, program: LabeledProgram) -> ConfigurationSet
     own_labels = labels_of(definition.parameter) | labels_of(definition.body)
     entering = (config.implicit_labels | config.argument_labels) - own_labels
     name = definition.name
-    if config.direction is Direction.DOWN:
+    if not config.callee.backward:
         return term_down(name, entering, definition.body)
     configs: set[CallConfiguration] = set()
     for reached, _available in term_up(name, entering, definition.body, program):
@@ -237,7 +210,11 @@ def seed_configurations(program: LabeledProgram) -> tuple[CallConfiguration, Cal
     """The two top-level entry configurations: forward and backward."""
     main = program.program.main
     forward = CallConfiguration(TOP, main, frozenset((INPUT,)), _EMPTY)
-    backward = CallConfiguration(TOP, Inverted(main), frozenset((OUTPUT,)), _EMPTY)
+    # main wrapped once more, not flipped: the report orders the two entry
+    # rows by marker count, the forward one first
+    backward = CallConfiguration(
+        TOP, FunctionRef(main.name, main.inversions + 1), frozenset((OUTPUT,)), _EMPTY
+    )
     return forward, backward
 
 
@@ -250,9 +227,9 @@ def configurations(program: LabeledProgram) -> ConfigurationSet:
     configuration whose callee reaches no call in its direction is
     recorded but never queued.
     """
-    summaries: dict[tuple[str, Direction], _Summary] = {}
+    summaries: dict[tuple[str, bool], _Summary] = {}
 
-    def summary_of(key: tuple[str, Direction]) -> _Summary:
+    def summary_of(key: tuple[str, bool]) -> _Summary:
         summary = summaries.get(key)
         if summary is None:
             summary = summaries[key] = _summary(key, program)
@@ -262,7 +239,7 @@ def configurations(program: LabeledProgram) -> ConfigurationSet:
     seen: set[CallConfiguration] = set(seeds)
     queue: deque[tuple[CallConfiguration, _Summary]] = deque()
     for seed in seeds:
-        summary = summary_of((seed.callee_name, seed.direction))
+        summary = summary_of((seed.callee.name, seed.callee.backward))
         if summary[2]:
             queue.append((seed, summary))
     while queue:
@@ -292,19 +269,19 @@ def configurations(program: LabeledProgram) -> ConfigurationSet:
 _Summary = tuple[
     str,
     LabelSet,
-    list[tuple[FunctionRef, LabelSet, LabelSet, tuple[str, Direction]]],
+    list[tuple[FunctionRef, LabelSet, LabelSet, tuple[str, bool]]],
     set[LabelSet],
 ]
 
 
-def _summary(key: tuple[str, Direction], program: LabeledProgram) -> _Summary:
+def _summary(key: tuple[str, bool], program: LabeledProgram) -> _Summary:
     """What ``call`` gives for a callee and direction, with the entering
     availability left out."""
-    name, direction = key
+    name, backward = key
     definition = program.functions.get(name)
     if definition is None:
         raise UndefinedCalleeError(f"function '{name}' is not defined")
-    if direction is Direction.DOWN:
+    if not backward:
         reached = term_down(name, _EMPTY, definition.body)
         calls = [(c.callee, c.argument_labels, (c.implicit_labels,)) for c in reached]
     else:
@@ -313,7 +290,7 @@ def _summary(key: tuple[str, Direction], program: LabeledProgram) -> _Summary:
         calls = [(callee, arguments, gains) for (callee, arguments), gains in walked.items()]
     reachable = []
     for callee, arguments, gains in calls:
-        callee_key = (underlying_name(callee), direction_of(callee))
+        callee_key = (callee.name, callee.backward)
         reachable += [(callee, arguments, gained, callee_key) for gained in gains]
     own_labels = labels_of(definition.parameter) | labels_of(definition.body)
     return name, own_labels, reachable, set()
@@ -457,10 +434,10 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
     down: dict[tuple[str, str, LabelSet], set] = {}
     up: dict[tuple[str, str], set] = {}
     for c in configs:
-        if c.direction is Direction.DOWN:
-            labels = down.setdefault((c.caller, c.callee_name, c.argument_labels), set())
+        if c.callee.backward:
+            labels = up.setdefault((c.caller, c.callee.name), set())
         else:
-            labels = up.setdefault((c.caller, c.callee_name), set())
+            labels = down.setdefault((c.caller, c.callee.name, c.argument_labels), set())
         labels |= c.argument_labels
         labels |= c.implicit_labels
 
@@ -483,18 +460,18 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
                 elif kind is Apply:
                     sites.append(node)
         for site in sites:
-            callee_name = underlying_name(site.callee)
-            paths = paths_cache.get(callee_name, ())
+            callee = site.callee.name
+            paths = paths_cache.get(callee, ())
             if not paths:
                 continue
-            down_labels = down.get((fd.name, callee_name, labels_of(site.argument)))
-            up_labels = up.get((fd.name, callee_name))
+            down_labels = down.get((fd.name, callee, labels_of(site.argument)))
+            up_labels = up.get((fd.name, callee))
             if down_labels is None or up_labels is None:
                 continue
             witness = _site_witness(site.argument, paths, occurrences, down_labels, up_labels)
             if witness:
                 hints.append(
-                    Hint(fd.name, callee_name, _own_label(site), tuple(sorted(witness)))
+                    Hint(fd.name, callee, _own_label(site), tuple(sorted(witness)))
                 )
     hints.sort(key=lambda h: (h.function, h.call_label))
     return hints

@@ -43,8 +43,6 @@ from .syntax import (
     Diagnostic,
     Program,
     constructor_table,
-    invert_depth,
-    underlying_name,
     validate,
     validate_value,
 )
@@ -177,17 +175,16 @@ def analysis_report(labeled: LabeledProgram) -> dict:
         groups[config.caller, config.callee, config.argument_labels].append(
             config.implicit_labels
         )
-    # unique keys: a name and an inversion depth fix the callee
+    # unique keys: a name and an inversion count fix the callee
     ordered_groups = []
     for (caller, callee, arguments), implicit_sets in groups.items():
         key, listing = _ordered(arguments)
         ordered_groups.append(
-            ((caller, underlying_name(callee), invert_depth(callee), key), listing, implicit_sets)
+            ((caller, callee.name, callee.inversions, key), listing, implicit_sets, callee.backward)
         )
     ordered_groups.sort(key=_first)
     configuration_rows = []
-    for (caller, name, depth, _), arguments, implicit_sets in ordered_groups:
-        inverted = depth % 2 == 1  # each inversion flips the direction
+    for (caller, name, _, _), arguments, implicit_sets, inverted in ordered_groups:
         direction = "up" if inverted else "down"
         configuration_rows += [
             {
@@ -204,7 +201,7 @@ def analysis_report(labeled: LabeledProgram) -> dict:
     # encoder writes the text of a shared row once
     rows: dict[tuple[str, str], dict] = {}
     labels = {}
-    for label, (function, kind, _) in sorted(labeled.index.items()):
+    for label, (function, kind, _) in labeled.index.items():
         row = rows.get((function, kind))
         if row is None:
             row = rows[function, kind] = {"function": function, "kind": kind}

@@ -45,7 +45,6 @@ from .syntax import (
     constructor_table,
     fun_defs,
     nodes,
-    underlying_name,
 )
 
 
@@ -171,7 +170,7 @@ class _Desugarer:
         fresh = self.fresh.next()
         return Case(
             desugared,
-            self.fun_types.get(underlying_name(callee)),
+            self.fun_types.get(callee.name),
             ((fresh, Apply(callee, fresh)),),
         )
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import Direction, direction_of
 from .labeler import LabeledProgram
 from .printer import pretty_value
 from .syntax import (
@@ -31,7 +30,6 @@ from .syntax import (
     Value,
     Var,
     nodes,
-    underlying_name,
 )
 
 DEFAULT_MAX_CALLS = 1_000_000
@@ -127,12 +125,12 @@ def run_main(
     jumps into the callee's body and pushes nothing.
     """
     main = program.program.main
-    if direction_of(main) is not Direction.DOWN:
+    if main.backward:
         raise EvalError("inverted-call", INPUT, "backward execution is not supported")
     trace: list[CallEvent] = []
     pending: list[tuple[str, Case, Environment]] = []
     # the call to make next; the top-level call's site is the input
-    caller, callee, site = TOP, underlying_name(main), INPUT
+    caller, callee, site = TOP, main.name, INPUT
     while True:
         if len(trace) >= max_calls:
             raise EvalError(
@@ -174,11 +172,11 @@ def run_main(
                     case.label,
                     f"no case branch matched value {pretty_value(value)}",
                 )
-        if direction_of(term.callee) is not Direction.DOWN:
+        if term.callee.backward:
             raise EvalError(
                 "inverted-call",
                 term.label,
                 "backward execution is not supported",
             )
         argument = instantiate(term.argument, env)
-        caller, callee, site = function, underlying_name(term.callee), term.label
+        caller, callee, site = function, term.callee.name, term.label

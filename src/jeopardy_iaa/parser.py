@@ -32,11 +32,9 @@ from .syntax import (
     Con,
     ConApp,
     DataDef,
-    Direct,
     FunDef,
     FunctionRef,
     GeneralApply,
-    Inverted,
     KEYWORDS,
     Pattern,
     PatternTerm,
@@ -258,6 +256,7 @@ class _Parser:
 
     def parse_funref(self) -> FunctionRef:
         # each (invert ...) marker is one level of nesting
+        start = self.peek()
         markers = 0
         while self.peek().kind == "(":
             self._enter()
@@ -267,13 +266,11 @@ class _Parser:
         token = self.peek()
         if token.kind != "name":
             self.fail("expected a function reference", token)
-        self.advance()
-        ref: FunctionRef = Direct(token.text)
+        end = self.advance()
         for _ in range(markers):
-            self.expect(")")
-            ref = Inverted(ref)
+            end = self.expect(")")
         self.depth -= markers
-        return ref
+        return FunctionRef(token.text, markers, Span(start.start, end.end))
 
     # -- patterns -----------------------------------------------------------
 
@@ -409,7 +406,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "name" and self.peek(1).kind in _ATOM_START:
             self.advance()
-            return self._application(Direct(token.text), token.span)
+            return self._application(FunctionRef(token.text, span=token.span), token.span)
         if token.kind == "(" and self.peek(1).kind == "invert":
             return self._application(self.parse_funref(), token.span)
         return self.parse_atom_term()

@@ -32,9 +32,7 @@ from .syntax import (
     Term,
     Value,
     Var,
-    invert_depth,
     is_wildcard_name,
-    underlying_name,
 )
 
 
@@ -43,8 +41,7 @@ def _lab(label: int | None, labels: bool) -> str:
 
 
 def pretty_funref(ref: FunctionRef) -> str:
-    depth = invert_depth(ref)
-    return "(invert " * depth + underlying_name(ref) + ")" * depth
+    return "(invert " * ref.inversions + ref.name + ")" * ref.inversions
 
 
 def pretty_pattern(pattern: Pattern | Value, labels: bool = False) -> str:

@@ -7,7 +7,9 @@ stage:
 
 * patterns and terms, in both sugared (as parsed) and core
   (post-desugaring) form,
-* function references, wrapped in any number of inversion markers,
+* function references: a defined function's name and the number of
+  ``(invert ...)`` markers around it, whose parity is the direction a
+  call through the reference runs in,
 * data and function definitions, whole programs, and runtime values,
 * ``nodes``, the one pre-order traversal of pattern, term and value
   trees that every read-only walk is built on,
@@ -167,41 +169,27 @@ SUGAR_TERM_TYPES = (ConApp, GeneralApply)
 
 
 @dataclass(frozen=True)
-class Direct:
+class FunctionRef:
+    """A defined function's name under ``inversions`` ``(invert ...)``
+    markers."""
+
     name: str
+    inversions: int = 0
+    span: Span | None = field(default=None, compare=False, repr=False)
 
-
-@dataclass(frozen=True)
-class Inverted:
-    inner: "FunctionRef"
-
-
-FunctionRef = Union[Direct, Inverted]
-
-
-def underlying_name(ref: FunctionRef) -> str:
-    """Strip all inversion markers down to the defined function's name."""
-    while isinstance(ref, Inverted):
-        ref = ref.inner
-    return ref.name
-
-
-def invert_depth(ref: FunctionRef) -> int:
-    depth = 0
-    while isinstance(ref, Inverted):
-        depth += 1
-        ref = ref.inner
-    return depth
+    @property
+    def backward(self) -> bool:
+        """Whether a call through the reference runs against the
+        conventional direction: each marker flips it, so an odd count."""
+        return self.inversions % 2 == 1
 
 
 def flip(ref: FunctionRef) -> FunctionRef:
-    """The reference interpreted in the opposite direction.
+    """The reference interpreted in the other direction.
 
     Unwraps one inversion marker when present, otherwise adds one.
     """
-    if isinstance(ref, Inverted):
-        return ref.inner
-    return Inverted(ref)
+    return FunctionRef(ref.name, ref.inversions - 1 if ref.inversions else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +437,11 @@ def validate(program: Program) -> list[Diagnostic]:
         functions[definition.name] = definition
 
     def check_ref(ref: FunctionRef, span: Span | None) -> None:
-        name = underlying_name(ref)
-        if name not in functions:
+        if ref.name not in functions:
             diagnostics.append(
                 Diagnostic(
                     "undefined-function",
-                    f"function '{name}' is not defined",
+                    f"function '{ref.name}' is not defined",
                     span,
                 )
             )
@@ -486,7 +473,7 @@ def validate(program: Program) -> list[Diagnostic]:
         bound = frozenset(_check_pattern(definition.parameter, table, diagnostics))
         check_term(definition.body, bound)
 
-    check_ref(program.main, None)
+    check_ref(program.main, program.main.span)
     return diagnostics
 
 

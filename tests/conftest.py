@@ -50,9 +50,8 @@ from jeopardy_iaa.syntax import (  # noqa: E402
     Case,
     Con,
     DataDef,
-    Direct,
     FunDef,
-    Inverted,
+    FunctionRef,
     PatternTerm,
     Program,
     Var,
@@ -77,11 +76,8 @@ def _random_pattern(rng: random.Random, budget: int):
 
 
 def _random_ref(rng: random.Random):
-    ref = Direct(rng.choice(_CALLEES))
-    for _ in range(rng.randint(0, 2)):
-        if rng.random() < 0.3:
-            ref = Inverted(ref)
-    return ref
+    name = rng.choice(_CALLEES)
+    return FunctionRef(name, sum(rng.random() < 0.3 for _ in range(rng.randint(0, 2))))
 
 
 def _random_core_term(rng: random.Random, budget: int):
@@ -130,10 +126,10 @@ def random_core_program(rng: random.Random, budget: int = 12, branching: bool = 
         (
             data,
             FunDef("f", Var("x"), None, None, f_body),
-            FunDef("g", Var("y"), None, None, Apply(Direct("f"), Var("y"))),
+            FunDef("g", Var("y"), None, None, Apply(FunctionRef("f"), Var("y"))),
             FunDef("h", Var("z"), None, None, body),
         ),
-        Direct("h"),
+        FunctionRef("h"),
     )
 
 

@@ -14,11 +14,8 @@ from contextlib import contextmanager
 
 from jeopardy_iaa import parse
 from jeopardy_iaa.analysis import (
-    Direction,
     call,
     configurations,
-    direction_of,
-    opposite,
     seed_configurations,
     symmetry_hints,
     term_down,
@@ -29,7 +26,7 @@ from jeopardy_iaa.desugar import desugar_program
 from jeopardy_iaa.evaluator import run_main
 from jeopardy_iaa.parser import ParseError
 from jeopardy_iaa.printer import pretty_program
-from jeopardy_iaa.syntax import Direct, INPUT, Inverted, TOP, Value
+from jeopardy_iaa.syntax import FunctionRef, INPUT, TOP, Value, flip
 
 from conftest import (
     ALL_FIXTURES,
@@ -98,7 +95,7 @@ def test_criterion_2_first_derivation_step(fib_labeled, fib_oracle):
         assert len(result) == 1
         (config,) = result
         assert config.caller == "fibonacci"
-        assert config.callee == Direct("fibonacci_pair")
+        assert config.callee == FunctionRef("fibonacci_pair")
         assert INPUT in config.implicit_labels
         expected = next(
             row
@@ -154,7 +151,7 @@ def test_criterion_5_monotonicity():
                 term_down("h", small, body), term_down("h", big, body)
             )
 
-            callee = rng.choice([Direct("h"), Direct("g"), Inverted(Direct("h"))])
+            callee = rng.choice([FunctionRef("h"), FunctionRef("g"), FunctionRef("h", 1)])
             arguments = frozenset(
                 label for label in range(program.label_count) if rng.random() < 0.2
             )
@@ -179,21 +176,19 @@ def _config(caller, callee, arguments, implicits):
 
 def test_criterion_6_involution_and_direction():
     with criterion(6, "direction flipping is exhaustively involutive"):
-        for direction in Direction:
-            assert opposite(opposite(direction)) is direction
-        ref = Direct("f")
-        for depth in range(5):
-            expected = Direction.DOWN if depth % 2 == 0 else Direction.UP
-            assert direction_of(ref) is expected
-            ref = Inverted(ref)
+        for inversions in range(5):
+            ref = FunctionRef("f", inversions)
+            assert ref.backward is (inversions % 2 == 1)
+            assert flip(ref).backward is not ref.backward
+            assert flip(flip(ref)).backward is ref.backward
 
 
 def test_criterion_7_dynamic_soundness(fib_labeled):
     with criterion(7, "dynamic traces agree with the forward analysis"):
         down_edges = {
-            (c.caller, c.callee_name)
+            (c.caller, c.callee.name)
             for c in configurations(fib_labeled)
-            if c.direction is Direction.DOWN
+            if not c.callee.backward
         }
 
         def reference(n: int) -> int:

@@ -10,20 +10,17 @@ import pytest
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import (
     CallConfiguration,
-    Direction,
     call,
     compare_configurations,
     configurations,
-    direction_of,
     join_configurations,
     meet_configurations,
-    opposite,
     seed_configurations,
     symmetry_hints,
     term_down,
     term_up,
 )
-from jeopardy_iaa.syntax import Direct, INPUT, Inverted, OUTPUT
+from jeopardy_iaa.syntax import FunctionRef, INPUT, OUTPUT, flip
 
 from conftest import (
     ALL_FIXTURES,
@@ -39,28 +36,21 @@ def labeled(source: str):
 
 
 # ---------------------------------------------------------------------------
-# Directions
+# Call directions
 
 
-def test_direction_of_references():
-    assert direction_of(Direct("f")) is Direction.DOWN
-    assert direction_of(Inverted(Direct("f"))) is Direction.UP
-    assert direction_of(Inverted(Inverted(Direct("f")))) is Direction.DOWN
-
-
-def test_opposite_is_an_involution():
-    assert opposite(Direction.DOWN) is Direction.UP
-    assert opposite(Direction.UP) is Direction.DOWN
-    for direction in Direction:
-        assert opposite(opposite(direction)) is direction
+def test_backward_references():
+    assert FunctionRef("f").backward is False
+    assert FunctionRef("f", 1).backward is True
+    assert FunctionRef("f", 2).backward is False
 
 
 def test_direction_alternates_with_wrapping():
-    ref = Direct("f")
-    for depth in range(5):
-        expected = Direction.DOWN if depth % 2 == 0 else Direction.UP
-        assert direction_of(ref) is expected
-        ref = Inverted(ref)
+    for inversions in range(5):
+        ref = FunctionRef("f", inversions)
+        assert ref.backward is (inversions % 2 == 1)
+        assert flip(ref).backward is not ref.backward
+        assert flip(flip(ref)).backward is ref.backward
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +81,7 @@ def test_term_down_fibonacci_body(fib_labeled):
         {
             CallConfiguration(
                 "fibonacci",
-                Direct("fibonacci_pair"),
+                FunctionRef("fibonacci_pair"),
                 frozenset({52}),
                 frozenset({INPUT}),
             )
@@ -107,9 +97,9 @@ def test_term_down_nested_case():
     result = term_down("f", frozenset({INPUT}), body)
     assert result == frozenset(
         {
-            CallConfiguration("f", Direct("f"), frozenset({5}), frozenset({INPUT, 2, 3})),
-            CallConfiguration("f", Direct("g"), frozenset({12}), frozenset({INPUT, 2, 6, 7, 9, 10})),
-            CallConfiguration("f", Direct("g"), frozenset({16}), frozenset({INPUT, 2, 6, 7, 9, 13, 14})),
+            CallConfiguration("f", FunctionRef("f"), frozenset({5}), frozenset({INPUT, 2, 3})),
+            CallConfiguration("f", FunctionRef("g"), frozenset({12}), frozenset({INPUT, 2, 6, 7, 9, 10})),
+            CallConfiguration("f", FunctionRef("g"), frozenset({16}), frozenset({INPUT, 2, 6, 7, 9, 13, 14})),
         }
     )
 
@@ -130,8 +120,8 @@ def test_term_up_flips_the_callee():
     body = program.functions["f"].body
     ((configs, _available),) = term_up("f", frozenset(), body, program)
     (config,) = configs
-    assert config.callee == Direct("g")
-    assert config.direction is Direction.DOWN
+    assert config.callee == FunctionRef("g")
+    assert not config.callee.backward
 
 
 def test_term_up_nested_case():
@@ -140,8 +130,8 @@ def test_term_up_nested_case():
     result = frozenset().union(*(c for c, _ in term_up("f", frozenset({OUTPUT}), body, program)))
     assert result == frozenset(
         {
-            CallConfiguration("f", Inverted(Direct("f")), frozenset({1}), frozenset({OUTPUT})),
-            CallConfiguration("f", Inverted(Direct("g")), frozenset({18}), frozenset({OUTPUT})),
+            CallConfiguration("f", FunctionRef("f", 1), frozenset({1}), frozenset({OUTPUT})),
+            CallConfiguration("f", FunctionRef("g", 1), frozenset({18}), frozenset({OUTPUT})),
         }
     )
 
@@ -153,7 +143,7 @@ def test_term_up_argument_is_callee_body_root(fib_labeled):
     results = term_up("fibonacci", frozenset({OUTPUT}), body, fib_labeled)
     configs = frozenset().union(*(c for c, _ in results))
     (config,) = configs
-    assert config.callee == Inverted(Direct("fibonacci_pair"))
+    assert config.callee == FunctionRef("fibonacci_pair", 1)
     assert config.argument_labels == frozenset({33})
     assert OUTPUT in config.implicit_labels
     assert {53, 54, 55} <= config.implicit_labels  # branch pattern labels
@@ -171,7 +161,7 @@ def test_call_first_step(fib_labeled):
         {
             CallConfiguration(
                 "fibonacci",
-                Direct("fibonacci_pair"),
+                FunctionRef("fibonacci_pair"),
                 frozenset({52}),
                 frozenset({INPUT}),
             )
@@ -191,7 +181,7 @@ def test_recursive_call_strips_own_labels(fib_labeled):
     (recursive,) = [
         c
         for c in configs
-        if c.caller == "sum" and c.direction is Direction.DOWN
+        if c.caller == "sum" and not c.callee.backward
     ]
     own = set(range(0, 17))  # labels of sum's parameter and body
     fresh = call(recursive, fib_labeled)
@@ -247,9 +237,9 @@ def test_determinism_across_independent_runs():
 def test_forward_edges_match_dynamic_reality(fib_labeled, fib_oracle):
     configs = configurations(fib_labeled)
     forward = {
-        (c.caller, c.callee_name)
+        (c.caller, c.callee.name)
         for c in configs
-        if c.direction is Direction.DOWN
+        if not c.callee.backward
     }
     assert forward == {tuple(edge) for edge in fib_oracle["forward_edges"]}
 
@@ -258,7 +248,7 @@ def test_forward_edges_match_dynamic_reality(fib_labeled, fib_oracle):
 # The configuration order
 
 
-def _config(caller="f", callee=Direct("g"), args=(1,), imps=()):
+def _config(caller="f", callee=FunctionRef("g"), args=(1,), imps=()):
     return CallConfiguration(caller, callee, frozenset(args), frozenset(imps))
 
 
@@ -274,7 +264,7 @@ def test_compare_inclusion():
 
 
 def test_compare_incomparable():
-    assert compare_configurations(_config(), _config(callee=Direct("h"))) == "incomparable"
+    assert compare_configurations(_config(), _config(callee=FunctionRef("h"))) == "incomparable"
     left = _config(imps=(1,))
     right = _config(imps=(2,))
     assert compare_configurations(left, right) == "incomparable"
@@ -286,7 +276,7 @@ def test_join_and_meet():
     assert join_configurations(left, right).implicit_labels == {1, 2, 3}
     assert meet_configurations(left, right).implicit_labels == {2}
     with pytest.raises(ValueError):
-        join_configurations(left, _config(callee=Direct("h")))
+        join_configurations(left, _config(callee=FunctionRef("h")))
 
 
 def test_monotonicity_spot_check():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -139,6 +140,15 @@ def test_parse_reports_validation(capsys, tmp_path):
     assert "foo" in err
 
 
+@pytest.mark.parametrize("main_ref", ["g", "(invert (invert g))"])
+def test_an_undefined_main_is_located(capsys, tmp_path, main_ref):
+    bad = tmp_path / "bad.jpd"
+    bad.write_text(f"data d = [c].\nf x = x.\nmain {main_ref}.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"{bad}:3:6: undefined-function: function 'g' is not defined\n"
+
+
 def test_parse_reports_syntax_error_with_position(capsys, tmp_path):
     bad = tmp_path / "bad.jpd"
     bad.write_text("f x = [c. main f.", encoding="utf-8")
@@ -184,6 +194,30 @@ def test_analyze_json_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "analyze", FIB, "--format", "json")
     _, second, _ = run_cli(capsys, "analyze", FIB, "--format", "json")
     assert first.encode() == second.encode()
+
+
+def test_the_readme_shows_the_real_fib_report(capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    excerpt = re.search(r"fib\.jpd`'s report.*?```\n(.*?)```", readme, re.S)[1]
+    count = re.search(r"\((\d+) for\s+`fib\.jpd`\)", readme)[1]
+    code, out, _ = run_cli(capsys, "analyze", FIB, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert int(count) == len(report["configurations"])
+    # without its "..." lines and the commas before them, the excerpt is
+    # the report cut to its first row, first hint and first label
+    kept: list[str] = []
+    for line in excerpt.splitlines():
+        if line.strip() == "...":
+            kept[-1] = kept[-1].removesuffix(",")
+        else:
+            kept.append(line)
+    first = {
+        "configurations": report["configurations"][:1],
+        "hints": report["hints"][:1],
+        "labels": dict(list(report["labels"].items())[:1]),
+    }
+    assert "\n".join(kept) == json.dumps(first, ensure_ascii=False, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)

@@ -12,7 +12,7 @@ from jeopardy_iaa.syntax import (
     Con,
     ConApp,
     DataDef,
-    Direct,
+    FunctionRef,
     PatternTerm,
     Var,
     fun_defs,
@@ -31,7 +31,7 @@ def body_of(program, name):
 
 def test_application_with_pattern_argument_unchanged():
     core = desugar_program(parse("f x = f x. main f."))
-    assert body_of(core, "f") == Apply(Direct("f"), Var("x"))
+    assert body_of(core, "f") == Apply(FunctionRef("f"), Var("x"))
 
 
 def test_application_with_composite_argument_hoists():
@@ -40,9 +40,9 @@ def test_application_with_composite_argument_hoists():
     core = load_core("fib.jpd")
     branch_body = body_of(core, "fibonacci_pair").branches[1][1]
     expected = Case(
-        Apply(Direct("fibonacci_pair"), Var("k")),
+        Apply(FunctionRef("fibonacci_pair"), Var("k")),
         None,
-        ((Var("w1"), Apply(Direct("fibber"), Var("w1"))),),
+        ((Var("w1"), Apply(FunctionRef("fibber"), Var("w1"))),),
     )
     assert branch_body == expected
 
@@ -53,14 +53,14 @@ def test_application_case_carries_declared_parameter_type():
     body = body_of(core, "f")
     assert isinstance(body, Case)
     assert body.scrutinee_type == "t"
-    assert body.branches == ((Var("w1"), Apply(Direct("g"), Var("w1"))),)
+    assert body.branches == ((Var("w1"), Apply(FunctionRef("g"), Var("w1"))),)
 
 
 def test_let_becomes_case():
     program = parse("data t = [c]. f x = let y : t = f x in y. main f.")
     body = body_of(desugar_program(program), "f")
     expected = Case(
-        Apply(Direct("f"), Var("x")),
+        Apply(FunctionRef("f"), Var("x")),
         "t",
         ((Var("y"), PatternTerm(Var("y"))),),
     )
@@ -98,7 +98,7 @@ def test_constructor_hoisting_rule():
             (
                 pair_mn,
                 Case(
-                    Apply(Direct("sum"), pair_mn),
+                    Apply(FunctionRef("sum"), pair_mn),
                     None,
                     ((Var("w2"), PatternTerm(Con("pair", (Var("w2"), Var("m"))))),),
                 ),
@@ -118,11 +118,11 @@ def test_multi_argument_hoisting_is_left_to_right():
     body = body_of(desugar_program(program), "f")
     # leftmost hoisted argument's case is outermost
     assert isinstance(body, Case)
-    assert body.scrutinee == Apply(Direct("f"), Var("x"))
+    assert body.scrutinee == Apply(FunctionRef("f"), Var("x"))
     assert body.scrutinee_type == "t"
     inner = body.branches[0][1]
     assert isinstance(inner, Case)
-    assert inner.scrutinee == Apply(Direct("f"), Con("k"))
+    assert inner.scrutinee == Apply(FunctionRef("f"), Con("k"))
     leaf = inner.branches[0][1]
     assert leaf == PatternTerm(Con("c", (Var("w1"), Con("k"), Var("w2"))))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from jeopardy_iaa import annotate, desugar_program, parse, parse_value, run_main
-from jeopardy_iaa.analysis import Direction, configurations
+from jeopardy_iaa.analysis import configurations
 from jeopardy_iaa.evaluator import EvalError, match_pattern
 from jeopardy_iaa.syntax import Con, TOP, Value, Var
 
@@ -151,6 +151,15 @@ def test_inverted_main_is_refused():
     assert info.value.kind == "inverted-call"
 
 
+def test_a_reference_inverted_twice_runs_forward():
+    program = labeled(
+        "data d = [c]. g x = x. f x = (invert (invert g)) x. main (invert (invert f))."
+    )
+    result, trace = run_main(program, Value("c"))
+    assert result == Value("c")
+    assert [(event.caller, event.callee) for event in trace] == [(TOP, "f"), ("f", "g")]
+
+
 def test_inverted_application_is_refused():
     program = load_labeled("invert_main.jpd")
     with pytest.raises(EvalError) as info:
@@ -177,9 +186,9 @@ def test_call_budget():
 def test_trace_agrees_with_analysis():
     program = load_labeled("fib.jpd")
     down_edges = {
-        (c.caller, c.callee_name)
+        (c.caller, c.callee.name)
         for c in configurations(program)
-        if c.direction is Direction.DOWN
+        if not c.callee.backward
     }
     for n in range(6):
         _, trace = run_main(program, nat(n))
@@ -200,14 +209,14 @@ def test_sum_calls_itself_after_the_top_level_call():
 
 def test_parameter_mismatch_on_hand_built_program():
     from jeopardy_iaa import annotate
-    from jeopardy_iaa.syntax import Con, DataDef, Direct, FunDef, PatternTerm, Program
+    from jeopardy_iaa.syntax import Con, DataDef, FunDef, FunctionRef, PatternTerm, Program
 
     program = Program(
         (
             DataDef("d", (("a", ()), ("b", ()))),
             FunDef("f", Con("a"), None, None, PatternTerm(Con("a"))),
         ),
-        Direct("f"),
+        FunctionRef("f"),
     )
     labeled = annotate(program)
     with pytest.raises(EvalError) as info:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from jeopardy_iaa.cli import main
 
-from conftest import ALL_FIXTURES, FIXTURES, diamond, ring
+from conftest import ALL_FIXTURES, FIXTURES, diamond, fixture_source, ring
 
 FIXTURE_DIGESTS = {
     "fib.jpd": "9c56d867c1f8146a190fed0c1cd8a59e1978e7537a7f6ade595dc2e935ab97ab",
@@ -86,6 +87,24 @@ TEXT_REPORT_DIGESTS = {
     "ring-2": "a051675e4479c3cfff331588da974165106f3fe7bacf645e2c267a28cbd4f484",
     "ring-5": "6944278e8d6a0493a6ce31249a6377a46df34f8c72dd29acedcc936d718c41ad",
     "ring-40": "344b534ecffe1121df240061ac1b247944787ec6c4ce5e9028eb7e716cca0536",
+}
+
+# analyze's JSON and text reports of a fixture whose main is wrapped in one
+# (invert ...) marker.  The backward entry point wraps main once more, so
+# with two markers the reports are those of the fixture as it is.
+INVERTED_MAIN_DIGESTS = {
+    "fib.jpd": (
+        "8cd0172a2008e418951920fed1e2b501f6bf7243d7ffb68c79ec416ae111c36a",
+        "9588c3f7e73cd125bf20f8d9216f01c98fa9ca63832ef16f987833437c22dd36",
+    ),
+    "invert_main.jpd": (
+        "79430dd83bb6d75e62a7f53f075e7343bb0ea535c903953b467c2d5e147b2112",
+        "90dbdb37a9d36834a3c61d089fb707d385f2642aa676498e6ffbdda186d29a27",
+    ),
+    "mutual.jpd": (
+        "e9aaee82aa985a9812c756857034cfa8df9a3cbcec9338b872f6d32d2b3946ce",
+        "2bfc29e1214e873ea56b07f807610bcef4e936f085ccd1a59ebea3caa20f7419",
+    ),
 }
 
 
@@ -222,3 +241,21 @@ def test_text_report_bytes(name, tmp_path, capsys):
     assert main(["analyze", str(_program(name, tmp_path))]) == 0
     data = capsys.readouterr().out.encode("utf-8")
     assert _digest(data) == TEXT_REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("inversions", [1, 2])
+@pytest.mark.parametrize("name", sorted(INVERTED_MAIN_DIGESTS))
+def test_wrapped_main_report_bytes(name, inversions, tmp_path, capsys):
+    wrapped = r"main " + "(invert " * inversions + r"\1" + ")" * inversions + "."
+    source, count = re.subn(r"^main (\w+)\.$", wrapped, fixture_source(name), flags=re.M)
+    assert count == 1
+    path = tmp_path / name
+    path.write_text(source, encoding="utf-8")
+    json_report = _report(path, capsys)
+    assert main(["analyze", str(path)]) == 0
+    text_report = capsys.readouterr().out.encode("utf-8")
+    if inversions == 1:
+        expected = INVERTED_MAIN_DIGESTS[name]
+    else:
+        expected = (FIXTURE_DIGESTS[name], TEXT_REPORT_DIGESTS[name])
+    assert (_digest(json_report), _digest(text_report)) == expected

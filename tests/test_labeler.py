@@ -6,7 +6,7 @@ import pytest
 
 from jeopardy_iaa import annotate, desugar_program, labels_of, parse
 from jeopardy_iaa.labeler import body_root_label
-from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, Direct, PatternTerm, Var, fun_defs
+from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, FunctionRef, PatternTerm, Var, fun_defs
 
 from conftest import ALL_FIXTURES, load_core, load_labeled
 
@@ -129,7 +129,7 @@ def test_labels_of_rejects_unlabeled_nodes():
 
 
 def test_labels_of_rejects_sugared_nodes():
-    pair = ConApp("pair", (Apply(Direct("f"), Var("y", label=4), label=3), PatternTerm(Var("x", label=5))))
+    pair = ConApp("pair", (Apply(FunctionRef("f"), Var("y", label=4), label=3), PatternTerm(Var("x", label=5))))
     case = Case(PatternTerm(Var("x", label=1)), None, ((Var("y", label=2), pair),), label=0)
     with pytest.raises(ValueError, match="sugared"):
         labels_of(case)

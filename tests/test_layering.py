@@ -1,0 +1,82 @@
+"""Module hygiene of the package, read from its sources with ``ast``: no
+module imports a name that it never uses, and the front end and the
+evaluator import neither the analysis nor the CLI, so that running a
+program never loads the analyzer."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jeopardy_iaa"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+# the layers below the analysis, and what they may not import
+LOWER = ("syntax", "parser", "printer", "desugar", "labeler", "evaluator")
+UPPER = frozenset({"analysis", "cli"})
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import, anywhere in the module, that no
+    expression reads; a quoted annotation counts as its expression."""
+    imported: list[str] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    quoted = ast.walk(ast.parse(part.value))
+                    used.update(n.id for n in quoted if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The package's modules that a module imports, at any depth."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("jeopardy_iaa."):
+                    found.add(alias.name.split(".")[1])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "jeopardy_iaa":
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("jeopardy_iaa."):
+                found.add(node.module.split(".")[1])
+    return found
+
+
+def test_the_checks_see_what_they_check():
+    source = (
+        "import os\nimport json.decoder\nfrom .x import a, b as c\n"
+        "from . import analysis\nfrom jeopardy_iaa.cli import main\n"
+        "def f(v: 'a') -> None:\n    import jeopardy_iaa.parser\n    main()\n"
+    )
+    tree = ast.parse(source)
+    assert unused_imports(tree) == ["os", "json", "c", "analysis", "jeopardy_iaa"]
+    assert imported_modules(tree) == {"x", "analysis", "cli", "parser"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports(_tree(module)) == []
+
+
+@pytest.mark.parametrize("module", LOWER)
+def test_lower_layers_do_not_import_the_analysis_or_the_cli(module):
+    assert imported_modules(_tree(module)) & UPPER == set()

@@ -22,10 +22,9 @@ from jeopardy_iaa.syntax import (
     Con,
     ConApp,
     DataDef,
-    Direct,
     FunDef,
+    FunctionRef,
     GeneralApply,
-    Inverted,
     PatternTerm,
     Program,
     Value,
@@ -62,7 +61,7 @@ def _nodes_below(value):
 
 _names = st.sampled_from(["a", "b", "c"])
 _labels = st.none() | st.integers(0, 50)
-_refs = st.recursive(st.builds(Direct, _names), lambda inner: st.builds(Inverted, inner), max_leaves=3)
+_refs = st.builds(FunctionRef, _names, st.integers(0, 3))
 
 patterns = st.recursive(
     st.builds(Var, _names, _labels),
@@ -144,7 +143,7 @@ def test_walks_do_not_use_the_python_stack():
     body = PatternTerm(pattern)
     for _ in range(DEPTH):
         body = Case(body, None, ((Var("y"), PatternTerm(Var("y"))),))
-    program = Program((data, FunDef("f", Var("x"), None, None, body)), Direct("f"))
+    program = Program((data, FunDef("f", Var("x"), None, None, body)), FunctionRef("f"))
     table, _ = constructor_table(program)
 
     assert sum(1 for _ in nodes(pattern)) == DEPTH + 1
@@ -154,7 +153,7 @@ def test_walks_do_not_use_the_python_stack():
     assert [v.name for v in pattern_variables(pattern)] == ["x"]
     assert validate_value(value, table) == []
     assert_core(program)
-    assert validate(Program((data, FunDef("g", pattern, None, None, PatternTerm(Var("x")))), Direct("g"))) == []
+    assert validate(Program((data, FunDef("g", pattern, None, None, PatternTerm(Var("x")))), FunctionRef("g"))) == []
 
     numeral = "[successor " * DEPTH + "[zero]" + "]" * DEPTH
     assert pretty_value(value) == numeral

@@ -10,9 +10,8 @@ from jeopardy_iaa.syntax import (
     Con,
     ConApp,
     DataDef,
-    Direct,
+    FunctionRef,
     GeneralApply,
-    Inverted,
     PatternTerm,
     Value,
     Var,
@@ -29,12 +28,12 @@ def test_fib_program_shape():
     data = [d for d in program.definitions if isinstance(d, DataDef)]
     assert len(data) == 1
     assert data[0].constructors == (("zero", ()), ("successor", ("natural_number",)))
-    assert program.main == Direct("fibonacci")
+    assert program.main == FunctionRef("fibonacci")
 
 
 def test_parse_is_separate_from_validation():
     program = parse("main f.")
-    assert program.main == Direct("f")
+    assert program.main == FunctionRef("f")
     assert any(d.kind == "undefined-function" for d in validate(program))
 
 
@@ -42,12 +41,12 @@ def test_inverted_application():
     program = parse("data d = [c]. f x = (invert f) x. main f.")
     body = next(fun_defs(program)).body
     assert isinstance(body, Apply)
-    assert body.callee == Inverted(Direct("f"))
+    assert body.callee == FunctionRef("f", 1)
 
 
 def test_main_can_be_inverted():
     program = parse("f x = x. main (invert f).")
-    assert program.main == Inverted(Direct("f"))
+    assert program.main == FunctionRef("f", 1)
 
 
 def test_tuple_of_patterns_collapses():
@@ -67,7 +66,7 @@ def test_application_argument_kinds():
     assert isinstance(f_body, GeneralApply)
     assert isinstance(f_body.argument, Apply)
     g_body = list(fun_defs(program))[1].body
-    assert g_body == Apply(Direct("f"), Var("y"))
+    assert g_body == Apply(FunctionRef("f"), Var("y"))
 
 
 def test_numeral_encoding():
@@ -208,4 +207,4 @@ def test_a_list_counts_its_length_toward_the_nesting_bound(item):
     # the other two levels
     start = caught.value.span.start
     assert (source[start], source.count(":", 0, start)) == ("x", 399)
-    assert parse(f"f x = {list_of(item, 300)}.\nmain f.\n").main == Direct("f")
+    assert parse(f"f x = {list_of(item, 300)}.\nmain f.\n").main == FunctionRef("f")

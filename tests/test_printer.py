@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import parse, pretty_program
 from jeopardy_iaa.printer import pretty_funref, pretty_pattern, pretty_value
-from jeopardy_iaa.syntax import Con, Direct, Inverted, Pattern, Value, Var, is_wildcard_name
+from jeopardy_iaa.syntax import Con, FunctionRef, Pattern, Value, Var, is_wildcard_name
 
 from conftest import ALL_FIXTURES, load_core
 
@@ -26,7 +26,7 @@ def test_round_trip_core_program(path):
 
 
 def test_nested_inversion_prints_with_parens():
-    assert pretty_funref(Inverted(Inverted(Direct("f")))) == "(invert (invert f))"
+    assert pretty_funref(FunctionRef("f", 2)) == "(invert (invert f))"
 
 
 def test_wildcards_print_back_as_underscore():

@@ -21,7 +21,7 @@ from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import Hint, configurations, symmetry_hints
 from jeopardy_iaa.cli import _ReportEncoder, analysis_report
 from jeopardy_iaa.labeler import LabeledProgram
-from jeopardy_iaa.syntax import INPUT, OUTPUT, invert_depth
+from jeopardy_iaa.syntax import INPUT, OUTPUT
 
 from conftest import (
     ALL_FIXTURES,
@@ -39,8 +39,8 @@ from conftest import (
 def sort_key(self):
     return (
         self.caller,
-        self.callee_name,
-        invert_depth(self.callee),
+        self.callee.name,
+        self.callee.inversions,
         _label_order(self.argument_labels),
         _label_order(self.implicit_labels),
     )

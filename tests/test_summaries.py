@@ -17,7 +17,6 @@ import pytest
 
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import (
-    Direction,
     Hint,
     UndefinedCalleeError,
     _branching_parameter_paths,
@@ -26,7 +25,6 @@ from jeopardy_iaa.analysis import (
     _walk_up,
     call,
     configurations,
-    direction_of,
     seed_configurations,
     symmetry_hints,
     term_up,
@@ -36,16 +34,14 @@ from jeopardy_iaa.labeler import labels_of
 from jeopardy_iaa.syntax import (
     Apply,
     Case,
-    Direct,
     FunDef,
-    Inverted,
+    FunctionRef,
     Pattern,
     PatternTerm,
     Program,
     Term,
     Var,
     label_sort_key,
-    underlying_name,
 )
 
 from conftest import (
@@ -139,8 +135,8 @@ def linear_hints(program, configs):
     for fd in program.functions.values():
         occurrences = _variable_occurrences(fd)
         for site in _call_sites(fd.body):
-            callee_name = underlying_name(site.callee)
-            paths = paths_cache.get(callee_name, ())
+            callee = site.callee.name
+            paths = paths_cache.get(callee, ())
             if not paths:
                 continue
             site_labels = labels_of(site.argument)
@@ -148,16 +144,16 @@ def linear_hints(program, configs):
                 c
                 for c in configs
                 if c.caller == fd.name
-                and c.callee_name == callee_name
-                and c.direction is Direction.DOWN
+                and c.callee.name == callee
+                and not c.callee.backward
                 and c.argument_labels == site_labels
             ]
             up = [
                 c
                 for c in configs
                 if c.caller == fd.name
-                and c.callee_name == callee_name
-                and c.direction is Direction.UP
+                and c.callee.name == callee
+                and c.callee.backward
             ]
             if not down or not up:
                 continue
@@ -190,7 +186,7 @@ def linear_hints(program, configs):
                     per_path |= down_hits | up_hits
                 witness |= per_path
             if witness:
-                hints.append(Hint(fd.name, callee_name, site.label, tuple(sorted(witness))))
+                hints.append(Hint(fd.name, callee, site.label, tuple(sorted(witness))))
     hints.sort(key=lambda h: (h.function, h.call_label))
     return hints
 
@@ -235,7 +231,7 @@ def test_generated_programs_match_the_reference(source):
 
 def _check_backward_summaries(program):
     """Every function reached backward: its summary against ``term_up``."""
-    reached = {c.callee_name for c in configurations(program) if c.direction is Direction.UP}
+    reached = {c.callee.name for c in configurations(program) if c.callee.backward}
     assert reached
     for name in reached:
         body = program.functions[name].body
@@ -244,10 +240,10 @@ def _check_backward_summaries(program):
         for configs, _ in paths:
             for c in configs:
                 expected.setdefault((c.callee, c.argument_labels), set()).add(c.implicit_labels)
-        _, _, reachable, _ = _summary((name, Direction.UP), program)
+        _, _, reachable, _ = _summary((name, True), program)
         actual: dict = {}
         for callee, arguments, gained, key in reachable:
-            assert key == (underlying_name(callee), direction_of(callee))
+            assert key == (callee.name, callee.backward)
             gains = actual.setdefault((callee, arguments), set())
             assert gained not in gains
             gains.add(gained)
@@ -282,8 +278,8 @@ def test_backward_summaries_match_term_up_on_generated_programs(source):
     _check_backward_summaries(labeled(source))
 
 
-@pytest.mark.parametrize("body", [Apply(Direct("q"), Var("z")), Apply(Inverted(Direct("q")), Var("z"))])
-@pytest.mark.parametrize("main", [Direct("h"), Inverted(Direct("h"))])
+@pytest.mark.parametrize("body", [Apply(FunctionRef("q"), Var("z")), Apply(FunctionRef("q", 1), Var("z"))])
+@pytest.mark.parametrize("main", [FunctionRef("h"), FunctionRef("h", 1)])
 def test_undefined_callee_raises_like_the_reference(body, main):
     program = annotate(Program((FunDef("h", Var("z"), None, None, body),), main))
     assert _outcome(configurations, program) is UndefinedCalleeError

@@ -4,7 +4,7 @@ programs that break exactly one rule each."""
 from __future__ import annotations
 
 from jeopardy_iaa import parse, validate
-from jeopardy_iaa.syntax import flip, Direct, Inverted, invert_depth, underlying_name
+from jeopardy_iaa.syntax import FunctionRef, flip
 
 from conftest import fixture_source
 
@@ -73,11 +73,10 @@ def test_numerals_require_declared_naturals():
 
 
 def test_function_ref_helpers():
-    ref = Inverted(Inverted(Direct("f")))
-    assert underlying_name(ref) == "f"
-    assert invert_depth(ref) == 2
-    assert flip(ref) == Inverted(Direct("f"))
-    assert flip(Direct("f")) == Inverted(Direct("f"))
+    ref = FunctionRef("f", 2)
+    assert (ref.name, ref.inversions) == ("f", 2)
+    assert flip(ref) == FunctionRef("f", 1)
+    assert flip(FunctionRef("f")) == FunctionRef("f", 1)
 
 
 def diagnosed(program_text: str) -> list[tuple[str, str]]:
