@@ -59,12 +59,12 @@ from .printer import pretty_funref
 from .syntax import (
     Apply,
     Case,
+    Con,
     FunDef,
     FunctionRef,
     INPUT,
     OUTPUT,
     Pattern,
-    PatternTerm,
     TOP,
     Term,
     Var,
@@ -114,7 +114,7 @@ def term_down(caller: str, implicit: LabelSet, term: Term) -> ConfigurationSet:
     scrutinee's configurations unchanged and each branch body's with the
     scrutinee's and branch pattern's labels added to the availability.
     """
-    if isinstance(term, PatternTerm):
+    if isinstance(term, (Var, Con)):
         return _EMPTY
     if isinstance(term, Apply):
         config = CallConfiguration(
@@ -143,10 +143,10 @@ def term_up(
     through the term with the labels whose values are known once the
     term's result is known.
     """
-    if isinstance(term, PatternTerm):
-        return frozenset(((_EMPTY, frozenset(implicit) | labels_of(term.pattern)),))
+    if isinstance(term, (Var, Con)):
+        return frozenset(((_EMPTY, frozenset(implicit) | labels_of(term)),))
     if isinstance(term, Apply):
-        callee_def = _definition(program, term.callee)
+        callee_def = _definition(program, term.callee.name)
         config = CallConfiguration(
             caller,
             flip(term.callee),
@@ -154,12 +154,12 @@ def term_up(
             frozenset(implicit),
         )
         available = (
-            frozenset(implicit) | labels_of(term.argument) | {_own_label(term)}
+            frozenset(implicit) | labels_of(term.argument) | {body_root_label(term)}
         )
         return frozenset(((frozenset((config,)), available),))
     if isinstance(term, Case):
         results: set[tuple[ConfigurationSet, LabelSet]] = set()
-        own = {_own_label(term)}
+        own = {body_root_label(term)}
         for pattern, body in term.branches:
             for body_configs, body_available in term_up(caller, implicit, body, program):
                 scrutinee_implicit = body_available | labels_of(pattern)
@@ -173,16 +173,10 @@ def term_up(
     raise ValueError(f"cannot analyze sugared term {term!r}")
 
 
-def _own_label(term: Term) -> int:
-    if term.label is None:
-        raise ValueError(f"unlabeled term node: {term!r}")
-    return term.label
-
-
-def _definition(program: LabeledProgram, ref: FunctionRef) -> FunDef:
-    definition = program.functions.get(ref.name)
+def _definition(program: LabeledProgram, name: str) -> FunDef:
+    definition = program.functions.get(name)
     if definition is None:
-        raise UndefinedCalleeError(f"function '{ref.name}' is not defined")
+        raise UndefinedCalleeError(f"function '{name}' is not defined")
     return definition
 
 
@@ -194,7 +188,7 @@ def call(config: CallConfiguration, program: LabeledProgram) -> ConfigurationSet
     whatever the callee contributes on the path to an inner call site is
     re-accumulated by the body walk.
     """
-    definition = _definition(program, config.callee)
+    definition = _definition(program, config.callee.name)
     own_labels = labels_of(definition.parameter) | labels_of(definition.body)
     entering = (config.implicit_labels | config.argument_labels) - own_labels
     name = definition.name
@@ -278,9 +272,7 @@ def _summary(key: tuple[str, bool], program: LabeledProgram) -> _Summary:
     """What ``call`` gives for a callee and direction, with the entering
     availability left out."""
     name, backward = key
-    definition = program.functions.get(name)
-    if definition is None:
-        raise UndefinedCalleeError(f"function '{name}' is not defined")
+    definition = _definition(program, name)
     if not backward:
         reached = term_down(name, _EMPTY, definition.body)
         calls = [(c.callee, c.argument_labels, (c.implicit_labels,)) for c in reached]
@@ -322,25 +314,25 @@ def _walk_up(
     so each path pays one union there.
     """
     kind = type(term)
-    if kind is PatternTerm:
+    if kind is Var or kind is Con:
         if then is None:
             return set()
-        gained = labels_of(term.pattern) | then
+        gained = labels_of(term) | then
         return {implicit | gained for implicit in implicits}
     if kind is Apply:
-        argument = frozenset((body_root_label(_definition(program, term.callee).body),))
+        argument = frozenset((body_root_label(_definition(program, term.callee.name).body),))
         calls.setdefault((flip(term.callee), argument), set()).update(implicits)
         if then is None:
             return set()
-        gained = labels_of(term.argument) | {_own_label(term)} | then
+        gained = labels_of(term.argument) | {body_root_label(term)} | then
         return {implicit | gained for implicit in implicits}
     if kind is Case:
         scrutinee = term.scrutinee
         if then is not None:
-            then = then | {_own_label(term)}
-        if type(scrutinee) is PatternTerm:
+            then = then | {body_root_label(term)}
+        if type(scrutinee) is Var or type(scrutinee) is Con:
             if then is not None:
-                then = then | labels_of(scrutinee.pattern)
+                then = then | labels_of(scrutinee)
             available: set[LabelSet] = set()
             for pattern, body in term.branches:
                 branch_then = None if then is None else labels_of(pattern) | then
@@ -471,7 +463,7 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
             witness = _site_witness(site.argument, paths, occurrences, down_labels, up_labels)
             if witness:
                 hints.append(
-                    Hint(fd.name, callee, _own_label(site), tuple(sorted(witness)))
+                    Hint(fd.name, callee, body_root_label(site), tuple(sorted(witness)))
                 )
     hints.sort(key=lambda h: (h.function, h.call_label))
     return hints
@@ -534,8 +526,8 @@ def _branching_parameter_paths(fd: FunDef) -> tuple[tuple[int, ...], ...]:
             return
         scrutinee_path: tuple[int, ...] | None = None
         scrutinee = term.scrutinee
-        if isinstance(scrutinee, PatternTerm) and isinstance(scrutinee.pattern, Var):
-            scrutinee_path = binding.get(scrutinee.pattern.name)
+        if isinstance(scrutinee, Var):
+            scrutinee_path = binding.get(scrutinee.name)
         if scrutinee_path is not None and len(term.branches) > 1:
             if scrutinee_path not in found:
                 found.append(scrutinee_path)

@@ -1,8 +1,8 @@
 """Sugar elimination: rewrites parsed programs into core form.
 
-Core form admits only three term shapes: a pattern, an application of a
-function reference to a plain pattern, and a case statement.  The
-rewrites are:
+Core form admits only three term shapes: a pattern (a ``Var`` or
+``Con``, standing as a term by itself), an application of a function
+reference to a plain pattern, and a case statement.  The rewrites are:
 
 * a constructor term with non-pattern arguments hoists each such
   argument into an enclosing case binding a fresh variable, left to
@@ -37,7 +37,6 @@ from .syntax import (
     FunctionRef,
     GeneralApply,
     Pattern,
-    PatternTerm,
     Program,
     SUGAR_TERM_TYPES,
     Term,
@@ -131,11 +130,7 @@ class _Desugarer:
         body = definition.body
         if not isinstance(parameter, Var):
             fresh = self.fresh.next()
-            body = Case(
-                PatternTerm(fresh),
-                definition.parameter_type,
-                ((parameter, body),),
-            )
+            body = Case(fresh, definition.parameter_type, ((parameter, body),))
             parameter = fresh
         body = self.desugar_term(body)
         return FunDef(
@@ -148,9 +143,7 @@ class _Desugarer:
         )
 
     def desugar_term(self, term: Term) -> Term:
-        if isinstance(term, PatternTerm):
-            return term
-        if isinstance(term, Apply):
+        if isinstance(term, (Var, Con, Apply)):
             return term
         if isinstance(term, Case):
             scrutinee = self.desugar_term(term.scrutinee)
@@ -165,8 +158,8 @@ class _Desugarer:
     def _desugar_application(self, callee: FunctionRef, argument: Term) -> Term:
         assert self.fresh is not None
         desugared = self.desugar_term(argument)
-        if isinstance(desugared, PatternTerm):
-            return Apply(callee, desugared.pattern)
+        if isinstance(desugared, (Var, Con)):
+            return Apply(callee, desugared)
         fresh = self.fresh.next()
         return Case(
             desugared,
@@ -186,13 +179,13 @@ class _Desugarer:
         hoisted: list[tuple[Var, Term, str | None]] = []
         final_args: list[Pattern] = []
         for index, arg in enumerate(desugared):
-            if isinstance(arg, PatternTerm):
-                final_args.append(arg.pattern)
+            if isinstance(arg, (Var, Con)):
+                final_args.append(arg)
             else:
                 fresh = self.fresh.next()
                 hoisted.append((fresh, arg, component_types[index]))
                 final_args.append(fresh)
-        result: Term = PatternTerm(Con(name, tuple(final_args)))
+        result: Term = Con(name, tuple(final_args))
         for fresh, arg, ascription in reversed(hoisted):
             result = Case(arg, ascription, ((fresh, result),))
         return result

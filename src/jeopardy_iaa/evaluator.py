@@ -22,10 +22,10 @@ from .printer import pretty_value
 from .syntax import (
     Apply,
     Case,
+    Con,
     INPUT,
     Label,
     Pattern,
-    PatternTerm,
     TOP,
     Value,
     Var,
@@ -155,9 +155,9 @@ def run_main(
                 pending.append((function, term, env))
                 term = term.scrutinee
                 continue
-            if type(term) is not PatternTerm:
+            if type(term) is not Var and type(term) is not Con:
                 raise EvalError("sugared-term", None, f"cannot evaluate sugared term {term!r}")
-            value = instantiate(term.pattern, env)
+            value = instantiate(term, env)
             if not pending:
                 return value, trace
             function, case, env = pending.pop()

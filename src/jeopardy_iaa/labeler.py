@@ -6,9 +6,9 @@ order, within a function the parameter pattern first and then the body,
 each traversed pre-order with children left to right.  Labeling is a
 pure function of the core tree, so two runs agree exactly.
 
-A pattern used as a term contributes only its pattern's labels; the
-wrapper is not a program point of its own.  Function references and
-type ascriptions are not program points either.
+A pattern used as a term is labeled as the pattern it is, so it has no
+program point beyond the pattern's own.  Function references and type
+ascriptions are not program points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .syntax import (
     Con,
     FunDef,
     Pattern,
-    PatternTerm,
     Program,
     Span,
     Term,
@@ -70,8 +69,8 @@ class _Labeler:
 
     def term(self, t: Term, function: str) -> Term:
         kind = type(t)
-        if kind is PatternTerm:
-            return PatternTerm(self.pattern(t.pattern, function), t.span)
+        if kind is Var or kind is Con:
+            return self.pattern(t, function)
         if kind is Apply:
             label = self._next(function, "application", t.span)
             return Apply(t.callee, self.pattern(t.argument, function), label, t.span)
@@ -113,15 +112,11 @@ def labels_of(node: Pattern | Term) -> frozenset[int]:
     Requires a labeled core tree; an unlabeled or sugared node is an
     error rather than silently contributing nothing.
     """
-    if type(node) is PatternTerm:
-        node = node.pattern
     if type(node) is Var and node.label is not None:
         return frozenset((node.label,))
     out: list[int] = []
     for n in nodes(node):
         kind = type(n)
-        if kind is PatternTerm:
-            continue
         if kind not in _POINT_KINDS:
             raise ValueError(f"cannot collect labels from sugared term {n!r}")
         if n.label is None:
@@ -131,18 +126,7 @@ def labels_of(node: Pattern | Term) -> frozenset[int]:
 
 
 def body_root_label(term: Term) -> int:
-    """The label of a term's root program point.
-
-    For a pattern used as a term this is the pattern root's label, since
-    the wrapper itself is transparent.
-    """
-    if isinstance(term, PatternTerm):
-        root = term.pattern
-        if root.label is None:
-            raise ValueError(f"unlabeled pattern node: {root!r}")
-        return root.label
-    if isinstance(term, (Apply, Case)):
-        if term.label is None:
-            raise ValueError(f"unlabeled term node: {term!r}")
-        return term.label
-    raise ValueError(f"sugared term has no label: {term!r}")
+    """The label of a labeled core term's root program point."""
+    if term.label is None:
+        raise ValueError(f"unlabeled term node: {term!r}")
+    return term.label

@@ -37,7 +37,6 @@ from .syntax import (
     GeneralApply,
     KEYWORDS,
     Pattern,
-    PatternTerm,
     Program,
     Span,
     Term,
@@ -49,13 +48,12 @@ _MAX_DEPTH = 400
 
 
 class ParseError(Exception):
-    """Malformed input, with the offending span and what was expected."""
+    """Malformed input, with the offending span."""
 
-    def __init__(self, message: str, span: Span, expected: str | None = None):
+    def __init__(self, message: str, span: Span):
         super().__init__(message)
         self.message = message
         self.span = span
-        self.expected = expected
 
 
 def line_col(source: str, offset: int) -> tuple[int, int]:
@@ -144,7 +142,7 @@ class _Parser:
     def expect(self, kind: str, expected: str | None = None) -> Token:
         token = self.peek()
         if token.kind != kind:
-            self.fail(f"expected {expected or kind!r}, found {token.text or 'end of input'!r}", token)
+            self.fail(f"expected {expected or repr(kind)}, found {token.text or 'end of input'!r}", token)
         return self.advance()
 
     def fail(self, message: str, token: Token | None = None) -> None:
@@ -413,8 +411,8 @@ class _Parser:
 
     def _application(self, callee: FunctionRef, span: Span) -> Term:
         argument = self.parse_atom_term()
-        if isinstance(argument, PatternTerm):
-            return Apply(callee, argument.pattern, span=span)
+        if isinstance(argument, (Var, Con)):
+            return Apply(callee, argument, span=span)
         return GeneralApply(callee, argument, span=span)
 
     def parse_atom_term(self) -> Term:
@@ -423,15 +421,12 @@ class _Parser:
             token = self.peek()
             if token.kind == "name":
                 self.advance()
-                span = token.span
-                return PatternTerm(Var(token.text, span=span), span=span)
+                return Var(token.text, span=token.span)
             if token.kind == "wildcard":
                 self.advance()
-                span = token.span
-                return PatternTerm(self.fresh_wildcard(span), span=span)
+                return self.fresh_wildcard(token.span)
             if token.kind == "number":
-                pattern = self._nat_pattern(self._numeral(), token.span)
-                return PatternTerm(pattern, span=token.span)
+                return self._nat_pattern(self._numeral(), token.span)
             if token.kind == "[":
                 return self.parse_bracket_term()
             if token.kind == "(":
@@ -455,8 +450,7 @@ class _Parser:
         start = self.expect("[")
         if self.peek().kind == "]":
             end = self.advance()
-            span = Span(start.start, end.end)
-            return PatternTerm(Con("nil", (), span=span), span=span)
+            return Con("nil", (), span=Span(start.start, end.end))
         name = self.expect("name", "a constructor name")
         args: list[Term] = []
         while self.peek().kind != "]":
@@ -505,9 +499,8 @@ class _Parser:
 def _constructor_term(name: str, args: tuple[Term, ...], span: Span) -> Term:
     """A constructor applied to terms: a pattern when every argument is
     one, otherwise a ``ConApp`` for the desugarer to take apart."""
-    if all(type(arg) is PatternTerm for arg in args):
-        pattern = Con(name, tuple(arg.pattern for arg in args), span=span)
-        return PatternTerm(pattern, span=span)
+    if all(type(arg) is Var or type(arg) is Con for arg in args):
+        return Con(name, args, span=span)
     return ConApp(name, args, span=span)
 
 

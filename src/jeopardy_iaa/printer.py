@@ -27,7 +27,6 @@ from .syntax import (
     FunctionRef,
     GeneralApply,
     Pattern,
-    PatternTerm,
     Program,
     Term,
     Value,
@@ -79,8 +78,8 @@ pretty_value = pretty_pattern
 
 
 def pretty_term(term: Term, labels: bool = False, indent: int = 0, atom: bool = False) -> str:
-    if isinstance(term, PatternTerm):
-        return pretty_pattern(term.pattern, labels)
+    if isinstance(term, (Var, Con)):
+        return pretty_pattern(term, labels)
     if isinstance(term, Apply):
         callee = f"{pretty_funref(term.callee)}{_lab(term.label, labels)}"
         text = f"{callee} {pretty_pattern(term.argument, labels)}"

@@ -98,21 +98,10 @@ Pattern = Union[Var, Con]
 # ---------------------------------------------------------------------------
 # Terms
 
-# Core terms are the only forms that survive desugaring: a pattern used
-# as a term, an application of a function reference to a plain pattern,
-# and a case statement.
-
-
-@dataclass(frozen=True)
-class PatternTerm:
-    """A pattern used as a term.
-
-    Transparent for labeling: the term's program points are exactly the
-    pattern's, so the wrapper itself carries no label.
-    """
-
-    pattern: Pattern
-    span: Span | None = field(default=None, compare=False, repr=False)
+# Core terms are the only forms that survive desugaring: a pattern, which
+# is a term of its own with no program point beyond the pattern's, an
+# application of a function reference to a plain pattern, and a case
+# statement.
 
 
 @dataclass(frozen=True)
@@ -159,7 +148,7 @@ class GeneralApply:
     span: Span | None = field(default=None, compare=False, repr=False)
 
 
-Term = Union[PatternTerm, Apply, Case, ConApp, GeneralApply]
+Term = Union[Var, Con, Apply, Case, ConApp, GeneralApply]
 
 SUGAR_TERM_TYPES = (ConApp, GeneralApply)
 
@@ -212,9 +201,8 @@ def nodes(root: Pattern | Term | Value) -> Iterator[Pattern | Term | Value]:
     """Every node of a pattern, term (core or sugared) or value tree.
 
     Pre-order, children left to right, in source order: a case's
-    scrutinee, then each branch's pattern and body.  A pattern used as a
-    term yields its wrapper and then the pattern.  The walk keeps its own
-    stack, so a tree of any depth is safe.
+    scrutinee, then each branch's pattern and body.  The walk keeps its
+    own stack, so a tree of any depth is safe.
     """
     stack = [root]
     push = stack.append
@@ -226,8 +214,6 @@ def nodes(root: Pattern | Term | Value) -> Iterator[Pattern | Term | Value]:
             continue
         if kind is Con or kind is Value or kind is ConApp:
             stack += node.args[::-1]
-        elif kind is PatternTerm:
-            push(node.pattern)
         elif kind is Apply or kind is GeneralApply:
             push(node.argument)
         elif kind is Case:
@@ -447,8 +433,8 @@ def validate(program: Program) -> list[Diagnostic]:
             )
 
     def check_term(term: Term, bound: frozenset[str]) -> None:
-        if isinstance(term, PatternTerm):
-            _check_pattern(term.pattern, table, diagnostics, bound)
+        if isinstance(term, (Var, Con)):
+            _check_pattern(term, table, diagnostics, bound)
         elif isinstance(term, Apply):
             check_ref(term.callee, term.span)
             _check_pattern(term.argument, table, diagnostics, bound)

@@ -52,7 +52,6 @@ from jeopardy_iaa.syntax import (  # noqa: E402
     DataDef,
     FunDef,
     FunctionRef,
-    PatternTerm,
     Program,
     Var,
 )
@@ -83,8 +82,7 @@ def _random_ref(rng: random.Random):
 def _random_core_term(rng: random.Random, budget: int):
     roll = rng.random()
     if budget <= 2 or roll < 0.3:
-        pattern, used = _random_pattern(rng, budget)
-        return PatternTerm(pattern), used
+        return _random_pattern(rng, budget)
     if roll < 0.6:
         pattern, used = _random_pattern(rng, max(1, budget - 1))
         return Apply(_random_ref(rng), pattern), used + 1
@@ -115,12 +113,12 @@ def random_core_program(rng: random.Random, budget: int = 12, branching: bool = 
     """
     body, _ = _random_core_term(rng, budget)
     data = DataDef("d", (("c0", ()), ("c1", ("d",)), ("c2", ("d", "d"))))
-    f_body = PatternTerm(Var("x"))
+    f_body = Var("x")
     if branching:
         f_body = Case(
-            PatternTerm(Var("x")),
+            Var("x"),
             None,
-            ((Con("c0", ()), PatternTerm(Var("x"))), (Con("c1", (Var("w"),)), PatternTerm(Var("w")))),
+            ((Con("c0", ()), Var("x")), (Con("c1", (Var("w"),)), Var("w"))),
         )
     return Program(
         (

@@ -13,7 +13,6 @@ from jeopardy_iaa.syntax import (
     ConApp,
     DataDef,
     FunctionRef,
-    PatternTerm,
     Var,
     fun_defs,
     pattern_variables,
@@ -62,20 +61,20 @@ def test_let_becomes_case():
     expected = Case(
         Apply(FunctionRef("f"), Var("x")),
         "t",
-        ((Var("y"), PatternTerm(Var("y"))),),
+        ((Var("y"), Var("y")),),
     )
     assert body == expected
 
 
 def test_empty_list_is_nil_pattern():
     body = body_of(desugar_program(parse("f x = []. main f.")), "f")
-    assert body == PatternTerm(Con("nil"))
+    assert body == Con("nil")
 
 
 def test_all_pattern_constructor_unchanged():
     program = parse("data n = [zero] [successor n]. f x = [successor [zero]]. main f.")
     body = body_of(desugar_program(program), "f")
-    assert body == PatternTerm(Con("successor", (Con("zero"),)))
+    assert body == Con("successor", (Con("zero"),))
 
 
 def test_constructor_hoisting_rule():
@@ -92,7 +91,7 @@ def test_constructor_hoisting_rule():
     core = desugar_program(program)
     pair_mn = Con("pair", (Var("m"), Var("n")))
     expected = Case(
-        PatternTerm(Var("w1")),
+        Var("w1"),
         None,
         (
             (
@@ -100,7 +99,7 @@ def test_constructor_hoisting_rule():
                 Case(
                     Apply(FunctionRef("sum"), pair_mn),
                     None,
-                    ((Var("w2"), PatternTerm(Con("pair", (Var("w2"), Var("m"))))),),
+                    ((Var("w2"), Con("pair", (Var("w2"), Var("m")))),),
                 ),
             ),
         ),
@@ -124,7 +123,7 @@ def test_multi_argument_hoisting_is_left_to_right():
     assert isinstance(inner, Case)
     assert inner.scrutinee == Apply(FunctionRef("f"), Con("k"))
     leaf = inner.branches[0][1]
-    assert leaf == PatternTerm(Con("c", (Var("w1"), Con("k"), Var("w2"))))
+    assert leaf == Con("c", (Var("w1"), Con("k"), Var("w2")))
 
 
 def test_pattern_parameter_becomes_variable_plus_case():
@@ -132,7 +131,7 @@ def test_pattern_parameter_becomes_variable_plus_case():
     sum_def = next(fd for fd in fun_defs(core) if fd.name == "sum")
     assert sum_def.parameter == Var("w1")
     assert isinstance(sum_def.body, Case)
-    assert sum_def.body.scrutinee == PatternTerm(Var("w1"))
+    assert sum_def.body.scrutinee == Var("w1")
     assert sum_def.body.branches[0][0] == Con("pair", (Var("m"), Var("n")))
 
 

@@ -209,12 +209,12 @@ def test_sum_calls_itself_after_the_top_level_call():
 
 def test_parameter_mismatch_on_hand_built_program():
     from jeopardy_iaa import annotate
-    from jeopardy_iaa.syntax import Con, DataDef, FunDef, FunctionRef, PatternTerm, Program
+    from jeopardy_iaa.syntax import Con, DataDef, FunDef, FunctionRef, Program
 
     program = Program(
         (
             DataDef("d", (("a", ()), ("b", ()))),
-            FunDef("f", Con("a"), None, None, PatternTerm(Con("a"))),
+            FunDef("f", Con("a"), None, None, Con("a")),
         ),
         FunctionRef("f"),
     )

@@ -25,11 +25,11 @@ from jeopardy_iaa.syntax import (
     KEYWORDS,
     Apply,
     Case,
+    Con,
     ConApp,
     FunDef,
     GeneralApply,
     Pattern,
-    PatternTerm,
     Program,
     Span,
     Term,
@@ -155,8 +155,8 @@ class _Labeler:
         return replace(p, label=label, args=args)
 
     def term(self, t: Term, function: str) -> Term:
-        if isinstance(t, PatternTerm):
-            return replace(t, pattern=self.pattern(t.pattern, function))
+        if isinstance(t, (Var, Con)):
+            return self.pattern(t, function)
         if isinstance(t, Apply):
             label = self._next(function, "application", t.span)
             return replace(t, label=label, argument=self.pattern(t.argument, function))
@@ -203,7 +203,7 @@ class _ReplaceDesugarer(_Desugarer):
         if not isinstance(parameter, Var):
             fresh = self.fresh.next()
             body = Case(
-                PatternTerm(fresh),
+                fresh,
                 definition.parameter_type,
                 ((parameter, body),),
             )
@@ -212,7 +212,7 @@ class _ReplaceDesugarer(_Desugarer):
         return replace(definition, parameter=parameter, body=body)
 
     def desugar_term(self, term: Term) -> Term:
-        if isinstance(term, PatternTerm):
+        if isinstance(term, (Var, Con)):
             return term
         if isinstance(term, Apply):
             return term

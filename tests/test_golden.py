@@ -17,13 +17,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
 
 from jeopardy_iaa.cli import main
 
-from conftest import ALL_FIXTURES, FIXTURES, diamond, fixture_source, ring
+from conftest import (
+    ALL_FIXTURES,
+    FIXTURES,
+    diamond,
+    fixture_source,
+    nested_scrutinees,
+    ring,
+    sugar_library,
+)
 
 FIXTURE_DIGESTS = {
     "fib.jpd": "9c56d867c1f8146a190fed0c1cd8a59e1978e7537a7f6ade595dc2e935ab97ab",
@@ -174,6 +183,13 @@ PRINTED_DIGESTS = {
     },
 }
 
+# one digest over the stdout of parse, desugar, label and analyze --format
+# json --show-labels, in that order for each generated source in turn:
+# sugar_library(12, random.Random(s)) for s = 0..39, then
+# nested_scrutinees(1..5).  Recorded at commit feb0a57, whose parser still
+# wrapped a pattern used as a term in a node of its own.
+GENERATED_FRONT_END_DIGEST = "86ea62aeafa4180d4b03c24d6306b6f26aa2dc88b776dca90b67f65a68401900"
+
 
 def _report(path, capsys) -> bytes:
     assert main(["analyze", str(path), "--format", "json"]) == 0
@@ -259,3 +275,17 @@ def test_wrapped_main_report_bytes(name, inversions, tmp_path, capsys):
     else:
         expected = (FIXTURE_DIGESTS[name], TEXT_REPORT_DIGESTS[name])
     assert (_digest(json_report), _digest(text_report)) == expected
+
+
+def test_generated_front_end_bytes(tmp_path, capsys):
+    sources = [sugar_library(12, random.Random(seed)) for seed in range(40)]
+    sources += [nested_scrutinees(depth) for depth in range(1, 6)]
+    commands = (["parse"], ["desugar"], ["label"], ["analyze", "--format", "json", "--show-labels"])
+    path = tmp_path / "generated.jpd"
+    digest = hashlib.sha256()
+    for source in sources:
+        path.write_text(source, encoding="utf-8")
+        for command, *options in commands:
+            assert main([command, str(path), *options]) == 0
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == GENERATED_FRONT_END_DIGEST

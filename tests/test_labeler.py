@@ -6,7 +6,7 @@ import pytest
 
 from jeopardy_iaa import annotate, desugar_program, labels_of, parse
 from jeopardy_iaa.labeler import body_root_label
-from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, FunctionRef, PatternTerm, Var, fun_defs
+from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, FunctionRef, Var, fun_defs
 
 from conftest import ALL_FIXTURES, load_core, load_labeled
 
@@ -15,7 +15,7 @@ def test_identity_program_labels():
     labeled = annotate(desugar_program(parse("f x = x. main f.")))
     definition = labeled.functions["f"]
     assert definition.parameter.label == 0
-    assert definition.body.pattern.label == 1
+    assert definition.body.label == 1
     assert labeled.label_count == 2
 
 
@@ -26,9 +26,7 @@ def test_labels_are_exactly_a_range(path):
     occurrences: list[int] = []
 
     def collect(node):
-        if isinstance(node, PatternTerm):
-            collect(node.pattern)
-        elif isinstance(node, Con):
+        if isinstance(node, Con):
             occurrences.append(node.label)
             for arg in node.args:
                 collect(arg)
@@ -68,8 +66,6 @@ def test_parent_labels_include_children(fib_labeled):
         children = []
         if isinstance(node, Con):
             children = list(node.args)
-        elif isinstance(node, PatternTerm):
-            children = [node.pattern]
         elif isinstance(node, Apply):
             children = [node.argument]
         elif isinstance(node, Case):
@@ -129,8 +125,8 @@ def test_labels_of_rejects_unlabeled_nodes():
 
 
 def test_labels_of_rejects_sugared_nodes():
-    pair = ConApp("pair", (Apply(FunctionRef("f"), Var("y", label=4), label=3), PatternTerm(Var("x", label=5))))
-    case = Case(PatternTerm(Var("x", label=1)), None, ((Var("y", label=2), pair),), label=0)
+    pair = ConApp("pair", (Apply(FunctionRef("f"), Var("y", label=4), label=3), Var("x", label=5)))
+    case = Case(Var("x", label=1), None, ((Var("y", label=2), pair),), label=0)
     with pytest.raises(ValueError, match="sugared"):
         labels_of(case)
 

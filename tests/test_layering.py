@@ -1,7 +1,8 @@
 """Module hygiene of the package, read from its sources with ``ast``: no
-module imports a name that it never uses, and the front end and the
-evaluator import neither the analysis nor the CLI, so that running a
-program never loads the analyzer."""
+module imports a name that it never uses or defines a private name at
+module level that it never reads, and the front end and the evaluator
+import neither the analysis nor the CLI, so that running a program
+never loads the analyzer."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jeopardy_iaa"
-MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+ALL_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+MODULES = [module for module in ALL_MODULES if module != "__init__"]
 
 # the layers below the analysis, and what they may not import
 LOWER = ("syntax", "parser", "printer", "desugar", "labeler", "evaluator")
@@ -22,17 +24,12 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def unused_imports(tree: ast.Module) -> list[str]:
-    """Names bound by an import, anywhere in the module, that no
-    expression reads; a quoted annotation counts as its expression."""
-    imported: list[str] = []
+def read_names(tree: ast.Module) -> set[str]:
+    """Names that some expression in the module reads; a quoted
+    annotation counts as its expression."""
     used: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [alias.asname or alias.name for alias in node.names]
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
             annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
@@ -40,7 +37,39 @@ def unused_imports(tree: ast.Module) -> list[str]:
                 if isinstance(part, ast.Constant) and isinstance(part.value, str):
                     quoted = ast.walk(ast.parse(part.value))
                     used.update(n.id for n in quoted if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import, anywhere in the module, that no
+    expression reads."""
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = read_names(tree)
     return [name for name in imported if name not in used]
+
+
+def unused_private_names(tree: ast.Module) -> list[str]:
+    """Private functions, classes and assigned names at module level
+    that no expression in the module reads; dunder names are not private."""
+    defined: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    used = read_names(tree)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in used
+    ]
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -70,11 +99,22 @@ def test_the_checks_see_what_they_check():
     tree = ast.parse(source)
     assert unused_imports(tree) == ["os", "json", "c", "analysis", "jeopardy_iaa"]
     assert imported_modules(tree) == {"x", "analysis", "cli", "parser"}
+    source = (
+        "__all__ = ['f']\n_read = 1\n_stored = _read\n_typed: int = 3\n"
+        "def _helper() -> '_Quoted': pass\nclass _Quoted: pass\nclass _Unused: pass\n"
+        "def f(): return _helper()\n"
+    )
+    assert unused_private_names(ast.parse(source)) == ["_stored", "_typed", "_Unused"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports(_tree(module)) == []
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_unused_private_names(module):
+    assert unused_private_names(_tree(module)) == []
 
 
 @pytest.mark.parametrize("module", LOWER)

@@ -25,7 +25,6 @@ from jeopardy_iaa.syntax import (
     FunDef,
     FunctionRef,
     GeneralApply,
-    PatternTerm,
     Program,
     Value,
     Var,
@@ -38,7 +37,7 @@ from jeopardy_iaa.syntax import (
 
 from conftest import ALL_FIXTURES, fixture_source, random_labeled_program
 
-NODE_TYPES = (Var, Con, PatternTerm, Apply, Case, ConApp, GeneralApply, Value)
+NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply, Value)
 
 
 def reference_preorder(node):
@@ -80,7 +79,7 @@ def _branches(terms):
     return st.lists(st.tuples(patterns, terms), min_size=1, max_size=3).map(tuple)
 
 
-_leaf_terms = st.builds(PatternTerm, patterns) | st.builds(Apply, _refs, patterns, _labels)
+_leaf_terms = patterns | st.builds(Apply, _refs, patterns, _labels)
 
 core_terms = st.recursive(
     _leaf_terms,
@@ -140,20 +139,20 @@ def test_walks_do_not_use_the_python_stack():
     for _ in range(DEPTH):
         value = Value("successor", (value,))
     data = DataDef("nat", (("zero", ()), ("successor", ("nat",))))
-    body = PatternTerm(pattern)
+    body = pattern
     for _ in range(DEPTH):
-        body = Case(body, None, ((Var("y"), PatternTerm(Var("y"))),))
+        body = Case(body, None, ((Var("y"), Var("y")),))
     program = Program((data, FunDef("f", Var("x"), None, None, body)), FunctionRef("f"))
     table, _ = constructor_table(program)
 
     assert sum(1 for _ in nodes(pattern)) == DEPTH + 1
     assert sum(1 for _ in nodes(value)) == DEPTH + 1
-    assert sum(1 for _ in nodes(body)) == 5 * DEPTH + 2  # 4 per case, then the pattern term
+    assert sum(1 for _ in nodes(body)) == 4 * DEPTH + 1  # 3 per case, then the pattern
     assert labels_of(pattern) == frozenset(range(DEPTH + 1))
     assert [v.name for v in pattern_variables(pattern)] == ["x"]
     assert validate_value(value, table) == []
     assert_core(program)
-    assert validate(Program((data, FunDef("g", pattern, None, None, PatternTerm(Var("x")))), FunctionRef("g"))) == []
+    assert validate(Program((data, FunDef("g", pattern, None, None, Var("x"))), FunctionRef("g"))) == []
 
     numeral = "[successor " * DEPTH + "[zero]" + "]" * DEPTH
     assert pretty_value(value) == numeral

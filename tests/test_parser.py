@@ -12,7 +12,6 @@ from jeopardy_iaa.syntax import (
     DataDef,
     FunctionRef,
     GeneralApply,
-    PatternTerm,
     Value,
     Var,
     fun_defs,
@@ -51,7 +50,7 @@ def test_main_can_be_inverted():
 
 def test_tuple_of_patterns_collapses():
     body = next(fun_defs(parse("f x = (x, x). main f."))).body
-    assert body == PatternTerm(Con("pair", (Var("x"), Var("x"))))
+    assert body == Con("pair", (Var("x"), Var("x")))
 
 
 def test_tuple_with_application_stays_sugar():
@@ -72,12 +71,12 @@ def test_application_argument_kinds():
 def test_numeral_encoding():
     body = next(fun_defs(parse("f x = 2. main f."))).body
     two = Con("successor", (Con("successor", (Con("zero"),)),))
-    assert body == PatternTerm(two)
+    assert body == two
 
 
 def test_empty_list_and_cons():
     body = next(fun_defs(parse("f x = (x : []). main f."))).body
-    assert body == PatternTerm(Con("cons", (Var("x"), Con("nil"))))
+    assert body == Con("cons", (Var("x"), Con("nil")))
 
 
 def test_wildcards_get_distinct_fresh_names():
@@ -97,7 +96,7 @@ def test_case_scrutinee_ascription():
 def test_cons_scrutinee_requires_no_ambiguity():
     # without a following type name, the colon belongs to a cons cell
     body = next(fun_defs(parse("f x = case (x : []) of ; y -> y. main f."))).body
-    assert body.scrutinee == PatternTerm(Con("cons", (Var("x"), Con("nil"))))
+    assert body.scrutinee == Con("cons", (Var("x"), Con("nil")))
 
 
 def test_parameter_ascription_forms():
@@ -192,6 +191,23 @@ def test_numerals_are_ascii_digits(digit):
         with pytest.raises(ParseError, match=f"unexpected character '{digit}'") as caught:
             parse_value(text)
         assert caught.value.span.start == column
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse, "f x = x\nmain f.\n", "expected '.' after function body, found 'main'"),
+        (parse, "f x = let y = x. main f.", "expected 'in', found '.'"),
+        (parse_value, "(1)", "expected ',' in pair value, found ')'"),
+        (parse, "data t = [c. main f.", "expected ']', found '.'"),
+    ],
+    ids=["described", "keyword", "value", "token-kind"],
+)
+def test_expected_token_messages(read, text, message):
+    # a description prints as written; only a bare token kind is quoted
+    with pytest.raises(ParseError) as caught:
+        read(text)
+    assert caught.value.message == message
 
 
 def list_of(item: str, length: int) -> str:

@@ -34,10 +34,10 @@ from jeopardy_iaa.labeler import labels_of
 from jeopardy_iaa.syntax import (
     Apply,
     Case,
+    Con,
     FunDef,
     FunctionRef,
     Pattern,
-    PatternTerm,
     Program,
     Term,
     Var,
@@ -100,8 +100,8 @@ def _variable_occurrences(fd: FunDef) -> dict[str, frozenset[int]]:
             pattern(arg)
 
     def term(t: Term) -> None:
-        if isinstance(t, PatternTerm):
-            pattern(t.pattern)
+        if isinstance(t, (Var, Con)):
+            pattern(t)
         elif isinstance(t, Apply):
             pattern(t.argument)
         elif isinstance(t, Case):
@@ -116,7 +116,7 @@ def _variable_occurrences(fd: FunDef) -> dict[str, frozenset[int]]:
 
 
 def _call_sites(term: Term) -> list[Apply]:
-    if isinstance(term, PatternTerm):
+    if isinstance(term, (Var, Con)):
         return []
     if isinstance(term, Apply):
         return [term]
