@@ -52,7 +52,6 @@ rather than joining them, preserving path-sensitive availability.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .labeler import LabeledProgram, body_root_label, labels_of
 from .printer import pretty_funref
@@ -72,6 +71,7 @@ from .syntax import (
     label_sort_key,
     nodes,
     pattern_variables,
+    record,
 )
 
 
@@ -82,7 +82,7 @@ class UndefinedCalleeError(Exception):
 LabelSet = frozenset  # of Label
 
 
-@dataclass(frozen=True, slots=True)
+@record()
 class CallConfiguration:
     """One reachable call: caller, callee, argument labels, implicit labels."""
 
@@ -393,7 +393,7 @@ def _require_same_key(a: CallConfiguration, b: CallConfiguration) -> None:
 # Branching-symmetry hints
 
 
-@dataclass(frozen=True)
+@record()
 class Hint:
     """A call site whose callee's branching is decidable both ways.
 

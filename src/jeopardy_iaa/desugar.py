@@ -130,17 +130,9 @@ class _Desugarer:
         body = definition.body
         if not isinstance(parameter, Var):
             fresh = self.fresh.next()
-            body = Case(fresh, definition.parameter_type, ((parameter, body),))
+            body = Case(fresh, definition.parameter_type, ((parameter, body),), span=parameter.span)
             parameter = fresh
-        body = self.desugar_term(body)
-        return FunDef(
-            definition.name,
-            parameter,
-            definition.parameter_type,
-            definition.return_type,
-            body,
-            definition.span,
-        )
+        return definition.rebuilt(parameter, self.desugar_term(body))
 
     def desugar_term(self, term: Term) -> Term:
         if isinstance(term, (Var, Con, Apply)):

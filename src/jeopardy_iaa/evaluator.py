@@ -15,8 +15,6 @@ is the only bound on a run; it guards against divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .labeler import LabeledProgram
 from .printer import pretty_value
 from .syntax import (
@@ -30,12 +28,13 @@ from .syntax import (
     Value,
     Var,
     nodes,
+    record,
 )
 
 DEFAULT_MAX_CALLS = 1_000_000
 
 
-@dataclass(frozen=True)
+@record()
 class CallEvent:
     """One dynamic call: who called what, on which value, from where.
 

@@ -13,7 +13,6 @@ ascriptions are not program points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .syntax import (
@@ -27,6 +26,7 @@ from .syntax import (
     Term,
     Var,
     nodes,
+    record,
 )
 
 
@@ -38,7 +38,7 @@ class LabelInfo(NamedTuple):
     span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record()
 class LabeledProgram:
     program: Program
     index: dict[int, LabelInfo]
@@ -95,7 +95,7 @@ def annotate(program: Program) -> LabeledProgram:
             continue
         parameter = labeler.pattern(definition.parameter, definition.name)
         body = labeler.term(definition.body, definition.name)
-        labeled = replace(definition, parameter=parameter, body=body)
+        labeled = definition.rebuilt(parameter, body)
         definitions.append(labeled)
         functions[definition.name] = labeled
     labeled_program = Program(tuple(definitions), program.main)

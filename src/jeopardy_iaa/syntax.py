@@ -16,14 +16,13 @@ stage:
 * ``validate``, the well-formedness check every downstream stage
   assumes has passed.
 
-All nodes are frozen dataclasses, safe to share across threads once
-built.  Source spans never participate in equality, so structural
-comparison is layout-independent.
+All nodes are immutable records (see ``record``), safe to share across
+threads once built.  Source spans never participate in equality, so
+structural comparison is layout-independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 # Program points carry integer labels.  The two symbolic labels stand for
@@ -61,7 +60,43 @@ def label_sort_key(label: Label) -> tuple[int, object]:
     return (1, label)
 
 
-@dataclass(frozen=True)
+def _immutable(self, name: str, value: object = None) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def record(*hidden: str):
+    """Class decorator for an immutable record of annotated fields, defaults
+    last.  ``__slots__`` names the fields in order.  ``==`` holds only within
+    one class; it, ``hash`` and ``repr`` skip the fields named in ``hidden``.
+    ``__init__``, ``==``, ``hash`` and ``repr`` are compiled once per class."""
+
+    def make(cls: type) -> type:
+        fields = tuple(cls.__annotations__)
+        shown = [name for name in fields if name not in hidden]
+        namespace = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+        # the defaults move out of the class, where they would clash with the slots
+        scope = {f"{name}_": namespace.pop(name) for name in fields if name in namespace}
+        scope["_set"] = object.__setattr__
+        params = ", ".join(f"{name}={name}_" if f"{name}_" in scope else name for name in fields)
+        mine, theirs = ("".join(f"{side}.{name}," for name in shown) for side in ("self", "other"))
+        values = ", ".join(f"{name}={{self.{name}!r}}" for name in shown)
+        exec(
+            f"def __init__(self, {params}):\n"
+            + "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+            + "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n"
+            f"def __repr__(self):\n    return f'{{type(self).__qualname__}}({values})'\n",
+            scope,
+        )
+        namespace.update((name, scope[name]) for name in ("__init__", "__eq__", "__hash__", "__repr__"))
+        namespace.update(__slots__=fields, __setattr__=_immutable, __delattr__=_immutable)
+        return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+    return make
+
+
+@record()
 class Span:
     """Byte-offset range into the source text."""
 
@@ -73,23 +108,23 @@ class Span:
 # Patterns
 
 
-@dataclass(frozen=True)
+@record("span")
 class Var:
     """Pattern variable.  Wildcards are freshened to reserved ``_N`` names."""
 
     name: str
     label: int | None = None
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record("span")
 class Con:
     """Constructor pattern ``[c p1 ... pn]``."""
 
     name: str
     args: tuple["Pattern", ...] = ()
     label: int | None = None
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
 Pattern = Union[Var, Con]
@@ -104,17 +139,17 @@ Pattern = Union[Var, Con]
 # statement.
 
 
-@dataclass(frozen=True)
+@record("span")
 class Apply:
     """Core application ``g p`` of a function reference to a pattern."""
 
     callee: "FunctionRef"
     argument: Pattern
     label: int | None = None
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record("span")
 class Case:
     """``case t : tau of ; p1 -> t1 ; ...`` with first-match semantics."""
 
@@ -122,7 +157,7 @@ class Case:
     scrutinee_type: str | None
     branches: tuple[tuple[Pattern, "Term"], ...]
     label: int | None = None
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
 # Sugared terms, eliminated by the desugarer.  The parser reads pairs,
@@ -130,22 +165,22 @@ class Case:
 # for, so these two are the only sugar left.
 
 
-@dataclass(frozen=True)
+@record("span")
 class ConApp:
     """Constructor applied to at least one non-pattern argument."""
 
     name: str
     args: tuple["Term", ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record("span")
 class GeneralApply:
     """Application whose argument is an arbitrary term, not yet a pattern."""
 
     callee: "FunctionRef"
     argument: "Term"
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
 Term = Union[Var, Con, Apply, Case, ConApp, GeneralApply]
@@ -157,14 +192,14 @@ SUGAR_TERM_TYPES = (ConApp, GeneralApply)
 # Function references
 
 
-@dataclass(frozen=True)
+@record("span")
 class FunctionRef:
     """A defined function's name under ``inversions`` ``(invert ...)``
     markers."""
 
     name: str
     inversions: int = 0
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
     @property
     def backward(self) -> bool:
@@ -185,7 +220,7 @@ def flip(ref: FunctionRef) -> FunctionRef:
 # Values
 
 
-@dataclass(frozen=True)
+@record()
 class Value:
     """Closed constructor tree ``[c v1 ... vn]``."""
 
@@ -233,16 +268,16 @@ def pattern_variables(pattern: Pattern) -> Iterator[Var]:
 # Definitions and programs
 
 
-@dataclass(frozen=True)
+@record("span")
 class DataDef:
     """``data tau = [c1 tau...] ... [cn tau...].``"""
 
     type_name: str
     constructors: tuple[tuple[str, tuple[str, ...]], ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record("span")
 class FunDef:
     """``f (p : tau_p) : tau_t = t.`` with both type ascriptions optional."""
 
@@ -251,13 +286,17 @@ class FunDef:
     parameter_type: str | None
     return_type: str | None
     body: Term
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
+
+    def rebuilt(self, parameter: Pattern, body: Term) -> FunDef:
+        """This definition with another parameter and body."""
+        return FunDef(self.name, parameter, self.parameter_type, self.return_type, body, self.span)
 
 
 Definition = Union[DataDef, FunDef]
 
 
-@dataclass(frozen=True)
+@record()
 class Program:
     definitions: tuple[Definition, ...]
     main: FunctionRef
@@ -279,7 +318,7 @@ def data_defs(program: Program) -> Iterator[DataDef]:
 # Validation
 
 
-@dataclass(frozen=True)
+@record()
 class Diagnostic:
     """A single well-formedness violation with an optional location."""
 
@@ -291,7 +330,7 @@ class Diagnostic:
         return f"{self.kind}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record()
 class ConstructorInfo:
     """Declared shape of one constructor."""
 

@@ -316,11 +316,18 @@ LOCATED = [
         ["[c]"],
         "3:7: runtime error: inverted-call at 1: backward execution is not supported",
     ),
+    (
+        "data d = [a].\ng (x, y) = x.\nf v = g v.\nmain f.\n",
+        ["[a]"],
+        "2:3: runtime error: no-branch-matched at 1: no case branch matched value [a]",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "source, arguments, located", LOCATED, ids=["no-branch-matched", "call-budget", "inverted-call"]
+    "source, arguments, located",
+    LOCATED,
+    ids=["no-branch-matched", "call-budget", "inverted-call", "parameter-mismatch"],
 )
 def test_run_locates_a_runtime_error_at_its_label(capsys, tmp_path, source, arguments, located):
     path = tmp_path / "located.jpd"
@@ -330,11 +337,12 @@ def test_run_locates_a_runtime_error_at_its_label(capsys, tmp_path, source, argu
     assert err == f"{path}:{located}\n"
 
 
-def test_run_error_at_a_label_without_a_span_is_not_located(capsys):
-    # main_sum.jpd's parameter tuple becomes a case the source does not spell
-    code, out, err = run_cli(capsys, "run", str(FIXTURES / "main_sum.jpd"), "[zero]")
+def test_run_locates_a_parameter_mismatch_at_the_parameter(capsys):
+    # main_sum.jpd's parameter tuple becomes a case located at the tuple
+    path = FIXTURES / "main_sum.jpd"
+    code, out, err = run_cli(capsys, "run", str(path), "[zero]")
     assert (code, out) == (3, "")
-    assert err == "runtime error: no-branch-matched at 1: no case branch matched value [zero]\n"
+    assert err == f"{path}:3:5: runtime error: no-branch-matched at 1: no case branch matched value [zero]\n"
 
 
 def numeral_text(n: int) -> str:

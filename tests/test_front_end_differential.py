@@ -12,7 +12,7 @@ the desugarers on the core program and on every node's span.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +38,14 @@ from jeopardy_iaa.syntax import (
 )
 
 from conftest import ALL_FIXTURES, fixture_source, random_core_program, sugar_library
+
+
+def replace(node, **changes):
+    """``dataclasses.replace`` for a syntax record: a copy with the named
+    fields changed; an unknown field name is a ``TypeError``."""
+    fields = {name: getattr(node, name) for name in node.__slots__}
+    return type(node)(**{**fields, **changes})
+
 
 # -- reference scanner ------------------------------------------------------
 
@@ -206,6 +214,7 @@ class _ReplaceDesugarer(_Desugarer):
                 fresh,
                 definition.parameter_type,
                 ((parameter, body),),
+                span=parameter.span,
             )
             parameter = fresh
         body = self.desugar_term(body)

@@ -2,11 +2,14 @@
 module imports a name that it never uses or defines a private name at
 module level that it never reads, and the front end and the evaluator
 import neither the analysis nor the CLI, so that running a program
-never loads the analyzer."""
+never loads the analyzer.  Importing the CLI loads neither
+``dataclasses`` nor ``inspect``, which would add to every start-up."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,15 @@ def test_no_unused_private_names(module):
 @pytest.mark.parametrize("module", LOWER)
 def test_lower_layers_do_not_import_the_analysis_or_the_cli(module):
     assert imported_modules(_tree(module)) & UPPER == set()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so only the package and what it imports count
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import jeopardy_iaa.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout == "[]\n"

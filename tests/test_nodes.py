@@ -1,14 +1,13 @@
 """The one tree walker, ``syntax.nodes``, and the walks built on it.
 
 ``nodes`` must visit exactly what a plain recursive pre-order over the
-node dataclasses' fields visits, on every kind of tree, and everything
+node records' fields visits, on every kind of tree, and everything
 built on it must survive trees far deeper than the Python stack.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
@@ -44,8 +43,8 @@ def reference_preorder(node):
     """Recursive pre-order: the node, then every node-valued field in
     declaration order, tuples flattened left to right."""
     yield node
-    for f in fields(node):
-        yield from _nodes_below(getattr(node, f.name))
+    for name in node.__slots__:
+        yield from _nodes_below(getattr(node, name))
 
 
 def _nodes_below(value):
@@ -160,5 +159,5 @@ def test_walks_do_not_use_the_python_stack():
     closing = "".join(f"]{{-{label}-}}" for label in range(DEPTH - 1, -1, -1))
     assert pretty_pattern(pattern, labels=True) == "[successor " * DEPTH + f"x{{-{DEPTH}-}}" + closing
     assert match_pattern(pattern, Value("successor", (value,))) == {"x": Value("successor", (Value("zero"),))}
-    # compared as text: dataclass equality recurses
+    # compared as text: record equality recurses
     assert pretty_value(instantiate(pattern, {"x": Value("zero")})) == numeral

@@ -3,8 +3,30 @@ programs that break exactly one rule each."""
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import example, given, strategies as st
+
 from jeopardy_iaa import parse, validate
-from jeopardy_iaa.syntax import FunctionRef, flip
+from jeopardy_iaa.analysis import CallConfiguration, Hint
+from jeopardy_iaa.evaluator import CallEvent
+from jeopardy_iaa.labeler import LabeledProgram
+from jeopardy_iaa.syntax import (
+    Apply,
+    Case,
+    Con,
+    ConApp,
+    ConstructorInfo,
+    DataDef,
+    Diagnostic,
+    FunDef,
+    FunctionRef,
+    GeneralApply,
+    Program,
+    Span,
+    Value,
+    Var,
+    flip,
+)
 
 from conftest import fixture_source
 
@@ -93,3 +115,74 @@ def test_pattern_diagnostics_put_constructors_before_variables():
         ("undefined-constructor", "q"),
         ("unbound-variable", "w"),
     ]
+
+
+# -- records -------------------------------------------------------------------
+
+# the classes whose ``span`` stays out of ==, hash and repr
+LOCATED = (Var, Con, Apply, Case, ConApp, GeneralApply, FunctionRef, DataDef, FunDef)
+RECORDS = LOCATED + (
+    Span,
+    Value,
+    Program,
+    Diagnostic,
+    ConstructorInfo,
+    CallConfiguration,
+    Hint,
+    CallEvent,
+    LabeledProgram,
+)
+
+_field_values = st.none() | st.integers(0, 3) | st.sampled_from(["a", "b"]) | st.just(())
+_spans = st.none() | st.builds(Span, st.integers(0, 9), st.integers(0, 9))
+
+
+def _compared(cls: type) -> tuple[str, ...]:
+    return tuple(name for name in cls.__slots__ if not (cls in LOCATED and name == "span"))
+
+
+@given(st.sampled_from(RECORDS), st.lists(_field_values, min_size=5, max_size=5), _spans, _spans)
+def test_a_record_compares_hashes_and_shows_its_fields(cls, values, one, two):
+    names = _compared(cls)
+    fields = dict(zip(names, values))
+    spans = ({"span": one}, {"span": two}) if cls in LOCATED else ({}, {})
+    a, b = cls(**fields, **spans[0]), cls(*fields.values(), **spans[1])
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name in (*cls.__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert [getattr(a, name) for name in names] == values[: len(names)]
+
+
+@given(st.sampled_from(RECORDS), st.sampled_from(RECORDS), st.lists(_field_values, min_size=5, max_size=5))
+@example(Apply, Con, [FunctionRef("f"), Var("x"), 3, None, None])
+@example(Var, FunctionRef, ["f", 1, None, None, None])
+def test_records_of_two_classes_are_never_equal(one, two, values):
+    a = one(*values[: len(_compared(one))])
+    b = two(*values[: len(_compared(two))])
+    assert (a == b) is (one is two)
+    assert (a != b) is (one is not two)
+
+
+def test_a_diagnostic_compares_and_shows_its_span():
+    one, two = Diagnostic("k", "m", Span(0, 1)), Diagnostic("k", "m", Span(0, 2))
+    assert one != two and hash(one) == hash(Diagnostic("k", "m", Span(0, 1)))
+    assert repr(one) == "Diagnostic(kind='k', message='m', span=Span(start=0, end=1))"
+
+
+def test_record_keywords_and_defaults():
+    assert Apply(label=3, argument=Var("x"), callee=FunctionRef("f")) == Apply(FunctionRef("f"), Var("x"), 3)
+    assert (Var("x").label, Var("x").span) == (None, None)
+    assert (Con("c").args, FunctionRef("f").inversions) == ((), 0)
+    assert Diagnostic("k", "m").span is None
+    assert ConstructorInfo((None,), None).builtin is False
+    with pytest.raises(TypeError):
+        Var()
+    with pytest.raises(TypeError):
+        Var("x", colour=1)
+    with pytest.raises(TypeError):
+        Case(Var("x"), None)
