@@ -34,7 +34,6 @@ from .syntax import (
     ConApp,
     DataDef,
     FunDef,
-    FunctionRef,
     GeneralApply,
     Pattern,
     Program,
@@ -142,21 +141,24 @@ class _Desugarer:
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
             return Case(scrutinee, term.scrutinee_type, branches, term.label, term.span)
         if isinstance(term, GeneralApply):
-            return self._desugar_application(term.callee, term.argument)
+            return self._desugar_application(term)
         if isinstance(term, ConApp):
             return self.desugar_constructor(term.name, term.args)
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
 
-    def _desugar_application(self, callee: FunctionRef, argument: Term) -> Term:
+    def _desugar_application(self, term: GeneralApply) -> Term:
+        """The application rebuilt on a pattern argument keeps the
+        source application's span, so a runtime error there is located."""
         assert self.fresh is not None
-        desugared = self.desugar_term(argument)
+        callee = term.callee
+        desugared = self.desugar_term(term.argument)
         if isinstance(desugared, (Var, Con)):
-            return Apply(callee, desugared)
+            return Apply(callee, desugared, span=term.span)
         fresh = self.fresh.next()
         return Case(
             desugared,
             self.fun_types.get(callee.name),
-            ((fresh, Apply(callee, fresh)),),
+            ((fresh, Apply(callee, fresh, span=term.span)),),
         )
 
     def desugar_constructor(self, name: str, args: tuple[Term, ...]) -> Term:

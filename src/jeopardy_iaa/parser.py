@@ -19,12 +19,18 @@ terms they stand for, and ``let p : tau = t in t'`` as
 pattern form whenever its parts are all patterns, so
 ``(k, [successor n])`` parses as the pattern ``[pair k [successor n]]``;
 it stays a ``ConApp`` only when a non-pattern part forces it.
+
+A pattern is a term, and the term grammar reads both.  ``_pattern``
+reads a branch, a parameter, a parameter's pair component or a ``let``
+binder, and fails with ``expected a pattern`` at its first token when
+that token starts no pattern (``case``) or the term is not a ``Var`` or
+``Con`` (``g y``).  A term error inside the term is reported as such.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .syntax import (
     Apply,
@@ -235,9 +241,9 @@ class _Parser:
 
     def parse_parameter(self) -> tuple[Pattern, str | None]:
         if self.peek().kind != "(":
-            return self.parse_pattern_atom(), None
+            return self._pattern(self.parse_atom_term), None
         start = self.advance()
-        pattern = self.parse_pattern_atom()
+        pattern = self._pattern(self.parse_atom_term)
         token = self.peek()
         if token.kind == ":":
             self.advance()
@@ -246,7 +252,7 @@ class _Parser:
             return pattern, type_name
         if token.kind == ",":
             self.advance()
-            second = self.parse_pattern()
+            second = self._pattern(self.parse_term)
             end = self.expect(")")
             return Con("pair", (pattern, second), span=Span(start.start, end.end)), None
         self.expect(")")
@@ -272,57 +278,14 @@ class _Parser:
 
     # -- patterns -----------------------------------------------------------
 
-    def parse_pattern(self) -> Pattern:
-        # cons chains are right-associative: a : b : c = a : (b : c)
-        self._enter()
-        try:
-            head = self.parse_pattern_atom()
-            if self.peek().kind == ":":
-                self.advance()
-                tail = self.parse_pattern()
-                span = Span(_pattern_start(head), _pattern_end(tail))
-                return Con("cons", (head, tail), span=span)
-            return head
-        finally:
-            self._leave()
-
-    def parse_pattern_atom(self) -> Pattern:
-        self._enter()
-        try:
-            token = self.peek()
-            if token.kind == "name":
-                self.advance()
-                return Var(token.text, span=token.span)
-            if token.kind == "wildcard":
-                self.advance()
-                return self.fresh_wildcard(token.span)
-            if token.kind == "number":
-                return self._nat_pattern(self._numeral(), token.span)
-            if token.kind == "[":
-                start = self.advance()
-                if self.peek().kind == "]":
-                    end = self.advance()
-                    return Con("nil", (), span=Span(start.start, end.end))
-                name = self.expect("name", "a constructor name")
-                args: list[Pattern] = []
-                while self.peek().kind != "]":
-                    args.append(self.parse_pattern_atom())
-                end = self.advance()
-                return Con(name.text, tuple(args), span=Span(start.start, end.end))
-            if token.kind == "(":
-                start = self.advance()
-                first = self.parse_pattern()
-                if self.peek().kind == ",":
-                    self.advance()
-                    second = self.parse_pattern()
-                    end = self.expect(")")
-                    return Con("pair", (first, second), span=Span(start.start, end.end))
-                self.expect(")")
-                return first
+    def _pattern(self, read: Callable[[], Term]) -> Pattern:
+        """The term that ``read`` (``parse_term`` or ``parse_atom_term``)
+        finds at a pattern position, which must be a pattern."""
+        token = self.peek()
+        pattern = read() if token.kind in _ATOM_START else None
+        if type(pattern) is not Var and type(pattern) is not Con:
             self.fail(f"expected a pattern, found {token.text or 'end of input'!r}", token)
-            raise AssertionError  # unreachable
-        finally:
-            self._leave()
+        return pattern
 
     def _nat_pattern(self, n: int, span: Span) -> Pattern:
         result: Pattern = Con("zero", (), span=span)
@@ -371,7 +334,7 @@ class _Parser:
         if self.peek().kind == ";":
             self.advance()
         while True:
-            pattern = self.parse_pattern()
+            pattern = self._pattern(self.parse_term)
             self.expect("->", "'->'")
             body = self.parse_term()
             branches.append((pattern, body))
@@ -387,7 +350,7 @@ class _Parser:
 
     def parse_let(self) -> Case:
         start = self.expect("let")
-        pattern = self.parse_pattern_atom()
+        pattern = self._pattern(self.parse_atom_term)
         type_name: str | None = None
         if self.peek().kind == ":":
             self.advance()
@@ -480,10 +443,11 @@ class _Parser:
             if token.kind == "(":
                 self.advance()
                 first = self.parse_value()
-                self.expect(",", "',' in pair value")
+                name = "cons" if self.peek().kind == ":" else "pair"
+                self.expect(":" if name == "cons" else ",", "',' in pair value")
                 second = self.parse_value()
                 self.expect(")")
-                return Value("pair", (first, second))
+                return Value(name, (first, second))
             self.fail(f"expected a value, found {token.text or 'end of input'!r}", token)
             raise AssertionError  # unreachable
         finally:
@@ -504,21 +468,14 @@ def _constructor_term(name: str, args: tuple[Term, ...], span: Span) -> Term:
     return ConApp(name, args, span=span)
 
 
-def _pattern_start(pattern: Pattern) -> int:
-    return pattern.span.start if pattern.span else 0
-
-
-def _pattern_end(pattern: Pattern) -> int:
-    return pattern.span.end if pattern.span else 0
-
-
 def parse(source: str) -> Program:
     """Parse a whole source file into a sugared program."""
     return _Parser(source).parse_program()
 
 
 def parse_value(source: str) -> Value:
-    """Parse a value literal: constructor syntax, a pair, or a numeral."""
+    """Parse a value literal: constructor syntax, a pair, a list cell
+    ``(h : t)``, or a numeral."""
     parser = _Parser(source)
     value = parser.parse_value()
     trailing = parser.peek()

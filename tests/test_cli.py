@@ -157,6 +157,27 @@ def test_parse_reports_syntax_error_with_position(capsys, tmp_path):
     assert ":1:" in err
 
 
+@pytest.mark.parametrize(
+    "source, located",
+    [
+        # a term that is not a pattern fails at its first token
+        ("f x = case x of ; g y -> x. main f.", "1:19: parse error: expected a pattern, found 'g'"),
+        ("f x = case x of ; [c (g y)] -> x. main f.", "1:19: parse error: expected a pattern, found '['"),
+        # a token that starts no pattern fails where it stands
+        ("f x = case x of ; case -> x. main f.", "1:19: parse error: expected a pattern, found 'case'"),
+        ("f (invert g) = x. main f.", "1:4: parse error: expected a pattern, found 'invert'"),
+        ("f x = let (g x) = x in x. main f.", "1:11: parse error: expected a pattern, found '('"),
+    ],
+    ids=["application-branch", "nested-application-branch", "case-branch", "inverted-parameter", "let-binder"],
+)
+def test_parse_locates_a_pattern_position_that_holds_no_pattern(capsys, tmp_path, source, located):
+    path = tmp_path / "pattern.jpd"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"{path}:{located}\n"
+
+
 def test_desugar_prints_core(capsys):
     code, out, _ = run_cli(capsys, "desugar", FIB)
     assert code == 0
@@ -240,6 +261,14 @@ def test_run_zero(capsys):
     assert out.strip().endswith("[zero])")
 
 
+def test_run_reads_the_list_cells_it_prints(capsys, tmp_path):
+    path = tmp_path / "id.jpd"
+    path.write_text("data nat = [zero] [successor nat].\nid x = x.\nmain id.\n", encoding="utf-8")
+    for value in ("([zero] : [])", "([zero] : ([successor [zero]] : []))", "(([] : []), [zero])"):
+        code, out, err = run_cli(capsys, "run", str(path), value)
+        assert (code, out, err) == (0, value + "\n", "")
+
+
 def test_run_trace(capsys):
     code, out, _ = run_cli(capsys, "run", FIB, "2", "--trace")
     assert code == 0
@@ -321,13 +350,32 @@ LOCATED = [
         ["[a]"],
         "2:3: runtime error: no-branch-matched at 1: no case branch matched value [a]",
     ),
+    # applications whose argument is not a pattern: the desugarer hoists
+    # the argument and rebuilds the application at the same place
+    (
+        "data t = [c].\nid x = x.\nf x = f (id x).\nmain f.\n",
+        ["[c]", "--max-calls", "2"],
+        "3:7: runtime error: call-budget-exceeded at 7: more than 2 calls; looping program?",
+    ),
+    (
+        "data t = [c].\nid x = x.\nf x = (invert id) (id x).\nmain f.\n",
+        ["[c]"],
+        "3:7: runtime error: inverted-call at 7: backward execution is not supported",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "source, arguments, located",
     LOCATED,
-    ids=["no-branch-matched", "call-budget", "inverted-call", "parameter-mismatch"],
+    ids=[
+        "no-branch-matched",
+        "call-budget",
+        "inverted-call",
+        "parameter-mismatch",
+        "hoisted-call-budget",
+        "hoisted-inverted-call",
+    ],
 )
 def test_run_locates_a_runtime_error_at_its_label(capsys, tmp_path, source, arguments, located):
     path = tmp_path / "located.jpd"

@@ -1,12 +1,21 @@
 """The regex scanner, the constructor-built labeler and the
 constructor-built desugarer against the character loop and the
-``dataclasses.replace`` labeler and desugarer they replaced.
+``dataclasses.replace`` labeler and desugarer they replaced, and the
+parser's pattern positions, read by the term grammar, against the
+pattern grammar that read them before.
 
 The references are kept here verbatim.  The scanners agree on every
 input except one: the reference reads any Unicode digit (``²``, ``٣``)
 as part of a numeral, where numerals are ASCII digits only.  The
 labelers agree on labels, on the label index and on every node's span;
-the desugarers on the core program and on every node's span.
+the desugarers on the core program and on every node's span but one
+kind: an application that the desugarer rebuilds from one whose argument
+is not a pattern now keeps that application's span, where the reference
+left it without one.  The parsers agree on every source the pattern
+grammar accepts, trees and spans alike; where it fails, the term grammar
+fails with the same error, or inside a pattern position in one of two
+ways: ``expected a pattern`` at the first token of a term that is not a
+pattern, or a term error no earlier than the pattern grammar's.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jeopardy_iaa import desugar_program, labeler, parse
 from jeopardy_iaa.desugar import _Desugarer, _Fresh
-from jeopardy_iaa.parser import ParseError, tokenize as scan
+from jeopardy_iaa.parser import ParseError, _Parser, tokenize as scan
 from jeopardy_iaa.printer import pretty_program
 from jeopardy_iaa.syntax import (
     KEYWORDS,
@@ -28,6 +37,7 @@ from jeopardy_iaa.syntax import (
     Con,
     ConApp,
     FunDef,
+    FunctionRef,
     GeneralApply,
     Pattern,
     Program,
@@ -37,7 +47,7 @@ from jeopardy_iaa.syntax import (
     nodes,
 )
 
-from conftest import ALL_FIXTURES, fixture_source, random_core_program, sugar_library
+from conftest import ALL_FIXTURES, fixture_source, nested_scrutinees, random_core_program, sugar_library
 
 
 def replace(node, **changes):
@@ -199,8 +209,9 @@ def annotate(program: Program) -> LabeledProgram:
 
 # -- reference desugarer -----------------------------------------------------
 #
-# The two methods that rebuilt a node with ``dataclasses.replace``; the
-# rest of the desugarer is shared.
+# The two methods that rebuilt a node with ``dataclasses.replace``, and
+# the application rewrite that left the rebuilt application without a
+# span; the rest of the desugarer is shared.
 
 
 class _ReplaceDesugarer(_Desugarer):
@@ -234,6 +245,107 @@ class _ReplaceDesugarer(_Desugarer):
         if isinstance(term, ConApp):
             return self.desugar_constructor(term.name, term.args)
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
+
+    def _desugar_application(self, callee: FunctionRef, argument: Term) -> Term:
+        assert self.fresh is not None
+        desugared = self.desugar_term(argument)
+        if isinstance(desugared, (Var, Con)):
+            return Apply(callee, desugared)
+        fresh = self.fresh.next()
+        return Case(
+            desugared,
+            self.fun_types.get(callee.name),
+            ((fresh, Apply(callee, fresh)),),
+        )
+
+
+# -- reference pattern grammar -------------------------------------------------
+#
+# The recursive-descent grammar that read patterns before pattern
+# positions were read by the term grammar, with its two span helpers.
+# ``_pattern`` dispatches to it as the parser's pattern positions did:
+# a branch or a parameter's pair component to ``parse_pattern``, an
+# atom to ``parse_pattern_atom``.
+
+
+def _pattern_start(pattern: Pattern) -> int:
+    return pattern.span.start if pattern.span else 0
+
+
+def _pattern_end(pattern: Pattern) -> int:
+    return pattern.span.end if pattern.span else 0
+
+
+class _PatternGrammarParser(_Parser):
+    def _pattern(self, read):
+        return self.parse_pattern() if read == self.parse_term else self.parse_pattern_atom()
+
+    def parse_pattern(self) -> Pattern:
+        # cons chains are right-associative: a : b : c = a : (b : c)
+        self._enter()
+        try:
+            head = self.parse_pattern_atom()
+            if self.peek().kind == ":":
+                self.advance()
+                tail = self.parse_pattern()
+                span = Span(_pattern_start(head), _pattern_end(tail))
+                return Con("cons", (head, tail), span=span)
+            return head
+        finally:
+            self._leave()
+
+    def parse_pattern_atom(self) -> Pattern:
+        self._enter()
+        try:
+            token = self.peek()
+            if token.kind == "name":
+                self.advance()
+                return Var(token.text, span=token.span)
+            if token.kind == "wildcard":
+                self.advance()
+                return self.fresh_wildcard(token.span)
+            if token.kind == "number":
+                return self._nat_pattern(self._numeral(), token.span)
+            if token.kind == "[":
+                start = self.advance()
+                if self.peek().kind == "]":
+                    end = self.advance()
+                    return Con("nil", (), span=Span(start.start, end.end))
+                name = self.expect("name", "a constructor name")
+                args: list[Pattern] = []
+                while self.peek().kind != "]":
+                    args.append(self.parse_pattern_atom())
+                end = self.advance()
+                return Con(name.text, tuple(args), span=Span(start.start, end.end))
+            if token.kind == "(":
+                start = self.advance()
+                first = self.parse_pattern()
+                if self.peek().kind == ",":
+                    self.advance()
+                    second = self.parse_pattern()
+                    end = self.expect(")")
+                    return Con("pair", (first, second), span=Span(start.start, end.end))
+                self.expect(")")
+                return first
+            self.fail(f"expected a pattern, found {token.text or 'end of input'!r}", token)
+            raise AssertionError  # unreachable
+        finally:
+            self._leave()
+
+
+class _RecordingParser(_Parser):
+    """The parser under test, noting where each pattern position it is
+    reading starts, so that a failure shows which ones were open."""
+
+    def __init__(self, source: str):
+        super().__init__(source)
+        self.open_patterns: list[int] = []
+
+    def _pattern(self, read):
+        self.open_patterns.append(self.peek().start)
+        pattern = super()._pattern(read)
+        self.open_patterns.pop()
+        return pattern
 
 
 # -- scanner ------------------------------------------------------------------
@@ -291,17 +403,35 @@ def test_scanner_token_list_ends_in_one_end_marker():
 # -- labeler ------------------------------------------------------------------
 
 
-def assert_spans_alike(new: Program, old: Program) -> None:
-    """Spans never take part in equality, so compare them node by node."""
-    assert len(new.definitions) == len(old.definitions)
-    for new_def, old_def in zip(new.definitions, old.definitions):
-        assert new_def.span == old_def.span
-        if type(new_def) is not FunDef:
+def located(program: Program) -> list:
+    """Everything in a program that has a span, in source order: ``main``,
+    each definition, and each node of a function body or parameter, an
+    application followed by its callee."""
+    found: list = [program.main]
+    for definition in program.definitions:
+        found.append(definition)
+        if type(definition) is not FunDef:
             continue
-        for root in ("parameter", "body"):
-            new_nodes = list(nodes(getattr(new_def, root)))
-            old_nodes = list(nodes(getattr(old_def, root)))
-            assert [(type(n), n.span) for n in new_nodes] == [(type(n), n.span) for n in old_nodes]
+        for root in (definition.parameter, definition.body):
+            for node in nodes(root):
+                found.append(node)
+                if type(node) is Apply or type(node) is GeneralApply:
+                    found.append(node.callee)
+    return found
+
+
+def assert_spans_alike(new: Program, old: Program, rebuilt: dict[int, Span] | None = None) -> None:
+    """Spans never take part in equality, so compare them node by node.
+    ``rebuilt`` maps the ``id`` of a callee to the span that the new
+    side's application of it has where the old side has none."""
+    rebuilt = rebuilt or {}
+    new_nodes, old_nodes = located(new), located(old)
+    assert [type(n) for n in new_nodes] == [type(o) for o in old_nodes]
+    for n, o in zip(new_nodes, old_nodes):
+        if type(n) is Apply and id(n.callee) in rebuilt:
+            assert (n.span, o.span) == (rebuilt[id(n.callee)], None)
+        else:
+            assert n.span == o.span
 
 
 def assert_labeled_alike(program: Program) -> None:
@@ -314,10 +444,22 @@ def assert_labeled_alike(program: Program) -> None:
     assert_spans_alike(new.program, old.program)
 
 
-def assert_desugared_alike(program: Program) -> None:
+def assert_desugared_alike(program: Program) -> int:
+    """Compare the desugarers; the count of applications rebuilt from a
+    ``GeneralApply``, the one place where their spans differ."""
     new, old = desugar_program(program), _ReplaceDesugarer(program).run()
     assert new == old
-    assert_spans_alike(new, old)
+    # the one intended difference: the application rebuilt from a
+    # GeneralApply keeps its span, where the reference left it none
+    rebuilt = {
+        id(node.callee): node.span
+        for definition in program.definitions
+        if type(definition) is FunDef
+        for node in nodes(definition.body)
+        if type(node) is GeneralApply
+    }
+    assert_spans_alike(new, old, rebuilt)
+    return len(rebuilt)
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
@@ -336,7 +478,7 @@ def test_desugarer_agrees_on_every_fixture(path):
 
 def test_desugarer_agrees_on_a_sugar_heavy_source():
     program = parse(sugar_library(130, random.Random(3)))
-    assert_desugared_alike(program)
+    assert assert_desugared_alike(program) > 50
     # the spans compared are real ones, not a run of Nones
     core = desugar_program(program)
     assert sum(n.span is not None for d in core.definitions if type(d) is FunDef for n in nodes(d.body)) > 1000
@@ -349,3 +491,139 @@ def test_labeler_agrees_on_random_programs(seed):
     assert_labeled_alike(program)
     # printed and read back, the same program carries source spans
     assert_labeled_alike(parse(pretty_program(program)))
+
+
+# -- pattern positions ----------------------------------------------------------
+
+
+def parsed(parser: type[_Parser], source: str) -> Program | ParseError:
+    try:
+        return parser(source).parse_program()
+    except ParseError as error:
+        return error
+
+
+def assert_parsed_alike(source: str) -> str:
+    """Parse with the term grammar in pattern positions and with the
+    pattern grammar; say how the two outcomes relate."""
+    old = parsed(_PatternGrammarParser, source)
+    recording = _RecordingParser(source)
+    try:
+        new: Program | ParseError = recording.parse_program()
+    except ParseError as error:
+        new = error
+    if type(old) is Program:
+        assert type(new) is Program
+        assert new == old
+        assert_spans_alike(new, old)
+        return "accepted"
+    assert type(new) is ParseError
+    if (new.message, new.span) == (old.message, old.span):
+        return "same error"
+    # they differ only inside a pattern position that the term grammar
+    # reads, which starts no later than where the pattern grammar failed
+    assert recording.open_patterns and recording.open_patterns[0] <= old.span.start
+    token = source[new.span.start:new.span.end]
+    if new.message == f"expected a pattern, found {token!r}":
+        # a term that is not a pattern, rejected at its first token
+        assert new.span.start in recording.open_patterns
+        assert new.span.start <= old.span.start
+        return "not a pattern"
+    # the term grammar read on where the pattern grammar stopped
+    assert new.span.start >= old.span.start
+    return "term error"
+
+
+# every pattern shape in every pattern position, unparenthesised cons
+# chains included, which the generated sources do not write
+PATTERN_SHAPES = """\
+data nat = [zero] [successor nat].
+data t = [c] [d t t].
+f (a, b : c : d) : nat =
+  case a of
+  ; x : y : z -> x
+  ; (_, [d _ (p, q : r)]) -> p
+  ; [] -> 2
+  ; 1 : _ -> let (u, 0 : v) : nat = b in u
+  ; ((w)) -> let _ = w in [c].
+g ((h : t : u)) = (h, t : u).
+k (x : nat) = case x of ; [d (1, _) ((y))] -> y ; _ -> x.
+main f.
+"""
+
+PATTERN_SOURCES = (
+    [PATTERN_SHAPES]
+    + [fixture_source(path.name) for path in ALL_FIXTURES]
+    + [sugar_library(1 + seed % 8, random.Random(seed)) for seed in range(40)]
+    + [nested_scrutinees(depth) for depth in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("index", range(len(PATTERN_SOURCES)))
+def test_pattern_positions_parse_as_the_pattern_grammar_did(index):
+    assert assert_parsed_alike(PATTERN_SOURCES[index]) == "accepted"
+
+
+@st.composite
+def mutants(draw):
+    """A corpus source with one to three tokens deleted, duplicated or
+    swapped with their neighbour."""
+    source = draw(st.sampled_from(PATTERN_SOURCES))
+    texts = [token.text for token in scan(source)[:-1]]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(texts) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if edit == "delete":
+            del texts[at]
+        elif edit == "duplicate":
+            texts.insert(at, texts[at])
+        elif at + 1 < len(texts):
+            texts[at], texts[at + 1] = texts[at + 1], texts[at]
+    return " ".join(texts)
+
+
+@settings(deadline=None, max_examples=500)
+@given(mutants())
+@example("f x = case x of ; g y -> x. main f.")
+@example("f x = case x of ; [c (g y)] -> x. main f.")
+@example("f x = case x of ; (x, ) -> x. main f.")
+@example("f (invert g) = x. main f.")
+def test_mutated_sources_parse_or_fail_as_the_pattern_grammar_did(source):
+    assert_parsed_alike(source)
+
+
+# each shape, and how deep it may nest in a branch under the bound of 400:
+# a bracket or a cons item costs one level, a parenthesis or a pair two
+# (the atom and the term inside it), and the function body, the case
+# branch and the innermost atom take three
+NESTED_PATTERNS = {
+    "bracket": (lambda n: "[c " * n + "x" + "]" * n, 397),
+    "parenthesis": (lambda n: "(" * n + "x" + ")" * n, 198),
+    "pair": (lambda n: "(x, " * n + "x" + ")" * n, 198),
+    "cons": (lambda n: "x : " * n + "x", 397),
+}
+
+
+def deepest_branch_pattern(parser: type[_Parser], shape) -> tuple[int, ParseError]:
+    """The deepest nesting of ``shape`` that a branch pattern may have,
+    and the error one level deeper."""
+    def source(n: int) -> str:
+        return f"f x = case x of ; {shape(n)} -> x. main f."
+
+    low, high = 0, 1000  # accepted at low, refused at high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if type(parsed(parser, source(middle))) is Program:
+            low = middle
+        else:
+            high = middle
+    return low, parsed(parser, source(high))
+
+
+@pytest.mark.parametrize("shape", NESTED_PATTERNS)
+def test_nested_branch_patterns_meet_the_nesting_bound_where_they_did(shape):
+    build, expected = NESTED_PATTERNS[shape]
+    deepest, error = deepest_branch_pattern(_Parser, build)
+    old_deepest, old_error = deepest_branch_pattern(_PatternGrammarParser, build)
+    assert (deepest, error.message, error.span) == (old_deepest, old_error.message, old_error.span)
+    assert (deepest, error.message) == (expected, "nesting too deep")

@@ -1,6 +1,7 @@
 """Module hygiene of the package, read from its sources with ``ast``: no
 module imports a name that it never uses or defines a private name at
-module level that it never reads, and the front end and the evaluator
+module level that it never reads, no private class has a method that no
+expression in the package reads, and the front end and the evaluator
 import neither the analysis nor the CLI, so that running a program
 never loads the analyzer.  Importing the CLI loads neither
 ``dataclasses`` nor ``inspect``, which would add to every start-up."""
@@ -8,6 +9,7 @@ never loads the analyzer.  Importing the CLI loads neither
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +77,52 @@ def unused_private_names(tree: ast.Module) -> list[str]:
     ]
 
 
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names that some expression in the module reads."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def unused_private_methods(tree: ast.Module, read: set[str], inherited=lambda cls, name: False) -> list[str]:
+    """``Class.method`` for each method of a private class at module level
+    whose name is not in ``read``.  Dunder methods are exempt, and so is a
+    method for which ``inherited(class, method)`` holds: an override that
+    code outside the package calls."""
+    unused: list[str] = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or not node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = item.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in read and not inherited(node.name, name):
+                unused.append(f"{node.name}.{name}")
+    return unused
+
+
+def defined_outside_the_package(module: str):
+    """The test whether a class of ``module`` inherits a method name from
+    a base class outside the package, such as ``json.JSONEncoder.encode``,
+    which ``json.dumps`` calls."""
+    def inherited(class_name: str, name: str) -> bool:
+        # imported only when asked, since importing __main__ runs the CLI
+        namespace = importlib.import_module(f"jeopardy_iaa.{module}")
+        bases = getattr(namespace, class_name).__mro__[1:]
+        return any(name in vars(base) for base in bases if not base.__module__.startswith("jeopardy_iaa"))
+
+    return inherited
+
+
+# every name and attribute name that an expression anywhere in the package reads
+PACKAGE_READS = set().union(*(read_names(_tree(m)) | read_attributes(_tree(m)) for m in ALL_MODULES))
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """The package's modules that a module imports, at any depth."""
     found: set[str] = set()
@@ -108,6 +156,17 @@ def test_the_checks_see_what_they_check():
         "def f(): return _helper()\n"
     )
     assert unused_private_names(ast.parse(source)) == ["_stored", "_typed", "_Unused"]
+    source = (
+        "class _P:\n    def parse(self): return self.atom()\n    def atom(self): pass\n"
+        "    def parse_pattern_atom(self): pass\n    def __repr__(self): pass\n    def encode(self): pass\n"
+        "class Public:\n    def unread(self): pass\n"
+        "def f(p): p.parse(); p.stored = 1\n"
+    )
+    tree = ast.parse(source)
+    read = read_names(tree) | read_attributes(tree)
+    assert "stored" not in read
+    assert unused_private_methods(tree, read) == ["_P.parse_pattern_atom", "_P.encode"]
+    assert unused_private_methods(tree, read, lambda cls, name: name == "encode") == ["_P.parse_pattern_atom"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -118,6 +177,12 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unused_private_names(module):
     assert unused_private_names(_tree(module)) == []
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_unused_private_methods(module):
+    tree = _tree(module)
+    assert unused_private_methods(tree, PACKAGE_READS, defined_outside_the_package(module)) == []
 
 
 @pytest.mark.parametrize("module", LOWER)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jeopardy_iaa import parse, pretty_program
+from jeopardy_iaa import parse, parse_value, pretty_program
 from jeopardy_iaa.printer import pretty_funref, pretty_pattern, pretty_value
 from jeopardy_iaa.syntax import Con, FunctionRef, Pattern, Value, Var, is_wildcard_name
 
@@ -150,3 +150,11 @@ def test_pattern_writer_is_the_recursive_printer(pattern, labels):
 @given(values)
 def test_value_writer_is_the_recursive_printer(value):
     assert pretty_value(value) == reference_value(value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values)
+def test_printed_values_read_back(value):
+    # run prints its result with pretty_value and reads its input with
+    # parse_value, so a printed result is a valid input
+    assert parse_value(pretty_value(value)) == value
