@@ -54,7 +54,6 @@ from __future__ import annotations
 from collections import deque
 
 from .labeler import LabeledProgram, body_root_label, labels_of
-from .printer import pretty_funref
 from .syntax import (
     Apply,
     Case,
@@ -68,7 +67,6 @@ from .syntax import (
     Term,
     Var,
     flip,
-    label_sort_key,
     nodes,
     pattern_variables,
     record,
@@ -90,14 +88,6 @@ class CallConfiguration:
     callee: FunctionRef
     argument_labels: LabelSet
     implicit_labels: LabelSet
-
-    def __str__(self) -> str:
-        args = ", ".join(str(l) for l in sorted(self.argument_labels, key=label_sort_key))
-        imps = ", ".join(str(l) for l in sorted(self.implicit_labels, key=label_sort_key))
-        return (
-            f"({self.caller}, {pretty_funref(self.callee)}, "
-            f"{{{args}}}, {{{imps}}})"
-        )
 
 
 ConfigurationSet = frozenset  # of CallConfiguration

@@ -42,6 +42,7 @@ from .syntax import (
     OUTPUT,
     Diagnostic,
     Program,
+    Span,
     constructor_table,
     validate,
     validate_value,
@@ -344,21 +345,26 @@ def _runtime_error(path: str, source: str, labeled: LabeledProgram, error: EvalE
     return f"{path}:{line}:{column}: {message}"
 
 
+def _input_error(text: str, span: Span, problem: object) -> str:
+    """A parse error or a diagnostic in the input value, located in it."""
+    line, column = line_col(text, span.start)
+    return f"invalid input value at {line}:{column}: {problem}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     source, program = _parse_and_validate(args.file)
     labeled = annotate(desugar_program(program))
     try:
         value = parse_value(args.input)
     except ParseError as error:
-        line, column = line_col(args.input, error.span.start)
         raise _CommandError(
-            EXIT_DIAGNOSTICS, f"invalid input value at {line}:{column}: {error.message}"
+            EXIT_DIAGNOSTICS, _input_error(args.input, error.span, error.message)
         ) from None
     table, _ = constructor_table(labeled.program)
     diagnostics = validate_value(value, table)
     if diagnostics:
         raise _CommandError(
-            EXIT_DIAGNOSTICS, "\n".join(f"input value: {d}" for d in diagnostics)
+            EXIT_DIAGNOSTICS, "\n".join(_input_error(args.input, d.span, d) for d in diagnostics)
         )
     try:
         result, trace = run_main(labeled, value, max_calls=args.max_calls)

@@ -27,6 +27,8 @@ them as the constructor terms and cases they stand for.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .syntax import (
     Apply,
     Case,
@@ -141,45 +143,48 @@ class _Desugarer:
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
             return Case(scrutinee, term.scrutinee_type, branches, term.label, term.span)
         if isinstance(term, GeneralApply):
-            return self._desugar_application(term)
+            # the rebuilt application keeps the source application's span,
+            # so a runtime error there is located
+            callee, span = term.callee, term.span
+            return self._hoisted(
+                (term.argument,),
+                (self.fun_types.get(callee.name),),
+                lambda argument: Apply(callee, argument, span=span),
+            )
         if isinstance(term, ConApp):
             return self.desugar_constructor(term.name, term.args)
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
 
-    def _desugar_application(self, term: GeneralApply) -> Term:
-        """The application rebuilt on a pattern argument keeps the
-        source application's span, so a runtime error there is located."""
-        assert self.fresh is not None
-        callee = term.callee
-        desugared = self.desugar_term(term.argument)
-        if isinstance(desugared, (Var, Con)):
-            return Apply(callee, desugared, span=term.span)
-        fresh = self.fresh.next()
-        return Case(
-            desugared,
-            self.fun_types.get(callee.name),
-            ((fresh, Apply(callee, fresh, span=term.span)),),
+    def desugar_constructor(self, name: str, args: tuple[Term, ...]) -> Term:
+        return self._hoisted(
+            args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
         )
 
-    def desugar_constructor(self, name: str, args: tuple[Term, ...]) -> Term:
-        """Hoist non-pattern constructor arguments into nested cases.
-
-        Arguments already in pattern form stay in place; the leftmost
-        hoisted argument's case ends up outermost.
-        """
+    def _hoisted(
+        self,
+        args: tuple[Term, ...],
+        ascriptions: tuple[str | None, ...],
+        rebuild: Callable[..., Term],
+    ) -> Term:
+        """``rebuild`` applied to the arguments as patterns: each argument is
+        desugared, then each one that is not a pattern is bound to a fresh
+        variable by a case ascribed with its entry in ``ascriptions``, the
+        leftmost argument's case outermost.  A loop, not a comprehension,
+        desugars the arguments: one Python frame fewer per nesting level."""
         assert self.fresh is not None
-        desugared = [self.desugar_term(arg) for arg in args]
-        component_types = self.constructors[name].components
+        desugared: list[Term] = []
+        for arg in args:
+            desugared.append(self.desugar_term(arg))
         hoisted: list[tuple[Var, Term, str | None]] = []
-        final_args: list[Pattern] = []
-        for index, arg in enumerate(desugared):
-            if isinstance(arg, (Var, Con)):
-                final_args.append(arg)
+        patterns: list[Pattern] = []
+        for arg, ascription in zip(desugared, ascriptions):
+            if type(arg) is Var or type(arg) is Con:
+                patterns.append(arg)
             else:
                 fresh = self.fresh.next()
-                hoisted.append((fresh, arg, component_types[index]))
-                final_args.append(fresh)
-        result: Term = Con(name, tuple(final_args))
+                hoisted.append((fresh, arg, ascription))
+                patterns.append(fresh)
+        result = rebuild(*patterns)
         for fresh, arg, ascription in reversed(hoisted):
             result = Case(arg, ascription, ((fresh, result),))
         return result

@@ -25,7 +25,6 @@ from .syntax import (
     Label,
     Pattern,
     TOP,
-    Value,
     Var,
     nodes,
     record,
@@ -44,7 +43,7 @@ class CallEvent:
 
     caller: str
     callee: str
-    argument: Value
+    argument: Con
     application_label: Label
 
 
@@ -58,10 +57,10 @@ class EvalError(Exception):
         self.message = message
 
 
-Environment = dict[str, Value]
+Environment = dict[str, Con]
 
 
-def match_pattern(pattern: Pattern, value: Value) -> Environment | None:
+def match_pattern(pattern: Pattern, value: Con) -> Environment | None:
     """Bind a left-linear pattern against a value, or report no match."""
     bindings: Environment = {}
     pairs = [(pattern, value)]
@@ -76,13 +75,14 @@ def match_pattern(pattern: Pattern, value: Value) -> Environment | None:
     return bindings
 
 
-def instantiate(pattern: Pattern, env: Environment) -> Value:
-    """Build the value a pattern denotes under an environment."""
+def instantiate(pattern: Pattern, env: Environment) -> Con:
+    """Build the value a pattern denotes under an environment: a ``Con``
+    tree with no variables or labels."""
     if type(pattern) is Var:
         return _lookup(pattern, env)
     # reversed pre-order meets every node after its subtrees, whose values
     # sit on top of ``built`` with the first argument's uppermost
-    built: list[Value] = []
+    built: list[Con] = []
     for node in reversed(list(nodes(pattern))):
         if type(node) is Var:
             built.append(_lookup(node, env))
@@ -90,13 +90,13 @@ def instantiate(pattern: Pattern, env: Environment) -> Value:
             arity = len(node.args)
             arguments = tuple(built[: -arity - 1 : -1])
             del built[-arity:]
-            built.append(Value(node.name, arguments))
+            built.append(Con(node.name, arguments))
         else:
-            built.append(Value(node.name))
+            built.append(Con(node.name))
     return built[0]
 
 
-def _lookup(variable: Var, env: Environment) -> Value:
+def _lookup(variable: Var, env: Environment) -> Con:
     try:
         return env[variable.name]
     except KeyError:
@@ -109,9 +109,9 @@ def _lookup(variable: Var, env: Environment) -> Value:
 
 def run_main(
     program: LabeledProgram,
-    argument: Value,
+    argument: Con,
     max_calls: int = DEFAULT_MAX_CALLS,
-) -> tuple[Value, list[CallEvent]]:
+) -> tuple[Con, list[CallEvent]]:
     """Call the declared main function on a value in the empty context.
 
     Returns the result and the complete ordered call trace.  Running an

@@ -25,6 +25,10 @@ reads a branch, a parameter, a parameter's pair component or a ``let``
 binder, and fails with ``expected a pattern`` at its first token when
 that token starts no pattern (``case``) or the term is not a ``Var`` or
 ``Con`` (``g y``).  A term error inside the term is reported as such.
+
+A value literal is a pattern without variables: ``parse_value`` reads
+it as a ``Con`` tree, with brackets and numerals as in a term, and a
+parenthesis only as a pair or a list cell.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .syntax import (
     Program,
     Span,
     Term,
-    Value,
     Var,
 )
 
@@ -288,9 +291,10 @@ class _Parser:
         return pattern
 
     def _nat_pattern(self, n: int, span: Span) -> Pattern:
-        result: Pattern = Con("zero", (), span=span)
+        # positional: a call with a keyword costs a fifth more
+        result: Pattern = Con("zero", (), None, span)
         for _ in range(n):
-            result = Con("successor", (result,), span=span)
+            result = Con("successor", (result,), None, span)
         return result
 
     # -- terms --------------------------------------------------------------
@@ -391,7 +395,7 @@ class _Parser:
             if token.kind == "number":
                 return self._nat_pattern(self._numeral(), token.span)
             if token.kind == "[":
-                return self.parse_bracket_term()
+                return self.parse_bracket_term(self.parse_atom_term)
             if token.kind == "(":
                 if self.peek(1).kind == "invert":
                     return self.parse_app_or_atom()
@@ -409,7 +413,9 @@ class _Parser:
         finally:
             self._leave()
 
-    def parse_bracket_term(self) -> Term:
+    def parse_bracket_term(self, read: Callable[[], Term]) -> Term:
+        """``[]`` or ``[c e1 ... en]``, each element read by ``read``:
+        ``parse_atom_term`` in a term, ``parse_value`` in a value."""
         start = self.expect("[")
         if self.peek().kind == "]":
             end = self.advance()
@@ -417,54 +423,41 @@ class _Parser:
         name = self.expect("name", "a constructor name")
         args: list[Term] = []
         while self.peek().kind != "]":
-            args.append(self.parse_atom_term())
+            args.append(read())
         end = self.advance()
         return _constructor_term(name.text, tuple(args), Span(start.start, end.end))
 
     # -- values -------------------------------------------------------------
 
-    def parse_value(self) -> Value:
+    def parse_value(self) -> Con:
+        """A value: a ``Con`` tree with no variables, one nesting level
+        per node; a parenthesis is a pair or a list cell, never a group."""
         self._enter()
         try:
             token = self.peek()
             if token.kind == "number":
-                return self._nat_value(self._numeral())
+                return self._nat_pattern(self._numeral(), token.span)
             if token.kind == "[":
-                self.advance()
-                if self.peek().kind == "]":
-                    self.advance()
-                    return Value("nil")
-                name = self.expect("name", "a constructor name")
-                args: list[Value] = []
-                while self.peek().kind != "]":
-                    args.append(self.parse_value())
-                self.advance()
-                return Value(name.text, tuple(args))
+                return self.parse_bracket_term(self.parse_value)
             if token.kind == "(":
-                self.advance()
+                start = self.advance()
                 first = self.parse_value()
                 name = "cons" if self.peek().kind == ":" else "pair"
                 self.expect(":" if name == "cons" else ",", "',' in pair value")
                 second = self.parse_value()
-                self.expect(")")
-                return Value(name, (first, second))
+                end = self.expect(")")
+                return Con(name, (first, second), None, Span(start.start, end.end))
             self.fail(f"expected a value, found {token.text or 'end of input'!r}", token)
             raise AssertionError  # unreachable
         finally:
             self._leave()
-
-    def _nat_value(self, n: int) -> Value:
-        result = Value("zero")
-        for _ in range(n):
-            result = Value("successor", (result,))
-        return result
 
 
 def _constructor_term(name: str, args: tuple[Term, ...], span: Span) -> Term:
     """A constructor applied to terms: a pattern when every argument is
     one, otherwise a ``ConApp`` for the desugarer to take apart."""
     if all(type(arg) is Var or type(arg) is Con for arg in args):
-        return Con(name, args, span=span)
+        return Con(name, args, None, span)
     return ConApp(name, args, span=span)
 
 
@@ -473,9 +466,9 @@ def parse(source: str) -> Program:
     return _Parser(source).parse_program()
 
 
-def parse_value(source: str) -> Value:
+def parse_value(source: str) -> Con:
     """Parse a value literal: constructor syntax, a pair, a list cell
-    ``(h : t)``, or a numeral."""
+    ``(h : t)``, or a numeral.  Every node carries its span."""
     parser = _Parser(source)
     value = parser.parse_value()
     trailing = parser.peek()

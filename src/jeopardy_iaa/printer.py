@@ -6,9 +6,8 @@ in patterns and terms alike, print as ``(a, b)``, cons cells as
 variables as ``_``.  The parser reads ``let`` as a case, so a ``let``
 prints as that case.  Cons cells and nested case statements are always
 parenthesised, which keeps the printed form unambiguous without
-tracking operator context.  Patterns and values
-share one writer, ``pretty_pattern``; ``pretty_value`` is its name for
-values.
+tracking operator context.  A value is a pattern without variables or
+labels, so ``pretty_value`` is another name for ``pretty_pattern``.
 
 With ``labels=True`` every labeled node is suffixed with a ``{-n-}``
 marker.  That form is for human inspection of analysis reports and is
@@ -29,7 +28,6 @@ from .syntax import (
     Pattern,
     Program,
     Term,
-    Value,
     Var,
     is_wildcard_name,
 )
@@ -43,12 +41,11 @@ def pretty_funref(ref: FunctionRef) -> str:
     return "(invert " * ref.inversions + ref.name + ")" * ref.inversions
 
 
-def pretty_pattern(pattern: Pattern | Value, labels: bool = False) -> str:
-    """Print a pattern, or a value: a constructor tree without labels or
-    variables.  The writer keeps its own stack of nodes and closing text,
-    so a tree of any depth is safe."""
+def pretty_pattern(pattern: Pattern, labels: bool = False) -> str:
+    """Print a pattern.  The writer keeps its own stack of nodes and
+    closing text, so a tree of any depth is safe."""
     out: list[str] = []
-    stack: list[Pattern | Value | str] = [pattern]
+    stack: list[Pattern | str] = [pattern]
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -59,7 +56,8 @@ def pretty_pattern(pattern: Pattern | Value, labels: bool = False) -> str:
             name = "_" if is_wildcard_name(node.name) and not labels else node.name
             out.append(f"{name}{_lab(node.label, labels)}")
             continue
-        suffix = _lab(node.label, labels) if labels else ""  # a value has no label
+        # no call when unlabeled: a traced run prints every argument
+        suffix = _lab(node.label, labels) if labels else ""
         name, args = node.name, node.args
         if len(args) == 2 and (name == "pair" or name == "cons"):
             out.append("(")

@@ -26,7 +26,7 @@ from jeopardy_iaa.desugar import desugar_program
 from jeopardy_iaa.evaluator import run_main
 from jeopardy_iaa.parser import ParseError
 from jeopardy_iaa.printer import pretty_program
-from jeopardy_iaa.syntax import FunctionRef, INPUT, TOP, Value, flip
+from jeopardy_iaa.syntax import Con, FunctionRef, INPUT, TOP, flip
 
 from conftest import (
     ALL_FIXTURES,
@@ -47,10 +47,10 @@ def criterion(number: int, title: str):
     print(f"ACCEPTANCE {number} ({title}): PASS")
 
 
-def nat(n: int) -> Value:
-    value = Value("zero")
+def nat(n: int) -> Con:
+    value = Con("zero")
     for _ in range(n):
-        value = Value("successor", (value,))
+        value = Con("successor", (value,))
     return value
 
 
@@ -197,7 +197,7 @@ def test_criterion_7_dynamic_soundness(fib_labeled):
                 adjacent = (adjacent[0] + adjacent[1], adjacent[0])
             return adjacent[1]
 
-        def as_int(value: Value) -> int:
+        def as_int(value: Con) -> int:
             count = 0
             while value.name == "successor":
                 count += 1

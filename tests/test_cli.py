@@ -282,6 +282,37 @@ def test_run_undeclared_constructor(capsys):
     assert "unheard_of" in err
 
 
+# each diagnostic of an input value on its own line, located in the value
+@pytest.mark.parametrize(
+    ("source", "value", "located"),
+    [
+        (None, "[succ [zero]]", ["1:1: undefined-constructor: constructor 'succ' is not declared"]),
+        (
+            None,
+            "([zero], [successor])",
+            ["1:10: arity-mismatch: constructor 'successor' takes 1 argument(s), got 0"],
+        ),
+        (
+            "data t = [c]. f x = x. main f.",
+            "([c], 1)",
+            [
+                "1:7: undefined-constructor: constructor 'successor' is not declared",
+                "1:7: undefined-constructor: constructor 'zero' is not declared",
+            ],
+        ),
+    ],
+    ids=["undefined", "nested-arity", "numeral-without-zero"],
+)
+def test_run_locates_each_diagnostic_of_the_input_value(capsys, tmp_path, source, value, located):
+    path = FIB
+    if source is not None:
+        path = tmp_path / "no_zero.jpd"
+        path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), value)
+    assert (code, out) == (1, "")
+    assert err == "".join(f"invalid input value at {line}\n" for line in located)
+
+
 def test_run_runtime_error_exit_code(capsys, tmp_path):
     looping = tmp_path / "loop.jpd"
     looping.write_text("data d = [c]. spin x = spin x. main spin.", encoding="utf-8")

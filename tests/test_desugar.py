@@ -220,7 +220,7 @@ main fibonacci.
 
 def test_semantics_preserved_against_hand_desugaring():
     from jeopardy_iaa import annotate, run_main
-    from jeopardy_iaa.syntax import Value
+    from jeopardy_iaa.syntax import Con
 
     reference = parse(HAND_DESUGARED_FIB)
     assert validate(reference) == []
@@ -229,9 +229,9 @@ def test_semantics_preserved_against_hand_desugaring():
     pipeline_labeled = annotate(load_core("fib.jpd"))
 
     def nat(n):
-        value = Value("zero")
+        value = Con("zero")
         for _ in range(n):
-            value = Value("successor", (value,))
+            value = Con("successor", (value,))
         return value
 
     for n in range(6):

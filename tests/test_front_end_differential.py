@@ -15,7 +15,11 @@ left it without one.  The parsers agree on every source the pattern
 grammar accepts, trees and spans alike; where it fails, the term grammar
 fails with the same error, or inside a pattern position in one of two
 ways: ``expected a pattern`` at the first token of a term that is not a
-pattern, or a term error no earlier than the pattern grammar's.
+pattern, or a term error no earlier than the pattern grammar's.  The
+value reader, which builds located ``Con`` trees and reads brackets with
+the term parser's bracket reader, against the reader that built
+unlocated value records: they agree on every literal, with no
+difference at all.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from jeopardy_iaa import desugar_program, labeler, parse
 from jeopardy_iaa.desugar import _Desugarer, _Fresh
-from jeopardy_iaa.parser import ParseError, _Parser, tokenize as scan
-from jeopardy_iaa.printer import pretty_program
+from jeopardy_iaa.parser import ParseError, _Parser, parse_value, tokenize as scan
+from jeopardy_iaa.printer import pretty_program, pretty_value
 from jeopardy_iaa.syntax import (
     KEYWORDS,
     Apply,
@@ -564,11 +568,9 @@ def test_pattern_positions_parse_as_the_pattern_grammar_did(index):
     assert assert_parsed_alike(PATTERN_SOURCES[index]) == "accepted"
 
 
-@st.composite
-def mutants(draw):
-    """A corpus source with one to three tokens deleted, duplicated or
-    swapped with their neighbour."""
-    source = draw(st.sampled_from(PATTERN_SOURCES))
+def mutate(draw, source: str) -> str:
+    """``source`` with one to three tokens deleted, duplicated or swapped
+    with their neighbour."""
     texts = [token.text for token in scan(source)[:-1]]
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(texts) - 1))
@@ -580,6 +582,12 @@ def mutants(draw):
         elif at + 1 < len(texts):
             texts[at], texts[at + 1] = texts[at + 1], texts[at]
     return " ".join(texts)
+
+
+@st.composite
+def mutants(draw):
+    """A corpus source, mutated."""
+    return mutate(draw, draw(st.sampled_from(PATTERN_SOURCES)))
 
 
 @settings(deadline=None, max_examples=500)
@@ -627,3 +635,159 @@ def test_nested_branch_patterns_meet_the_nesting_bound_where_they_did(shape):
     old_deepest, old_error = deepest_branch_pattern(_PatternGrammarParser, build)
     assert (deepest, error.message, error.span) == (old_deepest, old_error.message, old_error.span)
     assert (deepest, error.message) == (expected, "nesting too deep")
+
+
+# -- reference value reader ------------------------------------------------------
+#
+# The value reader before a value was a ``Con``: its two methods
+# verbatim, but for the record they build, the ``Value`` record then,
+# which had a ``Con``'s name and arguments and nothing else.
+
+
+class _ValueRecordParser(_Parser):
+    def parse_value(self) -> Con:
+        self._enter()
+        try:
+            token = self.peek()
+            if token.kind == "number":
+                return self._nat_value(self._numeral())
+            if token.kind == "[":
+                self.advance()
+                if self.peek().kind == "]":
+                    self.advance()
+                    return Con("nil")
+                name = self.expect("name", "a constructor name")
+                args: list[Con] = []
+                while self.peek().kind != "]":
+                    args.append(self.parse_value())
+                self.advance()
+                return Con(name.text, tuple(args))
+            if token.kind == "(":
+                self.advance()
+                first = self.parse_value()
+                name = "cons" if self.peek().kind == ":" else "pair"
+                self.expect(":" if name == "cons" else ",", "',' in pair value")
+                second = self.parse_value()
+                self.expect(")")
+                return Con(name, (first, second))
+            self.fail(f"expected a value, found {token.text or 'end of input'!r}", token)
+            raise AssertionError  # unreachable
+        finally:
+            self._leave()
+
+    def _nat_value(self, n: int) -> Con:
+        result = Con("zero")
+        for _ in range(n):
+            result = Con("successor", (result,))
+        return result
+
+
+# -- values -----------------------------------------------------------------------
+
+
+def old_parse_value(source: str) -> Con:
+    """``parse_value`` with the reference reader."""
+    parser = _ValueRecordParser(source)
+    value = parser.parse_value()
+    trailing = parser.peek()
+    if trailing.kind != "eof":
+        parser.fail(f"unexpected input after value: {trailing.text!r}", trailing)
+    return value
+
+
+def outcome(read, text: str) -> Con | tuple[str, Span]:
+    """The value that ``read`` finds in ``text``, or the error's message
+    and span."""
+    try:
+        return read(text)
+    except ParseError as error:
+        return error.message, error.span
+
+
+def assert_values_alike(text: str) -> str:
+    """Read ``text`` with both value readers and require the same printed
+    tree, or the same message and span; say which."""
+    new, old = outcome(parse_value, text), outcome(old_parse_value, text)
+    if type(old) is tuple:
+        assert new == old
+        return "same error"
+    assert type(new) is Con
+    # compared as text: record equality recurses
+    assert pretty_value(new) == pretty_value(old)
+    assert_located(new, text)
+    return "accepted"
+
+
+def assert_located(value: Con, text: str) -> None:
+    """The root spans the literal; a numeral's nodes all have the
+    numeral's span, and every other node's runs from its opening bracket
+    or parenthesis to the closing one, around its arguments' in order."""
+    assert text[value.span.start:value.span.end] == text.strip()
+    for node in nodes(value):
+        start, end = node.span.start, node.span.end
+        if text[start].isdigit():
+            assert all(arg.span == node.span for arg in node.args)
+            continue
+        assert (text[start], text[end - 1]) in (("[", "]"), ("(", ")"))
+        at = start + 1
+        for arg in node.args:
+            assert at <= arg.span.start and arg.span.end <= end - 1
+            at = arg.span.end
+
+
+_constructors = st.sampled_from(["pair", "cons", "nil", "zero", "successor"])
+
+values = st.recursive(
+    st.builds(Con, _constructors),
+    lambda inner: st.builds(Con, _constructors, st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values)
+def test_printed_values_read_as_the_value_records_did(value):
+    assert assert_values_alike(pretty_value(value)) == "accepted"
+
+
+@pytest.mark.parametrize("zeros", ["", "0", "000"])
+def test_numerals_read_as_the_value_records_did(zeros):
+    outcomes = [assert_values_alike(zeros + str(n)) for n in range(402)]
+    # the largest numeral is 400
+    assert outcomes == ["accepted"] * 401 + ["same error"]
+
+
+# each nesting, n levels deep; a node of any kind costs one level of the
+# bound of 400, so 399 levels above a leaf are the deepest
+NESTED_VALUES = {
+    "bracket": lambda n: "[successor " * n + "[zero]" + "]" * n,
+    "pair": lambda n: "([zero], " * n + "[zero]" + ")" * n,
+    "left-pair": lambda n: "(" * n + "[zero]" + ", [zero])" * n,
+    "list": lambda n: "([zero] : " * n + "[]" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_VALUES)
+def test_nested_values_read_as_the_value_records_did(shape):
+    outcomes = [assert_values_alike(NESTED_VALUES[shape](n)) for n in range(1, 402)]
+    assert outcomes == ["accepted"] * 399 + ["same error"] * 2
+    assert outcome(parse_value, NESTED_VALUES[shape](400))[0] == "nesting too deep"
+
+
+@st.composite
+def value_mutants(draw):
+    """A nested value literal, mutated."""
+    build = NESTED_VALUES[draw(st.sampled_from(sorted(NESTED_VALUES)))]
+    return mutate(draw, build(draw(st.integers(1, 401))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(value_mutants())
+@example("(1)")
+@example("([zero] [zero])")
+@example("[]]")
+@example("")
+@example("[1 2]")
+@example("(x, 1)")
+def test_mutated_values_read_as_the_value_records_did(text):
+    assert_values_alike(text)

@@ -3,7 +3,8 @@ module imports a name that it never uses or defines a private name at
 module level that it never reads, no private class has a method that no
 expression in the package reads, and the front end and the evaluator
 import neither the analysis nor the CLI, so that running a program
-never loads the analyzer.  Importing the CLI loads neither
+never loads the analyzer, and the analysis imports neither the parser
+nor the printer.  Importing the CLI loads neither
 ``dataclasses`` nor ``inspect``, which would add to every start-up."""
 
 from __future__ import annotations
@@ -188,6 +189,11 @@ def test_no_unused_private_methods(module):
 @pytest.mark.parametrize("module", LOWER)
 def test_lower_layers_do_not_import_the_analysis_or_the_cli(module):
     assert imported_modules(_tree(module)) & UPPER == set()
+
+
+def test_the_analysis_imports_neither_the_parser_nor_the_printer():
+    # it works on labeled trees and reports labels, never source text
+    assert imported_modules(_tree("analysis")) & {"parser", "printer"} == set()
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -25,7 +25,6 @@ from jeopardy_iaa.syntax import (
     FunctionRef,
     GeneralApply,
     Program,
-    Value,
     Var,
     constructor_table,
     nodes,
@@ -36,7 +35,7 @@ from jeopardy_iaa.syntax import (
 
 from conftest import ALL_FIXTURES, fixture_source, random_labeled_program
 
-NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply, Value)
+NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply)
 
 
 def reference_preorder(node):
@@ -67,13 +66,6 @@ patterns = st.recursive(
     max_leaves=8,
 )
 
-values = st.recursive(
-    st.builds(Value, _names),
-    lambda inner: st.builds(Value, _names, st.lists(inner, max_size=3).map(tuple)),
-    max_leaves=8,
-)
-
-
 def _branches(terms):
     return st.lists(st.tuples(patterns, terms), min_size=1, max_size=3).map(tuple)
 
@@ -100,7 +92,7 @@ terms = st.recursive(
 
 
 @settings(deadline=None)
-@given(st.one_of(patterns, values, core_terms, terms))
+@given(st.one_of(patterns, core_terms, terms))
 def test_nodes_is_the_recursive_preorder(tree):
     assert [id(n) for n in nodes(tree)] == [id(n) for n in reference_preorder(tree)]
 
@@ -134,9 +126,9 @@ def test_walks_do_not_use_the_python_stack():
     pattern = Var("x", label=DEPTH)
     for label in range(DEPTH - 1, -1, -1):
         pattern = Con("successor", (pattern,), label=label)
-    value = Value("zero")
+    value = Con("zero")
     for _ in range(DEPTH):
-        value = Value("successor", (value,))
+        value = Con("successor", (value,))
     data = DataDef("nat", (("zero", ()), ("successor", ("nat",))))
     body = pattern
     for _ in range(DEPTH):
@@ -158,6 +150,6 @@ def test_walks_do_not_use_the_python_stack():
     assert pretty_pattern(pattern) == "[successor " * DEPTH + "x" + "]" * DEPTH
     closing = "".join(f"]{{-{label}-}}" for label in range(DEPTH - 1, -1, -1))
     assert pretty_pattern(pattern, labels=True) == "[successor " * DEPTH + f"x{{-{DEPTH}-}}" + closing
-    assert match_pattern(pattern, Value("successor", (value,))) == {"x": Value("successor", (Value("zero"),))}
+    assert match_pattern(pattern, Con("successor", (value,))) == {"x": Con("successor", (Con("zero"),))}
     # compared as text: record equality recurses
-    assert pretty_value(instantiate(pattern, {"x": Value("zero")})) == numeral
+    assert pretty_value(instantiate(pattern, {"x": Con("zero")})) == numeral

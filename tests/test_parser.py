@@ -12,7 +12,6 @@ from jeopardy_iaa.syntax import (
     DataDef,
     FunctionRef,
     GeneralApply,
-    Value,
     Var,
     fun_defs,
 )
@@ -156,9 +155,9 @@ def test_comments_are_skipped():
 
 
 def test_value_literals():
-    assert parse_value("[zero]") == Value("zero")
-    assert parse_value("2") == Value("successor", (Value("successor", (Value("zero"),)),))
-    assert parse_value("([zero], [nil])") == Value("pair", (Value("zero"), Value("nil")))
+    assert parse_value("[zero]") == Con("zero")
+    assert parse_value("2") == Con("successor", (Con("successor", (Con("zero"),)),))
+    assert parse_value("([zero], [nil])") == Con("pair", (Con("zero"), Con("nil")))
     with pytest.raises(ParseError):
         parse_value("[zero] trailing")
 

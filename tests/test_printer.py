@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import parse, parse_value, pretty_program
 from jeopardy_iaa.printer import pretty_funref, pretty_pattern, pretty_value
-from jeopardy_iaa.syntax import Con, FunctionRef, Pattern, Value, Var, is_wildcard_name
+from jeopardy_iaa.syntax import Con, FunctionRef, Pattern, Var, is_wildcard_name
 
 from conftest import ALL_FIXTURES, load_core
 
@@ -43,9 +43,9 @@ def test_cons_parameter_round_trips():
 
 
 def test_value_printing():
-    pair = Value("pair", (Value("zero"), Value("nil")))
+    pair = Con("pair", (Con("zero"), Con("nil")))
     assert pretty_value(pair) == "([zero], [])"
-    assert pretty_value(Value("cons", (Value("zero"), Value("nil")))) == "([zero] : [])"
+    assert pretty_value(Con("cons", (Con("zero"), Con("nil")))) == "([zero] : [])"
 
 
 def test_label_annotations_appear():
@@ -110,7 +110,7 @@ def reference_pattern(pattern: Pattern, labels: bool = False) -> str:
     return f"[{pattern.name} {args}]{suffix}"
 
 
-def reference_value(value: Value) -> str:
+def reference_value(value: Con) -> str:
     if value.name == "pair" and len(value.args) == 2:
         return f"({reference_value(value.args[0])}, {reference_value(value.args[1])})"
     if value.name == "cons" and len(value.args) == 2:
@@ -134,8 +134,8 @@ patterns = st.recursive(
 )
 
 values = st.recursive(
-    st.builds(Value, _constructors),
-    lambda inner: st.builds(Value, _constructors, st.lists(inner, max_size=3).map(tuple)),
+    st.builds(Con, _constructors),
+    lambda inner: st.builds(Con, _constructors, st.lists(inner, max_size=3).map(tuple)),
     max_leaves=12,
 )
 

@@ -3,10 +3,12 @@ programs that break exactly one rule each."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from jeopardy_iaa import parse, validate
+from jeopardy_iaa import parse, syntax, validate
 from jeopardy_iaa.analysis import CallConfiguration, Hint
 from jeopardy_iaa.evaluator import CallEvent
 from jeopardy_iaa.labeler import LabeledProgram
@@ -23,7 +25,6 @@ from jeopardy_iaa.syntax import (
     GeneralApply,
     Program,
     Span,
-    Value,
     Var,
     flip,
 )
@@ -123,7 +124,6 @@ def test_pattern_diagnostics_put_constructors_before_variables():
 LOCATED = (Var, Con, Apply, Case, ConApp, GeneralApply, FunctionRef, DataDef, FunDef)
 RECORDS = LOCATED + (
     Span,
-    Value,
     Program,
     Diagnostic,
     ConstructorInfo,
@@ -135,6 +135,18 @@ RECORDS = LOCATED + (
 
 _field_values = st.none() | st.integers(0, 3) | st.sampled_from(["a", "b"]) | st.just(())
 _spans = st.none() | st.builds(Span, st.integers(0, 9), st.integers(0, 9))
+
+
+def test_the_properties_cover_every_record_class():
+    names = ("syntax", "parser", "printer", "desugar", "labeler", "evaluator", "analysis", "cli")
+    found = {
+        value
+        for module in map(importlib.import_module, (f"jeopardy_iaa.{name}" for name in names))
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__setattr__ is syntax._immutable
+    }
+    assert found == set(RECORDS)
+    assert len(RECORDS) == 17
 
 
 def _compared(cls: type) -> tuple[str, ...]:
