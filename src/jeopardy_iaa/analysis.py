@@ -33,15 +33,31 @@ configurations ``(callee', arguments, entering | T)`` for a fixed set of
 triples per callee and direction: its *summary*, in the manner of IFDS
 summary edges (Reps, Horwitz & Sagiv, POPL'95).  ``configurations``
 builds each summary once, the first time a callee is reached in a
-direction, by walking the body with empty availability.  The backward
-summary comes from one bottom-up walk that keeps a set of availability
-sets per call, since only the union over paths is ever used.  It walks
-each node once and builds an availability set only where a call
-records it or a later node reads it; the body's own result is never
-read.  The reachability fixed point is then a FIFO worklist of set
-unions over exact-equality deduplicated configurations; no tree is
-walked per popped configuration, and a configuration whose callee
-calls nothing in its direction is recorded but never queued.
+direction, by walking the body with empty availability: ``_walk_down``
+forward, and backward one bottom-up walk, ``_walk_up``, that keeps a set
+of availability sets per call, since only the union over paths is ever
+used.  It walks each node once and builds an availability set only
+where a call records it or a later node reads it; the body's own result
+is never read.  The reachability fixed point is then a FIFO worklist;
+no tree is walked per popped configuration, and a configuration whose
+callee calls nothing in its direction is recorded but never queued.
+
+Each step is a gen/kill transfer, ``(entering & ~own) | gained``, so
+the summaries, the fixed point and the hints run on label sets as bit
+masks (Kildall, POPL'73): label *i* is bit *i* of a Python int, and
+``input`` and ``output`` are the two bits after the last label.  The
+labeler numbers nodes in pre-order, so a node's labels are one interval
+of bits, which ``labeler.label_mask`` computes from the node's rightmost
+spine without a walk, and a function's own labels are one interval from
+its parameter to the end of its body.  The fixed point deduplicates ints
+in one set per (caller, callee, argument mask), which is also the
+report's grouping, and returns those groups as ``Configurations``: a
+read-only set of ``CallConfiguration`` that builds a record and its
+frozensets only when iterated.  On the path behind ``analyze`` no
+record and no frozenset of labels is built; hashing and uniting
+frozensets was most of the fixed point's time on branch-heavy code.
+``term_down``, ``term_up`` and ``call`` stay on frozensets, as the
+reference rules that the tests and the benchmark's tracer use.
 
 Configurations carry a complete-lattice order (same caller, callee, and
 argument labels; inclusion on implicit labels), exposed for clients and
@@ -52,8 +68,12 @@ rather than joining them, preserving path-sensitive availability.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
+from functools import reduce
+from itertools import compress
+from operator import or_
 
-from .labeler import LabeledProgram, body_root_label, labels_of
+from .labeler import LabeledProgram, body_root_label, label_mask, labels_of
 from .syntax import (
     Apply,
     Case,
@@ -202,103 +222,210 @@ def seed_configurations(program: LabeledProgram) -> tuple[CallConfiguration, Cal
     return forward, backward
 
 
-def configurations(program: LabeledProgram) -> ConfigurationSet:
+# bin(mask)[:1:-1] holds a mask's bits from bit 0 up as b"0"/b"1"; these
+# make them the 0/1 selectors of itertools.compress, and a sort key
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+_ORDER = bytes.maketrans(b"01", b"10")
+
+# (caller, callee, argument mask) -> the implicit masks reached with it
+_Groups = dict[tuple[str, FunctionRef, int], set[int]]
+
+
+class Configurations(Set):
+    """What ``configurations`` returns: a read-only set of
+    ``CallConfiguration``, kept as label masks.
+
+    ``groups`` maps each (caller, callee, argument mask) to the set of
+    implicit masks reached with it.  Bit *i* of a mask is
+    ``universe[i]``: the integer labels, then ``input`` and ``output``,
+    which is the report's label order.  A ``CallConfiguration`` and its
+    label frozensets are built only when the set is iterated.
+    """
+
+    __slots__ = ("groups", "universe", "_size")
+
+    def __init__(self, groups: _Groups, universe: list) -> None:
+        self.groups = groups
+        self.universe = universe
+        self._size = sum(map(len, groups.values()))
+
+    def unmask(self, mask: int) -> list:
+        """A mask's labels, in bit order."""
+        lowest = mask & -mask
+        if not mask & (mask + lowest):
+            # one run of bits or none, such as the mask of a node's labels
+            return self.universe[lowest.bit_length() - 1 : mask.bit_length()]
+        return list(compress(self.universe, bin(mask)[:1:-1].encode().translate(_SELECTORS)))
+
+    @staticmethod
+    def order(mask: int) -> bytes:
+        """A sort key under which masks sort as their label lists do, in
+        the report's order: as the ascending lists of their bits.
+
+        The key spells the mask's bits from bit 0 up to its highest set
+        bit, a set bit as b"0" and a clear one as b"1".  Two bit lists
+        differ first at a bit that one mask has: that mask sorts first if
+        the other has a higher bit, and last if not, when the other's
+        list is a prefix of its own.  At that position its key has b"0",
+        where the other's key has b"1" or has already ended.
+        """
+        return bin(mask)[:1:-1].encode().translate(_ORDER) if mask else b""
+
+    def _mask(self, labels: LabelSet) -> int | None:
+        """A label set's mask, or None if one of its labels has no bit."""
+        count = len(self.universe) - 2
+        mask = 0
+        for label in labels:
+            if type(label) is int and 0 <= label < count:
+                bit = label
+            elif label == INPUT:
+                bit = count
+            elif label == OUTPUT:
+                bit = count + 1
+            else:
+                return None
+            mask |= 1 << bit
+        return mask
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        unmask = self.unmask
+        for (caller, callee, arguments), implicits in self.groups.items():
+            argument_labels = frozenset(unmask(arguments))
+            for implicit in implicits:
+                yield CallConfiguration(
+                    caller, callee, argument_labels, frozenset(unmask(implicit))
+                )
+
+    def __contains__(self, config: object) -> bool:
+        if type(config) is not CallConfiguration:
+            return False
+        arguments = self._mask(config.argument_labels)
+        implicit = self._mask(config.implicit_labels)
+        if arguments is None or implicit is None:
+            return False
+        return implicit in self.groups.get((config.caller, config.callee, arguments), ())
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> ConfigurationSet:
+        # what set operators such as ``-`` and ``&`` return
+        return frozenset(iterable)
+
+
+def configurations(program: LabeledProgram) -> Configurations:
     """Least set of call configurations reachable from the entry points.
 
-    FIFO worklist closure over the callees' summaries; termination
-    follows from the finite label universe.  The result is the set that
-    closing over ``call`` gives, so it does not depend on pop order.  A
-    configuration whose callee reaches no call in its direction is
-    recorded but never queued.
+    FIFO worklist closure over the callees' summaries, on label masks;
+    termination follows from the finite label universe.  The result is
+    the set that closing over ``call`` gives, so it does not depend on
+    pop order.  A configuration whose callee reaches no call in its
+    direction is recorded but never queued.
     """
+    count = program.label_count
+    groups: _Groups = {}
     summaries: dict[tuple[str, bool], _Summary] = {}
 
     def summary_of(key: tuple[str, bool]) -> _Summary:
         summary = summaries.get(key)
         if summary is None:
-            summary = summaries[key] = _summary(key, program)
+            own, calls = _summary(key, program)
+            reachable = []
+            for (callee, arguments), gains in calls.items():
+                group = groups.setdefault((key[0], callee, arguments), set())
+                callee_key = (callee.name, callee.backward)
+                reachable += [(arguments, gained, group, callee_key) for gained in gains]
+            summary = summaries[key] = (~own, reachable, set())
         return summary
 
-    seeds = seed_configurations(program)
-    seen: set[CallConfiguration] = set(seeds)
-    queue: deque[tuple[CallConfiguration, _Summary]] = deque()
-    for seed in seeds:
-        summary = summary_of((seed.callee.name, seed.callee.backward))
-        if summary[2]:
-            queue.append((seed, summary))
+    queue: deque[tuple[int, _Summary]] = deque()
+    for seed, argument in zip(seed_configurations(program), (1 << count, 2 << count)):
+        callee = seed.callee
+        groups[TOP, callee, argument] = {0}
+        summary = summary_of((callee.name, callee.backward))
+        if summary[1]:
+            queue.append((argument, summary))
     while queue:
-        config, (name, own_labels, reachable, expanded) = queue.popleft()
-        entering = (config.implicit_labels | config.argument_labels) - own_labels
+        available, (keep, reachable, expanded) = queue.popleft()
+        entering = available & keep
         # the successors of a pop depend only on its summary and entering
-        # set; a set is recorded only for summaries with several successors,
-        # where expanding it again costs more than hashing the set
+        # mask; a mask is recorded only for summaries with several
+        # successors, where expanding it again costs more than hashing it
         if len(reachable) > 1:
             if entering in expanded:
                 continue
             expanded.add(entering)
-        for callee, arguments, gained, key in reachable:
-            reached = CallConfiguration(name, callee, arguments, entering | gained)
-            size = len(seen)
-            seen.add(reached)
-            if len(seen) > size:
-                summary = summary_of(key)
-                if summary[2]:
-                    queue.append((reached, summary))
-    return frozenset(seen)
+        for arguments, gained, group, key in reachable:
+            implicit = entering | gained
+            if implicit not in group:
+                group.add(implicit)
+                summary = summaries.get(key) or summary_of(key)
+                if summary[1]:
+                    queue.append((implicit | arguments, summary))
+    return Configurations(groups, [*range(count), INPUT, OUTPUT])
 
 
-# A callee's name, its own labels, the (callee reference, argument labels,
-# gained labels, the callee's summary key) of every call its body reaches
-# in one direction, and the entering sets already expanded through it.
-_Summary = tuple[
-    str,
-    LabelSet,
-    list[tuple[FunctionRef, LabelSet, LabelSet, tuple[str, bool]]],
-    set[LabelSet],
-]
+# The complement of a callee's own labels, the (argument mask, gained
+# mask, group of the configurations it reaches, the callee's summary key)
+# of every call its body reaches in one direction, and the entering masks
+# already expanded through it.
+_Summary = tuple[int, list[tuple[int, int, set[int], tuple[str, bool]]], set[int]]
+
+# (callee reference, argument mask) -> the implicit masks it is reached with
+_Calls = dict[tuple[FunctionRef, int], set[int]]
 
 
-def _summary(key: tuple[str, bool], program: LabeledProgram) -> _Summary:
+def _summary(key: tuple[str, bool], program: LabeledProgram) -> tuple[int, _Calls]:
     """What ``call`` gives for a callee and direction, with the entering
-    availability left out."""
+    availability left out, on masks: the callee's own labels, and the
+    implicit masks its body brings to each call it reaches."""
     name, backward = key
     definition = _definition(program, name)
-    if not backward:
-        reached = term_down(name, _EMPTY, definition.body)
-        calls = [(c.callee, c.argument_labels, (c.implicit_labels,)) for c in reached]
+    calls: _Calls = {}
+    if backward:
+        _walk_up({0}, definition.body, None, program, calls)
     else:
-        walked: dict[tuple[FunctionRef, LabelSet], set[LabelSet]] = {}
-        _walk_up({_EMPTY}, definition.body, None, program, walked)
-        calls = [(callee, arguments, gains) for (callee, arguments), gains in walked.items()]
-    reachable = []
-    for callee, arguments, gains in calls:
-        callee_key = (callee.name, callee.backward)
-        reachable += [(callee, arguments, gained, callee_key) for gained in gains]
-    own_labels = labels_of(definition.parameter) | labels_of(definition.body)
-    return name, own_labels, reachable, set()
+        _walk_down(0, definition.body, calls)
+    return label_mask(definition.parameter) | label_mask(definition.body), calls
+
+
+def _walk_down(implicit: int, term: Term, calls: _Calls) -> None:
+    """``term_down`` on masks: records in ``calls`` the implicit mask that
+    each application is reached with."""
+    kind = type(term)
+    if kind is Apply:
+        calls.setdefault((term.callee, label_mask(term.argument)), set()).add(implicit)
+    elif kind is Case:
+        _walk_down(implicit, term.scrutinee, calls)
+        implicit |= label_mask(term.scrutinee)
+        for pattern, body in term.branches:
+            _walk_down(implicit | label_mask(pattern), body, calls)
+    elif kind is not Var and kind is not Con:
+        raise ValueError(f"cannot analyze sugared term {term!r}")
 
 
 def _walk_up(
-    implicits: set[LabelSet],
+    implicits: set[int],
     term: Term,
-    then: LabelSet | None,
+    then: int | None,
     program: LabeledProgram,
-    calls: dict[tuple[FunctionRef, LabelSet], set[LabelSet]],
-) -> set[LabelSet]:
-    """``term_up`` for every entering availability in ``implicits`` at once,
-    merged over paths.
+    calls: _Calls,
+) -> set[int]:
+    """``term_up`` on masks for every entering availability in
+    ``implicits`` at once, merged over paths.
 
-    Records the implicit labels that some inverse path brings to each
-    call, keyed by the flipped callee and its argument labels, in
-    ``calls``.  Returns every availability set that some path ends with,
-    each joined with ``then``.  Every step distributes over the union of
-    ``implicits``, so each node is walked at most once, a scrutinee on
-    the union of its branches' results, where ``term_up`` walks it once
-    per path through the branch bodies.
+    Records the implicit masks that some inverse path brings to each
+    call, keyed by the flipped callee and its argument mask, in
+    ``calls``.  Returns every availability mask that some path ends
+    with, each joined with ``then``.  Every step distributes over the
+    union of ``implicits``, so each node is walked at most once, a
+    scrutinee on the union of its branches' results, where ``term_up``
+    walks it once per path through the branch bodies.
 
-    A set is built only where an application records it or a later node
-    reads it.  ``then`` is None where nothing reads the result: the walk
-    then records calls and returns an empty set, and a case whose
+    A mask is built only where an application records it or a later
+    node reads it.  ``then`` is None where nothing reads the result: the
+    walk then records calls and returns an empty set, and a case whose
     scrutinee holds no application walks its branches for their calls
     only.  A pattern scrutinee's labels go into each branch's ``then``,
     so each path pays one union there.
@@ -307,31 +434,32 @@ def _walk_up(
     if kind is Var or kind is Con:
         if then is None:
             return set()
-        gained = labels_of(term) | then
+        gained = label_mask(term) | then
         return {implicit | gained for implicit in implicits}
     if kind is Apply:
-        argument = frozenset((body_root_label(_definition(program, term.callee.name).body),))
+        argument = 1 << body_root_label(_definition(program, term.callee.name).body)
         calls.setdefault((flip(term.callee), argument), set()).update(implicits)
         if then is None:
             return set()
-        gained = labels_of(term.argument) | {body_root_label(term)} | then
+        # the application's own label and its argument's
+        gained = label_mask(term) | then
         return {implicit | gained for implicit in implicits}
     if kind is Case:
         scrutinee = term.scrutinee
         if then is not None:
-            then = then | {body_root_label(term)}
+            then |= 1 << term.label
         if type(scrutinee) is Var or type(scrutinee) is Con:
             if then is not None:
-                then = then | labels_of(scrutinee)
-            available: set[LabelSet] = set()
+                then |= label_mask(scrutinee)
+            available: set[int] = set()
             for pattern, body in term.branches:
-                branch_then = None if then is None else labels_of(pattern) | then
+                branch_then = None if then is None else label_mask(pattern) | then
                 available |= _walk_up(implicits, body, branch_then, program, calls)
             return available
         bodies_read = then is not None or any(type(node) is Apply for node in nodes(scrutinee))
-        scrutinee_implicits: set[LabelSet] = set()
+        scrutinee_implicits: set[int] = set()
         for pattern, body in term.branches:
-            body_then = labels_of(pattern) if bodies_read else None
+            body_then = label_mask(pattern) if bodies_read else None
             scrutinee_implicits |= _walk_up(implicits, body, body_then, program, calls)
         return _walk_up(scrutinee_implicits, scrutinee, then, program, calls)
     raise ValueError(f"cannot analyze sugared term {term!r}")
@@ -400,7 +528,7 @@ class Hint:
     witness_labels: tuple[int, ...]
 
 
-def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[Hint]:
+def symmetry_hints(program: LabeledProgram, configs: Configurations) -> list[Hint]:
     """Call sites where the callee's branching scrutinee is available
     in both execution directions.
 
@@ -410,18 +538,19 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
     backward side is matched per caller and callee, since inverse-walk
     configurations do not record the site they were emitted from.  A
     label counts as available on a side when some configuration matched
-    there holds it, so each side's labels are unioned once per key and
-    every call site looks its keys up.
+    there holds it, so each side's masks are ORed once per key, and each
+    call site ANDs them with the masks of its variables' occurrences.
     """
-    down: dict[tuple[str, str, LabelSet], set] = {}
-    up: dict[tuple[str, str], set] = {}
-    for c in configs:
-        if c.callee.backward:
-            labels = up.setdefault((c.caller, c.callee.name), set())
+    down: dict[tuple[str, str, int], int] = {}
+    up: dict[tuple[str, str], int] = {}
+    for (caller, callee, arguments), implicits in configs.groups.items():
+        labels = reduce(or_, implicits, arguments)
+        if callee.backward:
+            key = (caller, callee.name)
+            up[key] = up.get(key, 0) | labels
         else:
-            labels = down.setdefault((c.caller, c.callee.name, c.argument_labels), set())
-        labels |= c.argument_labels
-        labels |= c.implicit_labels
+            key = (caller, callee.name, arguments)
+            down[key] = down.get(key, 0) | labels
 
     hints: list[Hint] = []
     paths_cache: dict[str, tuple[tuple[int, ...], ...]] = {}
@@ -432,13 +561,13 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
     for fd in program.functions.values():
         if fd.name not in callers:
             continue  # no site of a function that calls nothing forward can match
-        occurrences: dict[str, set[int]] = {}
+        occurrences: dict[str, int] = {}  # a variable's name -> mask of its occurrences
         sites: list[Apply] = []
         for root in (fd.parameter, fd.body):
             for node in nodes(root):
                 kind = type(node)
                 if kind is Var:
-                    occurrences.setdefault(node.name, set()).add(node.label)
+                    occurrences[node.name] = occurrences.get(node.name, 0) | 1 << node.label
                 elif kind is Apply:
                     sites.append(node)
         for site in sites:
@@ -446,14 +575,14 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
             paths = paths_cache.get(callee, ())
             if not paths:
                 continue
-            down_labels = down.get((fd.name, callee, labels_of(site.argument)))
+            down_labels = down.get((fd.name, callee, label_mask(site.argument)))
             up_labels = up.get((fd.name, callee))
             if down_labels is None or up_labels is None:
                 continue
             witness = _site_witness(site.argument, paths, occurrences, down_labels, up_labels)
             if witness:
                 hints.append(
-                    Hint(fd.name, callee, body_root_label(site), tuple(sorted(witness)))
+                    Hint(fd.name, callee, body_root_label(site), tuple(configs.unmask(witness)))
                 )
     hints.sort(key=lambda h: (h.function, h.call_label))
     return hints
@@ -462,11 +591,11 @@ def symmetry_hints(program: LabeledProgram, configs: ConfigurationSet) -> list[H
 def _site_witness(
     argument: Pattern,
     paths: tuple[tuple[int, ...], ...],
-    occurrences: dict[str, set[int]],
-    down_labels: set,
-    up_labels: set,
-) -> set[int]:
-    witness: set[int] = set()
+    occurrences: dict[str, int],
+    down_labels: int,
+    up_labels: int,
+) -> int:
+    witness = 0
     for path in paths:
         sub = _subpattern_at(argument, path)
         if sub is None:
@@ -474,13 +603,13 @@ def _site_witness(
         names = [v.name for v in pattern_variables(sub)]
         if not names:
             continue  # a ground scrutinee component branches statically
-        per_path: set[int] = set()
+        per_path = 0
         for name in names:
-            occs = occurrences.get(name, frozenset())
+            occs = occurrences.get(name, 0)
             down_hits = occs & down_labels
             up_hits = occs & up_labels
             if not down_hits or not up_hits:
-                per_path.clear()
+                per_path = 0
                 break
             per_path |= down_hits | up_hits
         witness |= per_path

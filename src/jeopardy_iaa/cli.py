@@ -12,23 +12,24 @@ errors, located as ``FILE:line:col:`` when their label has a span.
 Every command validates the program before running any later stage.
 JSON output is deterministic: the same input file always produces
 identical bytes.
-The report groups the configurations by (caller, callee, argument
-labels), orders the groups once and sorts each implicit set once; the
-rows of a group share one argument list.  A writer made for the report
-produces ``analyze --format json``: its text is byte for byte that of
-``json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)``.
+The report reads the analysis' groups of label masks, keyed by
+(caller, callee, argument mask): it orders the groups once, sorts only a
+group of two or more implicit masks, and turns each mask into its label
+list once; the rows of a group share one argument list.  A mask's bits
+rise in the report's label order, integers then ``input`` then
+``output``, so sorting masks by their bit lists is sorting label sets.
+A writer made for the report produces ``analyze --format json``: its
+text is byte for byte that of ``json.dumps(report, ensure_ascii=False,
+sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from collections import defaultdict
 from json.encoder import encode_basestring
-from operator import itemgetter
 from typing import Sequence
 
 from .analysis import Hint, configurations, symmetry_hints
@@ -38,8 +39,6 @@ from .labeler import LabeledProgram, annotate
 from .parser import ParseError, line_col, parse, parse_value
 from .printer import pretty_program, pretty_value
 from .syntax import (
-    INPUT,
-    OUTPUT,
     Diagnostic,
     Program,
     Span,
@@ -126,31 +125,6 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SYMBOLIC = frozenset((INPUT, OUTPUT))
-_first = itemgetter(0)
-
-
-def _ordered(labels: frozenset) -> tuple[list, list]:
-    """A label set's sort key and its report list, from one ``sorted``.
-
-    The report list is ``sorted(labels, key=label_sort_key)``: the
-    integers, then ``input``, then ``output``.  The key orders label sets
-    as ``sorted(map(label_sort_key, labels))`` does, with every comparison
-    made in C: an ``inf`` marker after the integers makes an integer run
-    followed by a symbolic label compare above a longer integer run, and
-    the symbolic labels after it break ties between equal runs.  A set
-    without symbolic labels gives one list for both.
-    """
-    if labels.isdisjoint(_SYMBOLIC):
-        listing = sorted(labels)
-        return listing, listing
-    listing = sorted(labels - _SYMBOLIC)
-    symbolic = [label for label in (INPUT, OUTPUT) if label in labels]
-    key = [*listing, math.inf, *symbolic]
-    listing += symbolic
-    return key, listing
-
-
 def _hint_row(hint: Hint) -> dict:
     return {
         "function": hint.function,
@@ -163,40 +137,42 @@ def analysis_report(labeled: LabeledProgram) -> dict:
     """The analyze command's payload: configurations, hints, label index.
 
     Configurations are listed by caller, callee name, inversion depth,
-    argument labels and implicit labels, each label set in
-    ``label_sort_key`` order.  They are grouped by (caller, callee,
-    argument labels) first, so that each group is ordered once and each
-    label set is sorted once; the rows of a group share one
+    argument labels and implicit labels, each label set in bit order:
+    the integers, then ``input``, then ``output``.  They come grouped
+    by (caller, callee, argument mask): the groups are ordered once, only
+    a group of two or more implicit masks is sorted, each mask is turned
+    into its label list once, and the rows of a group share one
     argument-list object.
     """
     found = configurations(labeled)
     hints = symmetry_hints(labeled, found)
-    groups: defaultdict[tuple, list] = defaultdict(list)
-    for config in found:
-        groups[config.caller, config.callee, config.argument_labels].append(
-            config.implicit_labels
-        )
+    unmask, order = found.unmask, found.order
     # unique keys: a name and an inversion count fix the callee
-    ordered_groups = []
-    for (caller, callee, arguments), implicit_sets in groups.items():
-        key, listing = _ordered(arguments)
-        ordered_groups.append(
-            ((caller, callee.name, callee.inversions, key), listing, implicit_sets, callee.backward)
+    groups = sorted(
+        (
+            (caller, callee.name, callee.inversions, order(arguments)),
+            callee.backward,
+            arguments,
+            implicits,
         )
-    ordered_groups.sort(key=_first)
+        for (caller, callee, arguments), implicits in found.groups.items()
+    )
     configuration_rows = []
-    for (caller, name, _, _), arguments, implicit_sets, inverted in ordered_groups:
+    for (caller, name, _, _), inverted, arguments, implicits in groups:
         direction = "up" if inverted else "down"
+        argument_labels = unmask(arguments)
+        if len(implicits) > 1:
+            implicits = sorted(implicits, key=order)
         configuration_rows += [
             {
                 "caller": caller,
                 "callee": name,
                 "inverted": inverted,
                 "direction": direction,
-                "argument_labels": arguments,
-                "implicit_labels": implicit,
+                "argument_labels": argument_labels,
+                "implicit_labels": unmask(implicit),
             }
-            for _, implicit in sorted(map(_ordered, implicit_sets), key=_first)
+            for implicit in implicits
         ]
     # one row object per (function, kind), shared by all of its labels; the
     # encoder writes the text of a shared row once

@@ -6,6 +6,12 @@ order, within a function the parameter pattern first and then the body,
 each traversed pre-order with children left to right.  Labeling is a
 pure function of the core tree, so two runs agree exactly.
 
+Pre-order numbering makes the labels of every subtree one interval,
+from the node's own label to the label at the end of its rightmost
+spine, and a function's own labels one interval from its parameter to
+the end of its body.  ``label_mask`` rests on that: a node's labels as
+the bits of an int, built without walking the subtree.
+
 A pattern used as a term is labeled as the pattern it is, so it has no
 program point beyond the pattern's own.  Function references and type
 ascriptions are not program points.
@@ -123,6 +129,23 @@ def labels_of(node: Pattern | Term) -> frozenset[int]:
             raise ValueError(f"unlabeled {_POINT_KINDS[kind]} node: {n!r}")
         out.append(n.label)
     return frozenset(out)
+
+
+def label_mask(node: Pattern | Term) -> int:
+    """The labels of a labeled core node and its descendants as the bits
+    of an int: label *i* is bit *i*.  They are one interval, from the
+    node's label to the label that ends its rightmost spine."""
+    last = node
+    while True:
+        kind = type(last)
+        if kind is Case:
+            last = last.branches[-1][1]
+        elif kind is Apply:
+            last = last.argument
+        elif kind is Con and last.args:
+            last = last.args[-1]
+        else:
+            return (2 << last.label) - (1 << node.label)
 
 
 def body_root_label(term: Term) -> int:

@@ -53,13 +53,6 @@ def is_wildcard_name(name: str) -> bool:
     return name.startswith(WILDCARD_PREFIX)
 
 
-def label_sort_key(label: Label) -> tuple[int, object]:
-    """Total order over labels: integers first, then input/output."""
-    if isinstance(label, int):
-        return (0, label)
-    return (1, label)
-
-
 def _immutable(self, name: str, value: object = None) -> None:
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
@@ -399,13 +392,16 @@ def _check_pattern(
     that binds (``bound`` is None) must be linear; a pattern in term
     position must use only variables in ``bound``, and may repeat them,
     since a term may copy a binding.  All constructor diagnostics come
-    before the variable diagnostics, each group in pre-order.
+    before the variable diagnostics, each group in pre-order.  A
+    constructor diagnostic is reported once per place: the nodes of a
+    numeral all share its span.
     """
     names: set[str] = set()
+    constructors: list[Diagnostic] = []
     variables: list[Diagnostic] = []
     for node in nodes(root):
         if type(node) is not Var:
-            _check_constructor(node.name, len(node.args), node.span, table, out)
+            _check_constructor(node.name, len(node.args), node.span, table, constructors)
         elif bound is None:
             if node.name in names:
                 variables.append(
@@ -424,6 +420,8 @@ def _check_pattern(
                     node.span,
                 )
             )
+    if constructors:
+        out.extend(dict.fromkeys(constructors))
     out.extend(variables)
     return names
 

@@ -228,6 +228,34 @@ def test_leastness_on_small_fixtures(name):
         assert any(config in call(other, program) for other in rest)
 
 
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
+def test_the_result_is_the_frozenset_it_iterates(path):
+    # configurations keeps label masks and builds a configuration only when
+    # iterated; as a set it must answer as the frozenset of what it yields
+    configs = configurations(load_labeled(path.name))
+    frozen = frozenset(configs)
+    assert len(configs) == len(list(configs)) == len(frozen)
+    assert configs == frozen and frozen == configs and not configs != frozen
+    assert configs <= frozen and frozen <= configs and not configs < frozen
+    half = frozenset(list(frozen)[::2])
+    assert configs - half == frozen - half
+    assert frozen - configs == frozenset()
+    assert (half <= configs, half < configs) == (True, half != frozen)
+    for config in frozen:
+        assert config in configs
+        caller, callee, arguments, implicit = (
+            config.caller, config.callee, config.argument_labels, config.implicit_labels
+        )
+        for changed in (
+            CallConfiguration(caller, callee, arguments, implicit ^ {0}),
+            CallConfiguration(caller, flip(callee), arguments, implicit),
+            CallConfiguration(caller, callee, arguments | {-1}, implicit),
+            CallConfiguration(caller, callee, arguments, implicit | {"elsewhere"}),
+        ):
+            assert (changed in configs) == (changed in frozen)
+    assert "input" not in configs and None not in configs
+
+
 def test_determinism_across_independent_runs():
     first = configurations(load_labeled("fib.jpd"))
     second = configurations(load_labeled("fib.jpd"))

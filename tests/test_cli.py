@@ -313,6 +313,27 @@ def test_run_locates_each_diagnostic_of_the_input_value(capsys, tmp_path, source
     assert err == "".join(f"invalid input value at {line}\n" for line in located)
 
 
+# the nodes of a numeral share its span: one line per constructor, not per node
+def test_parse_reports_an_undeclared_numeral_once_per_constructor(capsys, tmp_path):
+    source = tmp_path / "no_nat.jpd"
+    source.write_text("f x = 400.\nmain f.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(source))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"{source}:1:7: undefined-constructor: constructor 'successor' is not declared\n"
+        f"{source}:1:7: undefined-constructor: constructor 'zero' is not declared\n"
+    )
+
+
+def test_run_reports_an_undeclared_input_numeral_once_per_constructor(capsys):
+    code, out, err = run_cli(capsys, "run", str(FIXTURES / "first_match.jpd"), "400")
+    assert (code, out) == (1, "")
+    assert err == (
+        "invalid input value at 1:1: undefined-constructor: constructor 'successor' is not declared\n"
+        "invalid input value at 1:1: undefined-constructor: constructor 'zero' is not declared\n"
+    )
+
+
 def test_run_runtime_error_exit_code(capsys, tmp_path):
     looping = tmp_path / "loop.jpd"
     looping.write_text("data d = [c]. spin x = spin x. main spin.", encoding="utf-8")
@@ -606,8 +627,8 @@ def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
 @pytest.mark.parametrize("program", ["fib", "sugar-library", "diamond-10"])
 def test_analyze_json_is_the_same_under_every_hash_seed(capsys, tmp_path, program):
     # the report writer reuses the text of a row or argument list shared by
-    # many rows, keyed on its identity, and the report groups configurations
-    # in a frozenset's hash order; no address or hash may reach the output
+    # many rows, keyed on its identity, and the report reads configurations
+    # from dicts and sets; no address or hash may reach the output
     if program == "fib":
         source = FIB
     else:

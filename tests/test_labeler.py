@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from jeopardy_iaa import annotate, desugar_program, labels_of, parse
-from jeopardy_iaa.labeler import body_root_label
-from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, FunctionRef, Var, fun_defs
+import random
 
-from conftest import ALL_FIXTURES, load_core, load_labeled
+from jeopardy_iaa import annotate, desugar_program, labels_of, parse
+from jeopardy_iaa.analysis import _summary
+from jeopardy_iaa.labeler import body_root_label, label_mask
+from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, FunctionRef, Var, fun_defs, nodes
+
+from conftest import (
+    ALL_FIXTURES,
+    load_core,
+    load_labeled,
+    random_labeled_program,
+    sugar_library,
+)
 
 
 def test_identity_program_labels():
@@ -58,6 +67,38 @@ def test_annotation_is_deterministic(path):
     second = annotate(core)
     assert first.program == second.program
     assert first.index == second.index
+
+
+def as_mask(labels) -> int:
+    return sum(1 << label for label in labels)
+
+
+def check_masks(labeled) -> None:
+    """Pre-order numbering makes every subtree's labels one interval, which
+    ``label_mask`` reads off the node's rightmost spine, and a function's
+    own labels one interval too, which the analysis strips on entry."""
+    for fd in labeled.functions.values():
+        for root in (fd.parameter, fd.body):
+            for node in nodes(root):
+                assert label_mask(node) == as_mask(labels_of(node))
+        own, _ = _summary((fd.name, False), labeled)
+        assert own == as_mask(labels_of(fd.parameter) | labels_of(fd.body))
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
+def test_a_mask_holds_exactly_the_labels_of_a_fixture_node(path):
+    check_masks(load_labeled(path.name))
+
+
+def test_a_mask_holds_exactly_the_labels_of_a_random_program_node():
+    rng = random.Random(20261019)
+    for index in range(300):
+        check_masks(random_labeled_program(rng, budget=6 + index % 25, branching=index % 2 == 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_mask_holds_exactly_the_labels_of_a_library_node(seed):
+    check_masks(annotate(desugar_program(parse(sugar_library(30, random.Random(seed))))))
 
 
 def test_parent_labels_include_children(fib_labeled):
