@@ -52,23 +52,20 @@ spine without a walk, and a function's own labels are one interval from
 its parameter to the end of its body.  The fixed point deduplicates ints
 in one set per (caller, callee, argument mask), which is also the
 report's grouping, and returns those groups as ``Configurations``: a
-read-only set of ``CallConfiguration`` that builds a record and its
-frozensets only when iterated.  On the path behind ``analyze`` no
-record and no frozenset of labels is built; hashing and uniting
-frozensets was most of the fixed point's time on branch-heavy code.
-``term_down``, ``term_up`` and ``call`` stay on frozensets, as the
-reference rules that the tests and the benchmark's tracer use.
-
-Configurations carry a complete-lattice order (same caller, callee, and
-argument labels; inclusion on implicit labels), exposed for clients and
-property checks.  The fixed point itself keeps configurations per path
-rather than joining them, preserving path-sensitive availability.
+sized, iterable view that builds a ``CallConfiguration`` and its
+frozensets only when iterated.  It is not a set: membership would have
+to re-encode frozensets of labels as masks, and no caller asks for it.
+On the path behind ``analyze`` no record and no frozenset of labels is
+built; hashing and uniting frozensets was most of the fixed point's time
+on branch-heavy code.  ``term_down``, ``term_up`` and ``call`` stay on
+frozensets, as the reference rules that the tests and the benchmark's
+tracer use.  The fixed point keeps configurations per path rather than
+joining them, preserving path-sensitive availability.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Set
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -231,15 +228,16 @@ _ORDER = bytes.maketrans(b"01", b"10")
 _Groups = dict[tuple[str, FunctionRef, int], set[int]]
 
 
-class Configurations(Set):
-    """What ``configurations`` returns: a read-only set of
-    ``CallConfiguration``, kept as label masks.
+class Configurations:
+    """What ``configurations`` returns: a sized, iterable view of the
+    reached configurations, kept as label masks.
 
     ``groups`` maps each (caller, callee, argument mask) to the set of
     implicit masks reached with it.  Bit *i* of a mask is
     ``universe[i]``: the integer labels, then ``input`` and ``output``,
-    which is the report's label order.  A ``CallConfiguration`` and its
-    label frozensets are built only when the set is iterated.
+    which is the report's label order.  Iterating yields each
+    configuration once, as a ``CallConfiguration`` with label frozensets
+    built on the way; ``frozenset(view)`` is the set it stands for.
     """
 
     __slots__ = ("groups", "universe", "_size")
@@ -271,22 +269,6 @@ class Configurations(Set):
         """
         return bin(mask)[:1:-1].encode().translate(_ORDER) if mask else b""
 
-    def _mask(self, labels: LabelSet) -> int | None:
-        """A label set's mask, or None if one of its labels has no bit."""
-        count = len(self.universe) - 2
-        mask = 0
-        for label in labels:
-            if type(label) is int and 0 <= label < count:
-                bit = label
-            elif label == INPUT:
-                bit = count
-            elif label == OUTPUT:
-                bit = count + 1
-            else:
-                return None
-            mask |= 1 << bit
-        return mask
-
     def __len__(self) -> int:
         return self._size
 
@@ -298,20 +280,6 @@ class Configurations(Set):
                 yield CallConfiguration(
                     caller, callee, argument_labels, frozenset(unmask(implicit))
                 )
-
-    def __contains__(self, config: object) -> bool:
-        if type(config) is not CallConfiguration:
-            return False
-        arguments = self._mask(config.argument_labels)
-        implicit = self._mask(config.implicit_labels)
-        if arguments is None or implicit is None:
-            return False
-        return implicit in self.groups.get((config.caller, config.callee, arguments), ())
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> ConfigurationSet:
-        # what set operators such as ``-`` and ``&`` return
-        return frozenset(iterable)
 
 
 def configurations(program: LabeledProgram) -> Configurations:
@@ -463,48 +431,6 @@ def _walk_up(
             scrutinee_implicits |= _walk_up(implicits, body, body_then, program, calls)
         return _walk_up(scrutinee_implicits, scrutinee, then, program, calls)
     raise ValueError(f"cannot analyze sugared term {term!r}")
-
-
-# ---------------------------------------------------------------------------
-# The configuration lattice
-
-
-def compare_configurations(a: CallConfiguration, b: CallConfiguration) -> str:
-    """Order two configurations: 'less', 'equal', 'greater' or 'incomparable'.
-
-    Configurations compare only when caller, callee, and argument labels
-    agree; then inclusion of the implicit label sets decides.
-    """
-    if (a.caller, a.callee, a.argument_labels) != (b.caller, b.callee, b.argument_labels):
-        return "incomparable"
-    if a.implicit_labels == b.implicit_labels:
-        return "equal"
-    if a.implicit_labels < b.implicit_labels:
-        return "less"
-    if a.implicit_labels > b.implicit_labels:
-        return "greater"
-    return "incomparable"
-
-
-def join_configurations(a: CallConfiguration, b: CallConfiguration) -> CallConfiguration:
-    """Least upper bound: union of implicit labels; same key required."""
-    _require_same_key(a, b)
-    return CallConfiguration(
-        a.caller, a.callee, a.argument_labels, a.implicit_labels | b.implicit_labels
-    )
-
-
-def meet_configurations(a: CallConfiguration, b: CallConfiguration) -> CallConfiguration:
-    """Greatest lower bound: intersection of implicit labels; same key required."""
-    _require_same_key(a, b)
-    return CallConfiguration(
-        a.caller, a.callee, a.argument_labels, a.implicit_labels & b.implicit_labels
-    )
-
-
-def _require_same_key(a: CallConfiguration, b: CallConfiguration) -> None:
-    if (a.caller, a.callee, a.argument_labels) != (b.caller, b.callee, b.argument_labels):
-        raise ValueError("configurations with different keys have no join or meet")
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,11 @@ class _Desugarer:
                 lambda argument: Apply(callee, argument, span=span),
             )
         if isinstance(term, ConApp):
-            return self.desugar_constructor(term.name, term.args)
+            name = term.name
+            return self._hoisted(
+                term.args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
+            )
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
-
-    def desugar_constructor(self, name: str, args: tuple[Term, ...]) -> Term:
-        return self._hoisted(
-            args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
-        )
 
     def _hoisted(
         self,

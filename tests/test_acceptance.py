@@ -132,8 +132,8 @@ def test_criterion_4_termination_and_determinism():
     with criterion(4, "termination and determinism on the stress suite"):
         for name in STRESS_FIXTURES:
             started = time.perf_counter()
-            first = configurations(load_labeled(name))
-            second = configurations(load_labeled(name))
+            first = frozenset(configurations(load_labeled(name)))
+            second = frozenset(configurations(load_labeled(name)))
             elapsed = time.perf_counter() - started
             assert first == second, name
             assert elapsed < 5.0, name

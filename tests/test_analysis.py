@@ -11,10 +11,7 @@ from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import (
     CallConfiguration,
     call,
-    compare_configurations,
     configurations,
-    join_configurations,
-    meet_configurations,
     seed_configurations,
     symmetry_hints,
     term_down,
@@ -197,19 +194,19 @@ def test_recursive_call_strips_own_labels(fib_labeled):
 
 def test_identity_program_has_only_seeds():
     program = labeled("f x = x. main f.")
-    assert configurations(program) == frozenset(seed_configurations(program))
+    assert frozenset(configurations(program)) == frozenset(seed_configurations(program))
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
 def test_seeds_are_present(path):
     program = load_labeled(path.name)
-    assert set(seed_configurations(program)) <= configurations(program)
+    assert set(seed_configurations(program)) <= frozenset(configurations(program))
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
 def test_result_is_closed_under_call(path):
     program = load_labeled(path.name)
-    configs = configurations(program)
+    configs = frozenset(configurations(program))
     for config in configs:
         assert call(config, program) <= configs
 
@@ -221,7 +218,7 @@ def test_leastness_on_small_fixtures(name):
     # every non-seed configuration is derivable from another member, so
     # removing it breaks closure: nothing is spurious
     program = load_labeled(name)
-    configs = configurations(program)
+    configs = frozenset(configurations(program))
     seeds = set(seed_configurations(program))
     for config in configs - seeds:
         rest = configs - {config}
@@ -229,37 +226,18 @@ def test_leastness_on_small_fixtures(name):
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
-def test_the_result_is_the_frozenset_it_iterates(path):
+def test_the_result_yields_each_configuration_once(path):
     # configurations keeps label masks and builds a configuration only when
-    # iterated; as a set it must answer as the frozenset of what it yields
+    # iterated; its size is the number of distinct records it yields
     configs = configurations(load_labeled(path.name))
-    frozen = frozenset(configs)
-    assert len(configs) == len(list(configs)) == len(frozen)
-    assert configs == frozen and frozen == configs and not configs != frozen
-    assert configs <= frozen and frozen <= configs and not configs < frozen
-    half = frozenset(list(frozen)[::2])
-    assert configs - half == frozen - half
-    assert frozen - configs == frozenset()
-    assert (half <= configs, half < configs) == (True, half != frozen)
-    for config in frozen:
-        assert config in configs
-        caller, callee, arguments, implicit = (
-            config.caller, config.callee, config.argument_labels, config.implicit_labels
-        )
-        for changed in (
-            CallConfiguration(caller, callee, arguments, implicit ^ {0}),
-            CallConfiguration(caller, flip(callee), arguments, implicit),
-            CallConfiguration(caller, callee, arguments | {-1}, implicit),
-            CallConfiguration(caller, callee, arguments, implicit | {"elsewhere"}),
-        ):
-            assert (changed in configs) == (changed in frozen)
-    assert "input" not in configs and None not in configs
+    listed = list(configs)
+    assert len(configs) == len(listed) == len(set(listed))
 
 
 def test_determinism_across_independent_runs():
     first = configurations(load_labeled("fib.jpd"))
     second = configurations(load_labeled("fib.jpd"))
-    assert first == second
+    assert frozenset(first) == frozenset(second)
 
 
 def test_forward_edges_match_dynamic_reality(fib_labeled, fib_oracle):
@@ -274,37 +252,6 @@ def test_forward_edges_match_dynamic_reality(fib_labeled, fib_oracle):
 
 # ---------------------------------------------------------------------------
 # The configuration order
-
-
-def _config(caller="f", callee=FunctionRef("g"), args=(1,), imps=()):
-    return CallConfiguration(caller, callee, frozenset(args), frozenset(imps))
-
-
-def test_compare_equal():
-    assert compare_configurations(_config(), _config()) == "equal"
-
-
-def test_compare_inclusion():
-    small = _config(imps=(1,))
-    big = _config(imps=(1, 2))
-    assert compare_configurations(small, big) == "less"
-    assert compare_configurations(big, small) == "greater"
-
-
-def test_compare_incomparable():
-    assert compare_configurations(_config(), _config(callee=FunctionRef("h"))) == "incomparable"
-    left = _config(imps=(1,))
-    right = _config(imps=(2,))
-    assert compare_configurations(left, right) == "incomparable"
-
-
-def test_join_and_meet():
-    left = _config(imps=(1, 2))
-    right = _config(imps=(2, 3))
-    assert join_configurations(left, right).implicit_labels == {1, 2, 3}
-    assert meet_configurations(left, right).implicit_labels == {2}
-    with pytest.raises(ValueError):
-        join_configurations(left, _config(callee=FunctionRef("h")))
 
 
 def test_monotonicity_spot_check():

@@ -585,6 +585,44 @@ def test_a_deep_inversion_chain_analyzes(capsys, tmp_path, position):
     assert "id [down]" in out
 
 
+def successor_chain(depth: int) -> str:
+    return (
+        "data nat = [zero] [successor nat].\nbump n = [successor n].\n"
+        f"f n = {'[successor ' * depth}(bump n){']' * depth}.\nmain f.\n"
+    )
+
+
+# the deepest chain that the parser's nesting bound lets through
+DEEPEST_CHAIN = 396
+
+
+def test_the_deepest_successor_chain_is_the_last_that_parses(capsys, tmp_path):
+    source = tmp_path / "chain.jpd"
+    source.write_text(successor_chain(DEEPEST_CHAIN + 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(source))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{source}:3:") and err.endswith(": parse error: nesting too deep\n")
+
+
+@pytest.mark.parametrize("depth", [360, DEEPEST_CHAIN])
+def test_a_deep_successor_chain_runs_through_every_stage(tmp_path, depth):
+    # in a child process, whose stack is a user's and not the test runner's:
+    # under the default recursion limit, no stage may take three frames per
+    # constructor level
+    source = tmp_path / "chain.jpd"
+    source.write_text(successor_chain(depth), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for command in ("desugar", "label", "analyze"):
+        child = subprocess.run(
+            [sys.executable, "-m", "jeopardy_iaa", command, str(source)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (0, b""), command
+        assert child.stdout
+
+
 @pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze", "run"])
 @pytest.mark.parametrize(
     "source, diagnostic",

@@ -213,9 +213,10 @@ def annotate(program: Program) -> LabeledProgram:
 
 # -- reference desugarer -----------------------------------------------------
 #
-# The two methods that rebuilt a node with ``dataclasses.replace``, and
-# the application rewrite that left the rebuilt application without a
-# span; the rest of the desugarer is shared.
+# The two methods that rebuilt a node with ``dataclasses.replace``, the
+# application rewrite that left the rebuilt application without a span,
+# and the constructor rewrite they call; the rest of the desugarer is
+# shared.
 
 
 class _ReplaceDesugarer(_Desugarer):
@@ -249,6 +250,11 @@ class _ReplaceDesugarer(_Desugarer):
         if isinstance(term, ConApp):
             return self.desugar_constructor(term.name, term.args)
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
+
+    def desugar_constructor(self, name: str, args: tuple[Term, ...]) -> Term:
+        return self._hoisted(
+            args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
+        )
 
     def _desugar_application(self, callee: FunctionRef, argument: Term) -> Term:
         assert self.fresh is not None

@@ -1,11 +1,12 @@
 """Module hygiene of the package, read from its sources with ``ast``: no
 module imports a name that it never uses or defines a private name at
 module level that it never reads, no private class has a method that no
-expression in the package reads, and the front end and the evaluator
-import neither the analysis nor the CLI, so that running a program
-never loads the analyzer, and the analysis imports neither the parser
-nor the printer.  Importing the CLI loads neither
-``dataclasses`` nor ``inspect``, which would add to every start-up."""
+expression in the package reads, no public function or class is read by
+the tests alone, and the front end and the evaluator import neither the
+analysis nor the CLI, so that running a program never loads the
+analyzer, and the analysis imports neither the parser nor the printer.
+Importing the CLI loads neither ``dataclasses`` nor ``inspect``, which
+would add to every start-up."""
 
 from __future__ import annotations
 
@@ -18,8 +19,13 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jeopardy_iaa"
+BENCHMARK = PACKAGE.parent.parent / "perfbench"
 ALL_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 MODULES = [module for module in ALL_MODULES if module != "__init__"]
+
+# public names that no code outside the tests reads, each with a test file
+# that reads it; any other such name is API that nothing needs
+TEST_SUPPORT = (("desugar", "assert_core", "test_desugar.py"),)
 
 # the layers below the analysis, and what they may not import
 LOWER = ("syntax", "parser", "printer", "desugar", "labeler", "evaluator")
@@ -30,8 +36,8 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def read_names(tree: ast.Module) -> set[str]:
-    """Names that some expression in the module reads; a quoted
+def read_names(tree: ast.AST) -> set[str]:
+    """Names that some expression in the tree reads; a quoted
     annotation counts as its expression."""
     used: set[str] = set()
     for node in ast.walk(tree):
@@ -78,8 +84,8 @@ def unused_private_names(tree: ast.Module) -> list[str]:
     ]
 
 
-def read_attributes(tree: ast.Module) -> set[str]:
-    """Attribute names that some expression in the module reads."""
+def read_attributes(tree: ast.AST) -> set[str]:
+    """Attribute names that some expression in the tree reads."""
     return {
         node.attr
         for node in ast.walk(tree)
@@ -105,6 +111,27 @@ def unused_private_methods(tree: ast.Module, read: set[str], inherited=lambda cl
             if name not in read and not inherited(node.name, name):
                 unused.append(f"{node.name}.{name}")
     return unused
+
+
+def unread_public_names(trees: dict[str, ast.Module], elsewhere: set[str]) -> list[str]:
+    """``module.name`` for each public function or class at module level
+    of ``trees`` that is not in ``elsewhere`` and that no statement of
+    ``trees`` reads, other than its own definition."""
+    reads = [
+        (statement, read_names(statement) | read_attributes(statement))
+        for tree in trees.values()
+        for statement in tree.body
+    ]
+    unread: list[str] = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in elsewhere:
+                continue
+            if not any(node.name in read for statement, read in reads if statement is not node):
+                unread.append(f"{module}.{node.name}")
+    return unread
 
 
 def defined_outside_the_package(module: str):
@@ -168,6 +195,12 @@ def test_the_checks_see_what_they_check():
     assert "stored" not in read
     assert unused_private_methods(tree, read) == ["_P.parse_pattern_atom", "_P.encode"]
     assert unused_private_methods(tree, read, lambda cls, name: name == "encode") == ["_P.parse_pattern_atom"]
+    trees = {
+        "a": ast.parse("def f(): return f()\nclass C: pass\ndef g(): pass\ndef _h(): pass\n"),
+        "b": ast.parse("def e(x: 'C'): pass\n"),
+    }
+    assert unread_public_names(trees, set()) == ["a.f", "a.g", "b.e"]
+    assert unread_public_names(trees, {"g", "e"}) == ["a.f"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -184,6 +217,21 @@ def test_no_unused_private_names(module):
 def test_no_unused_private_methods(module):
     tree = _tree(module)
     assert unused_private_methods(tree, PACKAGE_READS, defined_outside_the_package(module)) == []
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # the package, less the re-exports of __init__, and the benchmark's
+    # own modules, less its tests
+    trees = {module: _tree(module) for module in MODULES}
+    elsewhere: set[str] = set()
+    for path in BENCHMARK.glob("*.py"):
+        if not path.name.startswith("test_"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            elsewhere |= read_names(tree) | read_attributes(tree)
+    assert unread_public_names(trees, elsewhere) == [f"{m}.{name}" for m, name, _ in TEST_SUPPORT]
+    tests = Path(__file__).resolve().parent
+    for _, name, test in TEST_SUPPORT:
+        assert name in read_names(ast.parse((tests / test).read_text(encoding="utf-8"))), test
 
 
 @pytest.mark.parametrize("module", LOWER)
