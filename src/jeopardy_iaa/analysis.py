@@ -458,14 +458,14 @@ def symmetry_hints(program: LabeledProgram, configs: Configurations) -> list[Hin
     """Call sites where the callee's branching scrutinee is available
     in both execution directions.
 
-    Only callees that actually branch (a case with two or more branches)
-    on a component of their own parameter are considered.  The forward
-    side is matched per call site through its argument labels; the
-    backward side is matched per caller and callee, since inverse-walk
-    configurations do not record the site they were emitted from.  A
-    label counts as available on a side when some configuration matched
-    there holds it, so each side's masks are ORed once per key, and each
-    call site ANDs them with the masks of its variables' occurrences.
+    Only the parts of a site's argument that its callee branches on are
+    considered (``_branching_parts``).  The forward side is matched per
+    call site through its argument labels; the backward side is matched
+    per caller and callee, since inverse-walk configurations do not
+    record the site they were emitted from.  A label counts as available
+    on a side when some configuration matched there holds it, so each
+    side's masks are ORed once per key.  A part joins the witness when
+    each of its variables has occurrences on both sides.
     """
     down: dict[tuple[str, str, int], int] = {}
     up: dict[tuple[str, str], int] = {}
@@ -479,10 +479,6 @@ def symmetry_hints(program: LabeledProgram, configs: Configurations) -> list[Hin
             down[key] = down.get(key, 0) | labels
 
     hints: list[Hint] = []
-    paths_cache: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for fd in program.functions.values():
-        paths_cache[fd.name] = _branching_parameter_paths(fd)
-
     callers = {caller for caller, _, _ in down}
     for fd in program.functions.values():
         if fd.name not in callers:
@@ -498,14 +494,15 @@ def symmetry_hints(program: LabeledProgram, configs: Configurations) -> list[Hin
                     sites.append(node)
         for site in sites:
             callee = site.callee.name
-            paths = paths_cache.get(callee, ())
-            if not paths:
-                continue
             down_labels = down.get((fd.name, callee, label_mask(site.argument)))
             up_labels = up.get((fd.name, callee))
             if down_labels is None or up_labels is None:
                 continue
-            witness = _site_witness(site.argument, paths, occurrences, down_labels, up_labels)
+            witness = 0
+            for part in _branching_parts(program.functions[callee], site.argument):
+                masks = [occurrences[variable.name] for variable in pattern_variables(part)]
+                if all(mask & down_labels and mask & up_labels for mask in masks):
+                    witness |= reduce(or_, masks, 0) & (down_labels | up_labels)
             if witness:
                 hints.append(
                     Hint(fd.name, callee, body_root_label(site), tuple(configs.unmask(witness)))
@@ -514,84 +511,43 @@ def symmetry_hints(program: LabeledProgram, configs: Configurations) -> list[Hin
     return hints
 
 
-def _site_witness(
-    argument: Pattern,
-    paths: tuple[tuple[int, ...], ...],
-    occurrences: dict[str, int],
-    down_labels: int,
-    up_labels: int,
-) -> int:
-    witness = 0
-    for path in paths:
-        sub = _subpattern_at(argument, path)
-        if sub is None:
-            continue
-        names = [v.name for v in pattern_variables(sub)]
-        if not names:
-            continue  # a ground scrutinee component branches statically
-        per_path = 0
-        for name in names:
-            occs = occurrences.get(name, 0)
-            down_hits = occs & down_labels
-            up_hits = occs & up_labels
-            if not down_hits or not up_hits:
-                per_path = 0
-                break
-            per_path |= down_hits | up_hits
-        witness |= per_path
-    return witness
+def _branching_parts(callee: FunDef, argument: Pattern) -> list[Pattern]:
+    """The parts of a call site's argument that the callee branches on.
 
-
-def _subpattern_at(pattern: Pattern, path: tuple[int, ...]) -> Pattern | None:
-    """Descend a component path; a variable absorbs any remaining path."""
-    node = pattern
-    for index in path:
-        if isinstance(node, Var):
-            return node
-        if index >= len(node.args):
-            return None
-        node = node.args[index]
-    return node
-
-
-def _branching_parameter_paths(fd: FunDef) -> tuple[tuple[int, ...], ...]:
-    """Component paths of the parameter that the body's branching inspects.
-
-    Walks the body's case spine, tracking which variables are bound to
-    which component of the (single, variable) parameter; every case with
-    two or more branches whose scrutinee is such a variable contributes
-    that variable's component path.
+    Walks the callee's case spine on its own stack, with each variable
+    bound to the part of ``argument`` that it stands for, the parameter
+    to all of it.  A variable part absorbs every part below it; a
+    constructor part's parts are its arguments by position, whatever its
+    name; past the argument's end a variable is bound to None, which
+    still shadows an outer binding of its name.  Every case of two or
+    more branches whose scrutinee is bound to a part contributes it.
     """
-    if not isinstance(fd.parameter, Var):
-        return ()
-    found: list[tuple[int, ...]] = []
-
-    def walk(term: Term, binding: dict[str, tuple[int, ...]]) -> None:
-        if not isinstance(term, Case):
-            return
-        scrutinee_path: tuple[int, ...] | None = None
+    if type(callee.parameter) is not Var or type(callee.body) is not Case:
+        return []
+    parts: list[Pattern] = []
+    spine: list[tuple[Case, dict]] = [(callee.body, {callee.parameter.name: argument})]
+    while spine:
+        term, bound = spine.pop()
         scrutinee = term.scrutinee
-        if isinstance(scrutinee, Var):
-            scrutinee_path = binding.get(scrutinee.name)
-        if scrutinee_path is not None and len(term.branches) > 1:
-            if scrutinee_path not in found:
-                found.append(scrutinee_path)
+        tracked = type(scrutinee) is Var and scrutinee.name in bound
+        part = bound[scrutinee.name] if tracked else None
+        if part is not None and len(term.branches) > 1:
+            parts.append(part)
         for pattern, body in term.branches:
-            extended = dict(binding)
-            if scrutinee_path is not None:
-                for var, sub_path in _variable_paths(pattern):
-                    extended[var.name] = scrutinee_path + sub_path
-            walk(body, extended)
-
-    walk(fd.body, {fd.parameter.name: ()})
-    return tuple(found)
-
-
-def _variable_paths(pattern: Pattern) -> list[tuple[Var, tuple[int, ...]]]:
-    if isinstance(pattern, Var):
-        return [(pattern, ())]
-    out: list[tuple[Var, tuple[int, ...]]] = []
-    for index, arg in enumerate(pattern.args):
-        for var, sub in _variable_paths(arg):
-            out.append((var, (index,) + sub))
-    return out
+            if type(body) is not Case:
+                continue
+            inner = dict(bound)
+            # each pattern position against its part, left to right; the
+            # pattern of an untracked scrutinee binds nothing, so a name it
+            # rebinds keeps its part
+            pending: list[tuple[Pattern, Pattern | None]] = [(pattern, part)] if tracked else []
+            while pending:
+                position, at = pending.pop()
+                if type(position) is Var:
+                    inner[position.name] = at
+                    continue
+                args = position.args
+                below = at.args + (None,) * len(args) if type(at) is Con else (at,) * len(args)
+                pending += [*zip(args, below)][::-1]
+            spine.append((body, inner))
+    return parts

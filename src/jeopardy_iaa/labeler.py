@@ -70,8 +70,12 @@ class _Labeler:
         if type(p) is Var:
             return Var(p.name, self._next(function, "variable", p.span), p.span)
         label = self._next(function, "constructor", p.span)
-        args = tuple([self.pattern(arg, function) for arg in p.args])
-        return Con(p.name, args, label, p.span)
+        # loops, not comprehensions, here and in term: a comprehension is
+        # one Python frame more per nesting level
+        args = []
+        for arg in p.args:
+            args.append(self.pattern(arg, function))
+        return Con(p.name, tuple(args), label, p.span)
 
     def term(self, t: Term, function: str) -> Term:
         kind = type(t)
@@ -83,10 +87,10 @@ class _Labeler:
         if kind is Case:
             label = self._next(function, "case", t.span)
             scrutinee = self.term(t.scrutinee, function)
-            branches = tuple(
-                [(self.pattern(p, function), self.term(b, function)) for p, b in t.branches]
-            )
-            return Case(scrutinee, t.scrutinee_type, branches, label, t.span)
+            branches = []
+            for p, b in t.branches:
+                branches.append((self.pattern(p, function), self.term(b, function)))
+            return Case(scrutinee, t.scrutinee_type, tuple(branches), label, t.span)
         raise ValueError(f"cannot label sugared term {t!r}; desugar first")
 
 

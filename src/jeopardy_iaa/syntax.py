@@ -322,7 +322,6 @@ class ConstructorInfo:
     """Declared shape of one constructor."""
 
     components: tuple[str | None, ...]
-    data_type: str | None
     builtin: bool = False
 
     @property
@@ -350,10 +349,10 @@ def constructor_table(program: Program) -> tuple[dict[str, ConstructorInfo], lis
                     )
                 )
                 continue
-            table[con_name] = ConstructorInfo(tuple(components), definition.type_name)
+            table[con_name] = ConstructorInfo(tuple(components))
     for con_name, arity in BUILTIN_CONSTRUCTORS.items():
         if con_name not in table:
-            table[con_name] = ConstructorInfo((None,) * arity, None, builtin=True)
+            table[con_name] = ConstructorInfo((None,) * arity, builtin=True)
     return table, diagnostics
 
 

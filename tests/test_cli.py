@@ -623,6 +623,42 @@ def test_a_deep_successor_chain_runs_through_every_stage(tmp_path, depth):
         assert child.stdout
 
 
+def application_list(length: int) -> str:
+    return (
+        "data nat = [zero] [successor nat].\nbump n = [successor n].\n"
+        f"f n = {' : '.join(['bump n'] * length)} : [].\nmain f.\n"
+    )
+
+
+# the longest list of applications that the parser's nesting bound lets through
+LONGEST_LIST = 398
+
+
+def test_the_longest_list_of_applications_is_the_last_that_parses(capsys, tmp_path):
+    source = tmp_path / "list.jpd"
+    source.write_text(application_list(LONGEST_LIST + 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(source))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{source}:3:") and err.endswith(": parse error: nesting too deep\n")
+
+
+@pytest.mark.parametrize("length", [329, LONGEST_LIST])
+def test_a_long_list_of_applications_analyzes(tmp_path, length):
+    # in a child process, as for the successor chain.  desugar and label,
+    # which print the core tree, still fail on it in the printer
+    source = tmp_path / "list.jpd"
+    source.write_text(application_list(length), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "jeopardy_iaa", "analyze", str(source)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert b"f -> bump [down]" in child.stdout
+
+
 @pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze", "run"])
 @pytest.mark.parametrize(
     "source, diagnostic",

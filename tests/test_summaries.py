@@ -4,7 +4,9 @@
 closure over the one-step reference rule ``call``, including the type
 of any exception raised, and ``symmetry_hints`` on its result must
 equal the linear scan that compares every configuration of the naive
-closure against every call site.  Each backward summary must hold
+closure against every call site; at every call site, the parts of the
+argument that ``_branching_parts`` finds must be those at the component
+paths of the old path walk, copied here.  Each backward summary must hold
 exactly the calls that the per-path rule ``term_up`` reaches, and the
 merged walk must end with exactly its availability sets.  The report's
 order of label masks must be ``label_sort_key`` order.
@@ -16,14 +18,14 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import (
     Configurations,
     Hint,
     UndefinedCalleeError,
-    _branching_parameter_paths,
-    _subpattern_at,
+    _branching_parts,
     _summary,
     _walk_up,
     call,
@@ -141,6 +143,68 @@ def _call_sites(term: Term) -> list[Apply]:
     return []
 
 
+# The path logic that symmetry_hints used before it matched the callee's
+# case spine against each site's argument directly: _subpattern_at,
+# _branching_parameter_paths and _variable_paths, copied verbatim from
+# analysis.py at commit 3b5aa8e, so that the reference shares no code
+# with the walk it checks.
+
+
+def _subpattern_at(pattern: Pattern, path: tuple[int, ...]) -> Pattern | None:
+    """Descend a component path; a variable absorbs any remaining path."""
+    node = pattern
+    for index in path:
+        if isinstance(node, Var):
+            return node
+        if index >= len(node.args):
+            return None
+        node = node.args[index]
+    return node
+
+
+def _branching_parameter_paths(fd: FunDef) -> tuple[tuple[int, ...], ...]:
+    """Component paths of the parameter that the body's branching inspects.
+
+    Walks the body's case spine, tracking which variables are bound to
+    which component of the (single, variable) parameter; every case with
+    two or more branches whose scrutinee is such a variable contributes
+    that variable's component path.
+    """
+    if not isinstance(fd.parameter, Var):
+        return ()
+    found: list[tuple[int, ...]] = []
+
+    def walk(term: Term, binding: dict[str, tuple[int, ...]]) -> None:
+        if not isinstance(term, Case):
+            return
+        scrutinee_path: tuple[int, ...] | None = None
+        scrutinee = term.scrutinee
+        if isinstance(scrutinee, Var):
+            scrutinee_path = binding.get(scrutinee.name)
+        if scrutinee_path is not None and len(term.branches) > 1:
+            if scrutinee_path not in found:
+                found.append(scrutinee_path)
+        for pattern, body in term.branches:
+            extended = dict(binding)
+            if scrutinee_path is not None:
+                for var, sub_path in _variable_paths(pattern):
+                    extended[var.name] = scrutinee_path + sub_path
+            walk(body, extended)
+
+    walk(fd.body, {fd.parameter.name: ()})
+    return tuple(found)
+
+
+def _variable_paths(pattern: Pattern) -> list[tuple[Var, tuple[int, ...]]]:
+    if isinstance(pattern, Var):
+        return [(pattern, ())]
+    out: list[tuple[Var, tuple[int, ...]]] = []
+    for index, arg in enumerate(pattern.args):
+        for var, sub in _variable_paths(arg):
+            out.append((var, (index,) + sub))
+    return out
+
+
 def linear_hints(program, configs):
     """Every call site scans every configuration for its caller and callee."""
     hints = []
@@ -218,6 +282,19 @@ def _check(program):
     assert actual == expected
     if isinstance(expected, frozenset):
         assert symmetry_hints(program, found) == linear_hints(program, expected)
+        _check_branching_parts(program)
+
+
+def _check_branching_parts(program):
+    """At every call site, whether or not configurations reach it, the
+    parts of its argument that the callee branches on are those at the
+    reference's component paths."""
+    for fd in program.functions.values():
+        for site in _call_sites(fd.body):
+            callee = program.functions[site.callee.name]
+            paths = _branching_parameter_paths(callee)
+            expected = {_subpattern_at(site.argument, path) for path in paths} - {None}
+            assert set(_branching_parts(callee, site.argument)) == expected
 
 
 def test_random_programs_match_the_reference():
@@ -236,11 +313,118 @@ def test_fixtures_match_the_reference(fixture):
 SELF_CALLS = f"id y = y.\nf x = {' : '.join(['f x'] * 40)}.\nmain f.\n"
 
 
+# Corner cases of matching a callee's case spine against a site's
+# argument.  In SHADOWED, b lies past the end of [e x], and so does the
+# inner p that [d p] binds: it shadows the parameter p, so the two-way
+# case on it inspects no part of the argument, and there is no hint.
+SHADOWED = (
+    "data t = [e t] [c t t] [d t] [z] [s t].\n"
+    "g p = case p of ; [c a b] -> case b of ; [d p] -> case p of"
+    " ; [z] -> [z] ; [s k] -> [s k] ; [z] -> [z] ; [z] -> [z].\n"
+    "f x = case g [e x] of ; r -> (r, x).\nmain f.\n"
+)
+# g branches on k alone, two constructor levels below its parameter
+DESTRUCTURING = (
+    "data t = [c t t] [d t t] [z] [s t].\n"
+    "g p = case p of ; [c a b] -> case b of"
+    " ; [s k] -> case k of ; [z] -> [z] ; [s m] -> [s m].\n"
+)
+# the variable x absorbs k; so does w, one level below [c y w]
+ABSORBED = DESTRUCTURING + "f x = case g x of ; r -> (r, x).\nmain f.\n"
+ABSORBED_BELOW = (
+    DESTRUCTURING + "f [c y w] = case g [c y w] of ; r -> (r, [c y w]).\nmain f.\n"
+)
+# [d y w] has the arity of [c a b]: b stands for w, whatever the name
+RENAMED = DESTRUCTURING + "f [c y w] = case g [d y w] of ; r -> (r, [c y w]).\nmain f.\n"
+CORNER_CASES = [SHADOWED, ABSORBED, ABSORBED_BELOW, RENAMED]
+
+
 @pytest.mark.parametrize(
-    "source", [diamond(k) for k in range(1, 7)] + [ring(1), ring(5), SELF_CALLS] + NESTED_SCRUTINEES
+    "source",
+    [diamond(k) for k in range(1, 7)]
+    + [ring(1), ring(5), SELF_CALLS]
+    + NESTED_SCRUTINEES
+    + CORNER_CASES,
 )
 def test_generated_programs_match_the_reference(source):
     _check(labeled(source))
+
+
+@pytest.mark.parametrize(
+    "source, witnesses",
+    [
+        (SHADOWED, []),
+        (ABSORBED, [(21, 25)]),
+        (ABSORBED_BELOW, [(23, 28, 34)]),
+        (RENAMED, [(23, 28, 34)]),
+    ],
+    ids=["shadowed", "absorbed", "absorbed-below", "renamed"],
+)
+def test_the_corner_cases_hint_where_the_argument_holds_the_part(source, witnesses):
+    program = labeled(source)
+    hints = symmetry_hints(program, configurations(program))
+    assert [hint.witness_labels for hint in hints] == witnesses
+
+
+# Random callee spines against random site arguments.  g's nested cases
+# scrutinize mostly variables that an enclosing pattern binds, and may
+# rebind the parameter's name p; some scrutinize q, which nothing binds,
+# or an application.  Constructors of one arity go by several names, and
+# the site's argument is a constructor of random name and arity over
+# random parts, so its parts may end above, at or below those that g's
+# patterns name.
+_SHAPES = (("z", 0), ("e", 1), ("s", 1), ("c", 2), ("d", 2), ("k", 3))
+
+
+def _constructed(parts):
+    return st.sampled_from(_SHAPES).flatmap(
+        lambda shape: st.tuples(*[parts] * shape[1]).map(lambda args: Con(shape[0], args))
+    )
+
+
+def _shaped(names):
+    return st.recursive(st.sampled_from(names).map(Var), _constructed, max_leaves=4)
+
+
+_SPINE_PATTERNS = _shaped(("p", "a", "q"))
+_UNBOUND_SCRUTINEES = st.sampled_from([Var("q"), Apply(FunctionRef("g"), Var("p"))])
+
+
+@st.composite
+def _spines(draw, bound=("p",), depth=4):
+    """A case whose branch bodies nest up to ``depth - 1`` further cases."""
+    scrutinee = draw(st.sampled_from(bound).map(Var) | _UNBOUND_SCRUTINEES)
+    branches = []
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = draw(_SPINE_PATTERNS)
+        if depth == 1 or draw(st.booleans()):
+            body = draw(_SPINE_PATTERNS)
+        else:
+            inner = sorted({*bound, *(v.name for v in _pattern_vars(pattern))})
+            body = draw(_spines(tuple(inner), depth - 1))
+        branches.append((pattern, body))
+    return Case(scrutinee, None, tuple(branches))
+
+
+_SITE_NAMES = ("x", "y", "w")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _spines(),
+    _constructed(_shaped(_SITE_NAMES)),
+    st.lists(st.sampled_from(_SITE_NAMES), max_size=3),
+)
+def test_random_spines_and_site_arguments_match_the_reference(spine, argument, kept):
+    # f [k x y w] = case g <argument> of ; r -> [c r [k <kept>]]
+    parameter = Con("k", tuple(map(Var, _SITE_NAMES)))
+    result = Con("c", (Var("r"), Con("k", tuple(map(Var, kept)))))
+    body = Case(Apply(FunctionRef("g"), argument), None, ((Var("r"), result),))
+    program = Program(
+        (FunDef("g", Var("p"), None, None, spine), FunDef("f", parameter, None, None, body)),
+        FunctionRef("f"),
+    )
+    _check(annotate(program))
 
 
 def _check_backward_summaries(program):

@@ -191,7 +191,7 @@ def test_record_keywords_and_defaults():
     assert (Var("x").label, Var("x").span) == (None, None)
     assert (Con("c").args, FunctionRef("f").inversions) == ((), 0)
     assert Diagnostic("k", "m").span is None
-    assert ConstructorInfo((None,), None).builtin is False
+    assert ConstructorInfo((None,)).builtin is False
     with pytest.raises(TypeError):
         Var()
     with pytest.raises(TypeError):
