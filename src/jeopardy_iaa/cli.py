@@ -21,6 +21,9 @@ rise in the report's label order, integers then ``input`` then
 A writer made for the report produces ``analyze --format json``: its
 text is byte for byte that of ``json.dumps(report, ensure_ascii=False,
 sort_keys=True, indent=2)``.
+``run --trace`` prints the calls' arguments through ``pretty_values``,
+which writes a node that arguments share once and then reuses its
+text; the result is printed through ``pretty_value``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .desugar import desugar_program
 from .evaluator import DEFAULT_MAX_CALLS, EvalError, run_main
 from .labeler import LabeledProgram, annotate
 from .parser import ParseError, line_col, parse, parse_value
-from .printer import pretty_program, pretty_value
+from .printer import pretty_program, pretty_value, pretty_values
 from .syntax import (
     Diagnostic,
     Program,
@@ -349,11 +352,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             EXIT_RUNTIME, _runtime_error(args.file, source, labeled, error)
         ) from None
     if args.trace:
-        for event in trace:
-            print(
-                f"call {event.caller} -> {event.callee} @ {event.application_label}: "
-                f"{pretty_value(event.argument)}"
-            )
+        arguments = pretty_values(event.argument for event in trace)
+        for event, argument in zip(trace, arguments):
+            print(f"call {event.caller} -> {event.callee} @ {event.application_label}: {argument}")
     print(pretty_value(result))
     return EXIT_OK
 

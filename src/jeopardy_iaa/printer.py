@@ -7,7 +7,11 @@ variables as ``_``.  The parser reads ``let`` as a case, so a ``let``
 prints as that case.  Cons cells and nested case statements are always
 parenthesised, which keeps the printed form unambiguous without
 tracking operator context.  A value is a pattern without variables or
-labels, so ``pretty_value`` is another name for ``pretty_pattern``.
+labels, so ``pretty_value`` is another name for ``pretty_pattern``;
+``pretty_values`` prints a sequence of values, such as a call trace's
+arguments, and writes a node they share once.  The three run one node
+loop.  Terms have a writer of their own.  Both writers keep their own
+stack, so a tree of any depth is safe.
 
 With ``labels=True`` every labeled node is suffixed with a ``{-n-}``
 marker.  That form is for human inspection of analysis reports and is
@@ -15,6 +19,8 @@ not meant to be parsed back.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 from .syntax import (
     Apply,
@@ -42,75 +48,151 @@ def pretty_funref(ref: FunctionRef) -> str:
 
 
 def pretty_pattern(pattern: Pattern, labels: bool = False) -> str:
-    """Print a pattern.  The writer keeps its own stack of nodes and
-    closing text, so a tree of any depth is safe."""
-    out: list[str] = []
-    stack: list[Pattern | str] = [pattern]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is str:
-            out.append(node)
-            continue
-        if kind is Var:
-            name = "_" if is_wildcard_name(node.name) and not labels else node.name
-            out.append(f"{name}{_lab(node.label, labels)}")
-            continue
-        # no call when unlabeled: a traced run prints every argument
-        suffix = _lab(node.label, labels) if labels else ""
-        name, args = node.name, node.args
-        if len(args) == 2 and (name == "pair" or name == "cons"):
-            out.append("(")
-            stack += (")" + suffix, args[1], ", " if name == "pair" else " : ", args[0])
-        elif not args:
-            out.append(("[]" if name == "nil" else f"[{name}]") + suffix)
-        else:
-            out.append("[" + name)
-            stack.append("]" + suffix)
-            for arg in reversed(args):
-                stack += (arg, " ")
-    return "".join(out)
+    """Print a pattern."""
+    return next(_write((pattern,), labels, None))
 
 
 pretty_value = pretty_pattern
 
 
+def pretty_values(values: Iterable[Con]) -> Iterator[str]:
+    """Print each value of a sequence in turn, as ``pretty_value`` would.
+
+    A node met again, in the same value or a later one, costs one
+    fragment: its earlier text is reused, not written again.  A call trace
+    shares most of each argument with earlier ones, so its Python-level
+    work grows with its distinct nodes, not its printed ones.  The text
+    kept for reuse is bounded by ``KEPT_LINES``.
+    """
+    return _write(values, False, {})
+
+
+# The texts that pretty_values joins for reuse are parts of the lines it
+# prints, at most one line's worth per line.  Once they add up to more than
+# this many of its longest lines, it forgets every node: what it keeps stays
+# below KEPT_LINES + 1 of its longest lines, and at most one value in
+# KEPT_LINES + 1 is printed without the text of the values before it.
+KEPT_LINES = 64
+
+
+def _write(
+    patterns: Iterable[Pattern], labels: bool, memo: dict[int, tuple[Con, int, int]] | None
+) -> Iterator[str]:
+    """The one node loop behind every pattern and value printer.
+
+    ``memo`` maps the ``id`` of each composite node written so far to the
+    node itself, which keeps the ``id`` from being reused, and the range
+    of fragments its text takes up in ``out``; it is ``None`` when there
+    is nothing to share.  A node met again appends that text as one
+    fragment, which becomes the node's range; ``kept`` counts the text
+    joined for that.
+    """
+    out: list[str] = []
+    kept = longest = 0
+    for pattern in patterns:
+        first = len(out)
+        stack: list[Pattern | str | tuple[Con, int]] = [pattern]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is str:
+                out.append(node)
+                continue
+            if kind is tuple:
+                # the end of a composite node's text
+                node, start = node
+                memo[id(node)] = (node, start, len(out))
+                continue
+            if kind is Var:
+                name = "_" if is_wildcard_name(node.name) and not labels else node.name
+                out.append(f"{name}{_lab(node.label, labels)}")
+                continue
+            # no call when unlabeled: a traced run prints every argument
+            suffix = _lab(node.label, labels) if labels else ""
+            name, args = node.name, node.args
+            if not args:
+                out.append(("[]" if name == "nil" else f"[{name}]") + suffix)
+                continue
+            if memo is not None:
+                seen = memo.get(id(node))
+                if seen is not None:
+                    _, start, end = seen
+                    memo[id(node)] = (node, len(out), len(out) + 1)
+                    if end - start == 1:
+                        out.append(out[start])
+                    else:
+                        text = "".join(out[start:end])
+                        kept += len(text)
+                        out.append(text)
+                    continue
+                stack.append((node, len(out)))
+            if len(args) == 2 and (name == "pair" or name == "cons"):
+                out.append("(")
+                stack += (")" + suffix, args[1], ", " if name == "pair" else " : ", args[0])
+            else:
+                out.append("[" + name)
+                stack.append("]" + suffix)
+                for arg in reversed(args):
+                    stack += (arg, " ")
+        text = "".join(out[first:])
+        yield text
+        if memo is not None:
+            longest = max(longest, len(text))
+            if kept > KEPT_LINES * longest:
+                out.clear()
+                memo.clear()
+                kept = 0
+
+
 def pretty_term(term: Term, labels: bool = False, indent: int = 0, atom: bool = False) -> str:
-    if isinstance(term, (Var, Con)):
-        return pretty_pattern(term, labels)
-    if isinstance(term, Apply):
-        callee = f"{pretty_funref(term.callee)}{_lab(term.label, labels)}"
-        text = f"{callee} {pretty_pattern(term.argument, labels)}"
-        return f"({text})" if atom else text
-    if isinstance(term, GeneralApply):
-        argument = pretty_term(term.argument, labels, indent, atom=True)
-        text = f"{pretty_funref(term.callee)} {argument}"
-        return f"({text})" if atom else text
-    if isinstance(term, Case):
-        return _pretty_case(term, labels, indent, atom)
-    if isinstance(term, ConApp):
-        name, args = term.name, term.args
-        if len(args) == 2 and name == "pair":
-            return f"({pretty_term(args[0], labels, indent)}, {pretty_term(args[1], labels, indent)})"
-        atoms = [pretty_term(arg, labels, indent, atom=True) for arg in args]
-        if len(args) == 2 and name == "cons":
-            return f"({atoms[0]} : {atoms[1]})"
-        return f"[{name} {' '.join(atoms)}]"
-    raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
-
-
-def _pretty_case(term: Case, labels: bool, indent: int, atom: bool) -> str:
-    scrutinee = pretty_term(term.scrutinee, labels, indent, atom=isinstance(term.scrutinee, Case))
-    ascription = f" : {term.scrutinee_type}" if term.scrutinee_type else ""
-    pad = " " * (indent + 2)
-    lines = [f"case{_lab(term.label, labels)} {scrutinee}{ascription} of"]
-    for pattern, body in term.branches:
-        rendered = pretty_term(body, labels, indent + 2, atom=isinstance(body, Case))
-        lines.append(f"{pad}; {pretty_pattern(pattern, labels)} -> {rendered}")
-    text = "\n".join(lines)
-    if atom:
-        return f"({text})"
-    return text
+    """Print a term.  ``atom`` parenthesises an application or a case, and
+    ``indent`` is the column its case branches are indented from."""
+    out: list[str] = []
+    stack: list[str | tuple[Term, int, bool]] = [(term, indent, atom)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        term, indent, atom = item
+        kind = type(term)
+        if kind is Var or kind is Con:
+            out.append(pretty_pattern(term, labels))
+            continue
+        if kind is ConApp:
+            name, args = term.name, term.args
+            if len(args) == 2 and name == "pair":
+                out.append("(")
+                stack += (")", (args[1], indent, False), ", ", (args[0], indent, False))
+            elif len(args) == 2 and name == "cons":
+                out.append("(")
+                stack += (")", (args[1], indent, True), " : ", (args[0], indent, True))
+            else:
+                out.append("[" + name)
+                stack.append("]")
+                for arg in reversed(args):
+                    stack += ((arg, indent, True), " ")
+            continue
+        if atom:
+            out.append("(")
+            stack.append(")")
+        if kind is Apply:
+            callee = f"{pretty_funref(term.callee)}{_lab(term.label, labels)}"
+            out.append(f"{callee} {pretty_pattern(term.argument, labels)}")
+        elif kind is GeneralApply:
+            out.append(f"{pretty_funref(term.callee)} ")
+            stack.append((term.argument, indent, True))
+        elif kind is Case:
+            pad = "\n" + " " * (indent + 2) + "; "
+            for pattern, body in reversed(term.branches):
+                branch = f"{pad}{pretty_pattern(pattern, labels)} -> "
+                stack += ((body, indent + 2, type(body) is Case), branch)
+            ascription = f" : {term.scrutinee_type}" if term.scrutinee_type else ""
+            stack += (f"{ascription} of", (term.scrutinee, indent, type(term.scrutinee) is Case))
+            out.append(f"case{_lab(term.label, labels)} ")
+        else:
+            raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
+    return "".join(out)
 
 
 def pretty_definition(definition: DataDef | FunDef, labels: bool = False) -> str:

@@ -644,8 +644,7 @@ def test_the_longest_list_of_applications_is_the_last_that_parses(capsys, tmp_pa
 
 @pytest.mark.parametrize("length", [329, LONGEST_LIST])
 def test_a_long_list_of_applications_analyzes(tmp_path, length):
-    # in a child process, as for the successor chain.  desugar and label,
-    # which print the core tree, still fail on it in the printer
+    # in a child process, as for the successor chain
     source = tmp_path / "list.jpd"
     source.write_text(application_list(length), encoding="utf-8")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -657,6 +656,25 @@ def test_a_long_list_of_applications_analyzes(tmp_path, length):
     )
     assert (child.returncode, child.stderr) == (0, b"")
     assert b"f -> bump [down]" in child.stdout
+
+
+@pytest.mark.parametrize(
+    "command", [["desugar"], ["label"], ["analyze", "--show-labels"]], ids=lambda c: c[0]
+)
+def test_a_long_list_of_applications_prints(tmp_path, command):
+    # hoisting the applications nests one case per element, which the
+    # core printer writes off the host stack
+    source = tmp_path / "list.jpd"
+    source.write_text(application_list(LONGEST_LIST), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "jeopardy_iaa", command[0], str(source), *command[1:]],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout.count(b"case") >= LONGEST_LIST
 
 
 @pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze", "run"])

@@ -1,6 +1,6 @@
 """Golden outputs: the exact bytes of ``analyze --format json`` and of
-the printing commands ``parse``, ``desugar`` and ``label``, and of
-``analyze``'s text format.
+the printing commands ``parse``, ``desugar`` and ``label``, of
+``analyze``'s text format, and of ``run`` with and without ``--trace``.
 
 The report digests were recorded from the implementation that walked
 each callee body once per popped configuration; any faster closure must
@@ -10,7 +10,8 @@ recorded from the parser that kept pair, list-cell and ``let`` terms as
 node kinds of their own; reading them as the constructor terms and cases
 they stand for left every one unchanged but a ``let``'s ``parse`` text.
 The text-format reports and the JSON reports of diamond-10 and ring-140
-were recorded before the report got a JSON writer of its own.
+were recorded before the report got a JSON writer of its own, and the
+``run`` outputs before its trace reused the text of shared values.
 """
 
 from __future__ import annotations
@@ -183,6 +184,32 @@ PRINTED_DIGESTS = {
     },
 }
 
+# stdout of run, by program and input, with --trace unless the entry says
+# otherwise.  Recorded at 6bfcb61, whose trace printed each argument whole;
+# the trace's value writer reuses the text of nodes met before, keyed by
+# their id, so these also show that its bytes depend on no address.
+TRACE_DIGESTS = {
+    ("fib.jpd", "0", True): "b516420c2ddad263c40ff346a7ee08b8583eba57c3b8e5e7e1b821a190da7c2a",
+    ("fib.jpd", "1", True): "d743610f556816eb419258334f926d5ea01e8b9621339e417b60b1ddb0d5a409",
+    ("fib.jpd", "2", True): "e2574b78d53882d87f074560d78b80a9ab73496eeb81b556f8b424ec9bbf06f1",
+    ("fib.jpd", "3", True): "9981ce29e884448a7225f1f2b3cb0d3b21675a3a24b0a24962aeb48f2fc614f1",
+    ("fib.jpd", "4", True): "66f724e0d35d8c571be2dc4093b9f8bb8ee5b8bf9a5ac47c0938bcdb316db1ee",
+    ("fib.jpd", "5", True): "7bf19edb0dd84d5f36abc1085d98cee7248d1e690d9114aa4e02e9f81df8cede",
+    ("fib.jpd", "6", True): "c0aae7481b7a9e8da16029adcedeb8300732fc7500e522eb735b04a961386930",
+    ("fib.jpd", "7", True): "8461ce38e975d27a00527f45b1ecf0bcf64546af2f483793383da9f4f1c68e0f",
+    ("fib.jpd", "8", True): "7e6456c812e1d5179a7122a29d40a06018e62f3dd14eca640a39e4fdc1d40877",
+    ("fib.jpd", "9", True): "b86a24a54e576bdf2fbbe6bf19a1e7faaf47a314e0aa03fc3924002c707d32ae",
+    ("fib.jpd", "10", True): "d2ff4f44dc0d634266667e6be5bd6d05c98ec1f15599ba83e07d472e20de08bc",
+    ("fib.jpd", "11", True): "9db4afd21f995f1c5bbeb66237151ff3d8c28c1a228c9661c58ebeb8c8f5f2f2",
+    ("fib.jpd", "12", True): "051c6de0eb92870746ca2bdf917036f2727259ec67d554b2c95e22193814e942",
+    ("fib.jpd", "13", True): "88c48364f564d91436185cb5049589472895835cfe90699fc3c83a817a9da115",
+    ("fib.jpd", "14", True): "c5cea1ac9a4baa009dbaf4ce748ee15f9c1e31093554cdead65eaa0c3732e8e8",
+    ("main_sum.jpd", "(140, 15)", True): "8875ced794c42c8bed60fd57d2e0dc47dcb35cee4db084c50ee135d950503ef5",
+    ("main_sum.jpd", "(399, 29)", True): "3a10e42547eb5a05058a112d7e372225174938189dd7c22d66960d13446fe90a",
+    ("main_sum.jpd", "(140, 15)", False): "37df031475e64cd9501ca6ea8f5fd357a6507084ab90eb84b82c2ea707a90f34",
+}
+
+
 # one digest over the stdout of parse, desugar, label and analyze --format
 # json --show-labels, in that order for each generated source in turn:
 # sugar_library(12, random.Random(s)) for s = 0..39, then
@@ -289,3 +316,10 @@ def test_generated_front_end_bytes(tmp_path, capsys):
             assert main([command, str(path), *options]) == 0
             digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == GENERATED_FRONT_END_DIGEST
+
+
+@pytest.mark.parametrize("name, value, traced", sorted(TRACE_DIGESTS))
+def test_trace_bytes(name, value, traced, capsys):
+    assert main(["run", str(FIXTURES / name), value, *["--trace"] * traced]) == 0
+    data = capsys.readouterr().out.encode("utf-8")
+    assert _digest(data) == TRACE_DIGESTS[name, value, traced]

@@ -5,11 +5,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jeopardy_iaa import parse, parse_value, pretty_program
-from jeopardy_iaa.printer import pretty_funref, pretty_pattern, pretty_value
+from jeopardy_iaa import parse, parse_value, pretty_program, printer
+from jeopardy_iaa.evaluator import run_main
+from jeopardy_iaa.printer import (
+    KEPT_LINES,
+    pretty_funref,
+    pretty_pattern,
+    pretty_value,
+    pretty_values,
+)
 from jeopardy_iaa.syntax import Con, FunctionRef, Pattern, Var, is_wildcard_name
 
-from conftest import ALL_FIXTURES, load_core
+from conftest import ALL_FIXTURES, load_core, load_labeled
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
@@ -158,3 +165,68 @@ def test_printed_values_read_back(value):
     # run prints its result with pretty_value and reads its input with
     # parse_value, so a printed result is a valid input
     assert parse_value(pretty_value(value)) == value
+
+
+# -- the writer that reuses shared subtrees against the plain one ----------------
+
+
+@st.composite
+def shared_values(draw):
+    """A list of values drawn from a pool in which each node is built from
+    earlier ones, so that the same object recurs across values and within
+    one value, as in ``pair(x, x)``."""
+    pool = [Con(name) for name in draw(st.lists(_constructors, min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(0, 8))):
+        arity = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            args = (draw(st.sampled_from(pool)),) * arity
+        else:
+            args = tuple(draw(st.lists(st.sampled_from(pool), min_size=arity, max_size=arity)))
+        pool.append(Con(draw(_constructors), args))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+_TRACED = {name: load_labeled(name) for name in ("fib.jpd", "main_sum.jpd")}
+
+
+def trace_arguments(name: str, value: str) -> list[Con]:
+    _, trace = run_main(_TRACED[name], parse_value(value))
+    return [event.argument for event in trace]
+
+
+traces = st.one_of(
+    st.integers(0, 9).map(lambda n: trace_arguments("fib.jpd", str(n))),
+    st.tuples(st.integers(0, 60), st.integers(0, 20)).map(
+        lambda mn: trace_arguments("main_sum.jpd", f"({mn[0]}, {mn[1]})")
+    ),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_values() | traces)
+def test_shared_writer_is_the_plain_printer(values):
+    assert list(pretty_values(values)) == [reference_value(v) for v in values]
+
+
+@pytest.mark.parametrize("kept_lines", [0, 1, KEPT_LINES])
+def test_shared_writer_after_forgetting(monkeypatch, kept_lines):
+    # a trace of 301 lines forgets its nodes at least four times at the
+    # default bound, and after nearly every line at 0 and 1
+    monkeypatch.setattr(printer, "KEPT_LINES", kept_lines)
+    values = trace_arguments("main_sum.jpd", "(300, 3)")
+    assert list(pretty_values(values)) == [reference_value(v) for v in values]
+
+
+def test_shared_writer_keeps_the_ids_it_records():
+    # every value is built as it is asked for and dropped once printed: had
+    # the writer not kept the nodes it records, CPython would hand their ids
+    # to later values, whose text would then be taken from the memo
+    leaves = ("zero", "nil", "z")
+
+    def fresh():
+        for i in range(300):
+            yield Con("pair", tuple(Con("s", (Con(leaves[j % 3]),)) for j in (i, i + 1)))
+
+    texts = ("[zero]", "[]", "[z]")
+    expected = [f"([s {texts[i % 3]}], [s {texts[(i + 1) % 3]}])" for i in range(300)]
+    assert list(pretty_values(fresh())) == expected
