@@ -15,6 +15,10 @@ the bits of an int, built without walking the subtree.
 A pattern used as a term is labeled as the pattern it is, so it has no
 program point beyond the pattern's own.  Function references and type
 ascriptions are not program points.
+
+``annotate`` labels with two inner walkers, one for patterns and one
+for terms, taking one Python frame per nesting level; the next label is
+the size of the index built so far.
 """
 
 from __future__ import annotations
@@ -55,61 +59,54 @@ class LabeledProgram:
         return len(self.index)
 
 
-class _Labeler:
-    def __init__(self) -> None:
-        self.counter = 0
-        self.index: dict[int, LabelInfo] = {}
+def annotate(program: Program) -> LabeledProgram:
+    """Assign labels to every program point of a core program."""
+    index: dict[int, LabelInfo] = {}
 
-    def _next(self, function: str, kind: str, span: Span | None) -> int:
-        label = self.counter
-        self.counter += 1
-        self.index[label] = LabelInfo(function, kind, span)
-        return label
-
-    def pattern(self, p: Pattern, function: str) -> Pattern:
+    # loops, not comprehensions, here and in term: a comprehension is one
+    # Python frame more per nesting level
+    def pattern(p: Pattern) -> Pattern:
+        label = len(index)
         if type(p) is Var:
-            return Var(p.name, self._next(function, "variable", p.span), p.span)
-        label = self._next(function, "constructor", p.span)
-        # loops, not comprehensions, here and in term: a comprehension is
-        # one Python frame more per nesting level
+            index[label] = LabelInfo(function, "variable", p.span)
+            return Var(p.name, label, p.span)
+        index[label] = LabelInfo(function, "constructor", p.span)
         args = []
         for arg in p.args:
-            args.append(self.pattern(arg, function))
+            args.append(pattern(arg))
         return Con(p.name, tuple(args), label, p.span)
 
-    def term(self, t: Term, function: str) -> Term:
+    def term(t: Term) -> Term:
         kind = type(t)
         if kind is Var or kind is Con:
-            return self.pattern(t, function)
+            return pattern(t)
+        label = len(index)
         if kind is Apply:
-            label = self._next(function, "application", t.span)
-            return Apply(t.callee, self.pattern(t.argument, function), label, t.span)
+            index[label] = LabelInfo(function, "application", t.span)
+            return Apply(t.callee, pattern(t.argument), label, t.span)
         if kind is Case:
-            label = self._next(function, "case", t.span)
-            scrutinee = self.term(t.scrutinee, function)
+            index[label] = LabelInfo(function, "case", t.span)
+            scrutinee = term(t.scrutinee)
             branches = []
             for p, b in t.branches:
-                branches.append((self.pattern(p, function), self.term(b, function)))
+                branches.append((pattern(p), term(b)))
             return Case(scrutinee, t.scrutinee_type, tuple(branches), label, t.span)
         raise ValueError(f"cannot label sugared term {t!r}; desugar first")
 
-
-def annotate(program: Program) -> LabeledProgram:
-    """Assign labels to every program point of a core program."""
-    labeler = _Labeler()
     definitions = []
     functions: dict[str, FunDef] = {}
     for definition in program.definitions:
         if not isinstance(definition, FunDef):
             definitions.append(definition)
             continue
-        parameter = labeler.pattern(definition.parameter, definition.name)
-        body = labeler.term(definition.body, definition.name)
-        labeled = definition.rebuilt(parameter, body)
+        function = definition.name
+        labeled = definition.rebuilt(pattern(definition.parameter), term(definition.body))
         definitions.append(labeled)
-        functions[definition.name] = labeled
-    labeled_program = Program(tuple(definitions), program.main)
-    return LabeledProgram(labeled_program, labeler.index, functions)
+        functions[function] = labeled
+    # each walker holds itself through its closure; break that cycle, so
+    # that reference counting, not the cycle collector, frees what they hold
+    del pattern, term
+    return LabeledProgram(Program(tuple(definitions), program.main), index, functions)
 
 
 # node types that are program points, named as in error messages

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse, validate
+from jeopardy_iaa.parser import tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -229,3 +231,19 @@ def sugar_library(functions: int, rng: random.Random) -> str:
         names.append(name)
     parts.append(f"main {names[-1]}.")
     return "\n\n".join(parts) + "\n"
+
+
+def mutate(draw, source: str) -> str:
+    """``source`` with one to three tokens deleted, duplicated or swapped
+    with their neighbour."""
+    texts = [token.text for token in tokenize(source)[:-1]]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(texts) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if edit == "delete":
+            del texts[at]
+        elif edit == "duplicate":
+            texts.insert(at, texts[at])
+        elif at + 1 < len(texts):
+            texts[at], texts[at + 1] = texts[at + 1], texts[at]
+    return " ".join(texts)

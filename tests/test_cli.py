@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -13,10 +15,20 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa.cli import main
+from jeopardy_iaa.printer import pretty_program
 
-from conftest import ALL_FIXTURES, FIXTURES, diamond, sugar_library
+from conftest import (
+    ALL_FIXTURES,
+    FIXTURES,
+    diamond,
+    fixture_source,
+    mutate,
+    random_core_program,
+    sugar_library,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -623,6 +635,69 @@ def test_a_deep_successor_chain_runs_through_every_stage(tmp_path, depth):
         assert child.stdout
 
 
+# each shape, and the deepest nesting of it that the parser's bound lets
+# through: a case or a let costs one level, a parenthesised argument two
+NESTED_TERMS = {
+    "scrutinee cases": (lambda n: "case " * n + "x" + " of ; y -> y" * n, 398),
+    "lets": (lambda n: "".join(f"let y{i} = id x in " for i in range(n)) + "x", 398),
+    "applications": (lambda n: "id (" * n + "x" + ")" * n, 199),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_TERMS)
+def test_the_deepest_nested_terms_run_through_every_stage(capsys, tmp_path, shape):
+    build, depth = NESTED_TERMS[shape]
+    source = tmp_path / "nested.jpd"
+    source.write_text(f"id x = x.\nf x = {build(depth + 1)}.\nmain f.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(source))
+    assert (code, out) == (1, "")
+    assert err.endswith(": parse error: nesting too deep\n")
+    # the deepest that parses, in a child process as for the successor chain
+    source.write_text(f"id x = x.\nf x = {build(depth)}.\nmain f.\n", encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for command in (["desugar"], ["label"], ["analyze", "--format", "json", "--show-labels"]):
+        child = subprocess.run(
+            [sys.executable, "-m", "jeopardy_iaa", *command, str(source)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (0, b""), command
+        assert child.stdout
+
+
+# a child process that parses each file under the default recursion
+# limit, then desugars and labels them all under a limit of 600
+STACK_BUDGET = """\
+import sys
+from jeopardy_iaa import parse
+from jeopardy_iaa.desugar import desugar_program
+from jeopardy_iaa.labeler import annotate
+programs = [parse(open(path, encoding="utf-8").read()) for path in sys.argv[1:]]
+sys.setrecursionlimit(600)
+for program in programs:
+    core = desugar_program(program)
+    annotate(core)
+"""
+
+
+def test_desugaring_and_labeling_take_one_frame_per_nesting_level(tmp_path):
+    # the deepest successor chain and 398 nested cases in branch position:
+    # at two frames per level, either pass would need about 800
+    chain = tmp_path / "chain.jpd"
+    chain.write_text(successor_chain(DEEPEST_CHAIN), encoding="utf-8")
+    cases = tmp_path / "cases.jpd"
+    cases.write_text(f"id x = x.\nf x = {'case id x of ; y -> ' * 398}y.\nmain f.\n", encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", STACK_BUDGET, str(chain), str(cases)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
 def application_list(length: int) -> str:
     return (
         "data nat = [zero] [successor nat].\nbump n = [successor n].\n"
@@ -739,3 +814,62 @@ def test_analyze_json_is_the_same_under_every_hash_seed(capsys, tmp_path, progra
         )
         assert (child.returncode, child.stderr) == (0, b"")
         assert child.stdout == in_process.encode("utf-8")
+
+
+# -- no traceback ---------------------------------------------------------------
+
+CORPUS = (
+    [fixture_source(path.name) for path in ALL_FIXTURES]
+    + [sugar_library(1 + seed % 4, random.Random(seed)) for seed in range(8)]
+    + [
+        pretty_program(random_core_program(random.Random(seed), budget=12, branching=seed % 2 == 1))
+        for seed in range(8)
+    ]
+)
+
+# value literals of three tokens or more, so that three deletions leave one
+VALUE_LITERALS = [
+    "[zero]",
+    "[successor [successor [zero]]]",
+    "([zero], [successor [zero]])",
+    "([zero] : ([zero] : []))",
+    "[c1 [c0]]",
+    "[a]",
+]
+
+
+@st.composite
+def sources(draw):
+    """A corpus source, mutated half the time: few mutants parse, so the
+    intact half is what reaches the later stages."""
+    source = draw(st.sampled_from(CORPUS))
+    return mutate(draw, source) if draw(st.booleans()) else source
+
+
+@st.composite
+def run_inputs(draw):
+    """A numeral up to past the largest, or a value literal, mutated half
+    the time."""
+    if draw(st.booleans()):
+        return str(draw(st.integers(0, 450)))
+    literal = draw(st.sampled_from(VALUE_LITERALS))
+    return mutate(draw, literal) if draw(st.booleans()) else literal
+
+
+@settings(deadline=None, max_examples=300)
+@given(source=sources(), value=run_inputs())
+def test_no_generated_source_or_input_escapes_the_exit_codes(tmp_path_factory, source, value):
+    path = tmp_path_factory.mktemp("mutant") / "mutant.jpd"
+    path.write_text(source, encoding="utf-8")
+    file = str(path)
+    for argv in (
+        ["parse", file],
+        ["desugar", file],
+        ["label", file],
+        ["analyze", file],
+        ["analyze", "--format", "json", file],
+        ["run", "--max-calls", "50", file, value],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv

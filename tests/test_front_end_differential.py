@@ -4,34 +4,36 @@ constructor-built desugarer against the character loop and the
 parser's pattern positions, read by the term grammar, against the
 pattern grammar that read them before.
 
-The references are kept here verbatim.  The scanners agree on every
-input except one: the reference reads any Unicode digit (``²``, ``٣``)
-as part of a numeral, where numerals are ASCII digits only.  The
-labelers agree on labels, on the label index and on every node's span;
-the desugarers on the core program and on every node's span but one
-kind: an application that the desugarer rebuilds from one whose argument
-is not a pattern now keeps that application's span, where the reference
-left it without one.  The parsers agree on every source the pattern
-grammar accepts, trees and spans alike; where it fails, the term grammar
-fails with the same error, or inside a pattern position in one of two
-ways: ``expected a pattern`` at the first token of a term that is not a
-pattern, or a term error no earlier than the pattern grammar's.  The
-value reader, which builds located ``Con`` trees and reads brackets with
-the term parser's bracket reader, against the reader that built
-unlocated value records: they agree on every literal, with no
-difference at all.
+The references are kept here verbatim.  The reference desugarer is the
+class-based one, copied whole: ``_names``, ``_Fresh`` and
+``_Desugarer``, so it shares no code with the desugarer under test.  The
+scanners agree on every input except one: the reference reads any
+Unicode digit (``²``, ``٣``) as part of a numeral, where numerals are
+ASCII digits only.  The labelers agree on labels, on the label index and
+on every node's span; the desugarers on the core program and on every
+node's span but one kind: an application that the desugarer rebuilds
+from one whose argument is not a pattern now keeps that application's
+span, where the reference left it without one.  The parsers agree on
+every source the pattern grammar accepts, trees and spans alike; where
+it fails, the term grammar fails with the same error, or inside a
+pattern position in one of two ways: ``expected a pattern`` at the first
+token of a term that is not a pattern, or a term error no earlier than
+the pattern grammar's.  The value reader, which builds located ``Con``
+trees and reads brackets with the term parser's bracket reader, against
+the reader that built unlocated value records: they agree on every
+literal, with no difference at all.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jeopardy_iaa import desugar_program, labeler, parse
-from jeopardy_iaa.desugar import _Desugarer, _Fresh
 from jeopardy_iaa.parser import ParseError, _Parser, parse_value, tokenize as scan
 from jeopardy_iaa.printer import pretty_program, pretty_value
 from jeopardy_iaa.syntax import (
@@ -40,6 +42,7 @@ from jeopardy_iaa.syntax import (
     Case,
     Con,
     ConApp,
+    DataDef,
     FunDef,
     FunctionRef,
     GeneralApply,
@@ -48,10 +51,19 @@ from jeopardy_iaa.syntax import (
     Span,
     Term,
     Var,
+    constructor_table,
+    fun_defs,
     nodes,
 )
 
-from conftest import ALL_FIXTURES, fixture_source, nested_scrutinees, random_core_program, sugar_library
+from conftest import (
+    ALL_FIXTURES,
+    fixture_source,
+    mutate,
+    nested_scrutinees,
+    random_core_program,
+    sugar_library,
+)
 
 
 def replace(node, **changes):
@@ -213,10 +225,154 @@ def annotate(program: Program) -> LabeledProgram:
 
 # -- reference desugarer -----------------------------------------------------
 #
-# The two methods that rebuilt a node with ``dataclasses.replace``, the
-# application rewrite that left the rebuilt application without a span,
-# and the constructor rewrite they call; the rest of the desugarer is
-# shared.
+# ``_names``, ``_Fresh`` and ``_Desugarer`` verbatim from the desugarer
+# that was a class, before it became one function with one walker.  On
+# them, ``_ReplaceDesugarer`` puts back the two methods that rebuilt a
+# node with ``dataclasses.replace``, the application rewrite that left
+# the rebuilt application without a span, and the constructor rewrite
+# they call.
+
+
+def _names(program: Program) -> tuple[set[str], set[str]]:
+    """Every identifier the program uses, and the constructor names that
+    its function definitions mention."""
+    used: set[str] = set()
+    mentioned: set[str] = set()
+    for definition in program.definitions:
+        if isinstance(definition, DataDef):
+            used.add(definition.type_name)
+            for con_name, components in definition.constructors:
+                used.add(con_name)
+                used.update(components)
+            continue
+        used.add(definition.name)
+        for root in (definition.parameter, definition.body):
+            for node in nodes(root):
+                kind = type(node)
+                if kind is Var:
+                    used.add(node.name)
+                elif kind is Con or kind is ConApp:
+                    mentioned.add(node.name)
+    used |= mentioned
+    return used, mentioned
+
+
+class _Fresh:
+    """Deterministic per-definition fresh variable supply.
+
+    Variables are definition-scoped, so the counter restarts for every
+    definition; only identifiers used anywhere in the program are
+    skipped.
+    """
+
+    def __init__(self, used: set[str]):
+        self.used = used
+        self.counter = 0
+
+    def next(self) -> Var:
+        while True:
+            self.counter += 1
+            name = f"w{self.counter}"
+            if name not in self.used:
+                return Var(name)
+
+
+class _Desugarer:
+    def __init__(self, program: Program):
+        self.program = program
+        self.used, self.mentioned = _names(program)
+        self.fun_types = {
+            fd.name: fd.parameter_type for fd in fun_defs(program)
+        }
+        self.constructors, _ = constructor_table(program)
+        self.fresh: _Fresh | None = None
+
+    def run(self) -> Program:
+        definitions = []
+        for definition in self.program.definitions:
+            if isinstance(definition, DataDef):
+                definitions.append(definition)
+                continue
+            definitions.append(self.desugar_fun_def(definition))
+        # a mentioned pair/cons/nil the program does not declare
+        builtins = sorted(
+            name for name in self.mentioned if self.constructors[name].builtin
+        )
+        if builtins:
+            type_name = "builtin"
+            suffix = 1
+            while type_name in self.used:
+                suffix += 1
+                type_name = f"builtin{suffix}"
+            constructors = tuple(
+                (name, (type_name,) * self.constructors[name].arity) for name in builtins
+            )
+            definitions.append(DataDef(type_name, constructors))
+        return Program(tuple(definitions), self.program.main)
+
+    def desugar_fun_def(self, definition: FunDef) -> FunDef:
+        self.fresh = _Fresh(self.used)
+        parameter = definition.parameter
+        body = definition.body
+        if not isinstance(parameter, Var):
+            fresh = self.fresh.next()
+            body = Case(fresh, definition.parameter_type, ((parameter, body),), span=parameter.span)
+            parameter = fresh
+        return definition.rebuilt(parameter, self.desugar_term(body))
+
+    def desugar_term(self, term: Term) -> Term:
+        if isinstance(term, (Var, Con, Apply)):
+            return term
+        if isinstance(term, Case):
+            scrutinee = self.desugar_term(term.scrutinee)
+            branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
+            return Case(scrutinee, term.scrutinee_type, branches, term.label, term.span)
+        if isinstance(term, GeneralApply):
+            # the rebuilt application keeps the source application's span,
+            # so a runtime error there is located
+            callee, span = term.callee, term.span
+            return self._hoisted(
+                (term.argument,),
+                (self.fun_types.get(callee.name),),
+                lambda argument: Apply(callee, argument, span=span),
+            )
+        if isinstance(term, ConApp):
+            name = term.name
+            return self._hoisted(
+                term.args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
+            )
+        raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
+
+    def _hoisted(
+        self,
+        args: tuple[Term, ...],
+        ascriptions: tuple[str | None, ...],
+        rebuild: Callable[..., Term],
+    ) -> Term:
+        """``rebuild`` applied to the arguments as patterns: each argument is
+        desugared, then each one that is not a pattern is bound to a fresh
+        variable by a case ascribed with its entry in ``ascriptions``, the
+        leftmost argument's case outermost.  A loop, not a comprehension,
+        desugars the arguments: one Python frame fewer per nesting level."""
+        assert self.fresh is not None
+        desugared: list[Term] = []
+        for arg in args:
+            desugared.append(self.desugar_term(arg))
+        hoisted: list[tuple[Var, Term, str | None]] = []
+        patterns: list[Pattern] = []
+        for arg, ascription in zip(desugared, ascriptions):
+            if type(arg) is Var or type(arg) is Con:
+                patterns.append(arg)
+            else:
+                fresh = self.fresh.next()
+                hoisted.append((fresh, arg, ascription))
+                patterns.append(fresh)
+        result = rebuild(*patterns)
+        for fresh, arg, ascription in reversed(hoisted):
+            result = Case(arg, ascription, ((fresh, result),))
+        return result
+
+
 
 
 class _ReplaceDesugarer(_Desugarer):
@@ -572,22 +728,6 @@ PATTERN_SOURCES = (
 @pytest.mark.parametrize("index", range(len(PATTERN_SOURCES)))
 def test_pattern_positions_parse_as_the_pattern_grammar_did(index):
     assert assert_parsed_alike(PATTERN_SOURCES[index]) == "accepted"
-
-
-def mutate(draw, source: str) -> str:
-    """``source`` with one to three tokens deleted, duplicated or swapped
-    with their neighbour."""
-    texts = [token.text for token in scan(source)[:-1]]
-    for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(texts) - 1))
-        edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
-        if edit == "delete":
-            del texts[at]
-        elif edit == "duplicate":
-            texts.insert(at, texts[at])
-        elif at + 1 < len(texts):
-            texts[at], texts[at + 1] = texts[at + 1], texts[at]
-    return " ".join(texts)
 
 
 @st.composite

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
+import gc
 import random
+
+import pytest
 
 from jeopardy_iaa import annotate, desugar_program, labels_of, parse
 from jeopardy_iaa.analysis import _summary
@@ -178,3 +179,17 @@ def test_labeling_ignores_formatting():
         desugar_program(parse("-- comment\nf   x =\n  case x of\n  ; y -> f y.\n\nmain f.\n"))
     )
     assert dense.program == spaced.program
+
+
+def test_desugaring_and_labeling_leave_no_cycles():
+    # each pass's recursive walker holds itself through its closure;
+    # unless the pass breaks that cycle, what the walker holds, the label
+    # index among it, waits for the cycle collector to be freed
+    program = parse(sugar_library(40, random.Random(5)))
+    gc.collect()
+    gc.disable()
+    try:
+        annotate(desugar_program(program))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
