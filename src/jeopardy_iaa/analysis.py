@@ -15,52 +15,52 @@ incoming availability, which is what bounds the treatment of recursion
 to a single unrolling: a recursive call can see implicit arguments from
 the previous incarnation but cannot tell incarnations apart beyond that.
 
-The one-step rule is ``call``, built on two body walks.  Walking a body
-in the conventional direction (``term_down``) is direct: a pattern calls
-nothing, an application yields one configuration, and a case passes the
-scrutinee's and branch pattern's labels as extra availability into each
-branch.  Walking against the conventional direction (``term_up``) starts
-from the result instead, so the walk returns pairs of (configurations,
-labels known "from the future") per inverse path: a result pattern makes
-its labels available, an application flips the callee and consumes the
-callee's body root as its argument, and a case analyzes branch bodies
-before the scrutinee.  ``term_up`` walks each scrutinee once per body
-path; it stays as the per-path reference rule that tests compare with.
+Performing a configured call is one gen/kill transfer,
+``(entering & ~own) | gained``: the entering availability loses the
+callee's own labels and gains, at each call the body reaches, only
+labels taken from the body.  So a callee reaches exactly the
+configurations ``(callee', arguments, entering | T)`` for a fixed set
+of triples per callee and direction: its *summary*, in the manner of
+IFDS summary edges (Reps, Horwitz & Sagiv, POPL'95).  ``_summary``
+builds one by walking the body with empty availability.  Forward,
+``_walk_down`` is direct: a pattern calls nothing, an application
+records one call, and a case passes the scrutinee's and branch
+pattern's labels as extra availability into each branch.  Backward,
+``_walk_up`` starts from the result: a result pattern makes its labels
+available, an application flips the callee and consumes the callee's
+body root as its argument, and a case walks its branch bodies before
+its scrutinee.  It keeps a set of availability sets per call, since
+only the union over paths is ever used, walks each node once, and
+builds an availability set only where a call records it or a later
+node reads it; the body's own result is never read.
 
-Either walk only ever unions the entering availability with labels
-taken from the body, so a configured call reaches exactly the
-configurations ``(callee', arguments, entering | T)`` for a fixed set of
-triples per callee and direction: its *summary*, in the manner of IFDS
-summary edges (Reps, Horwitz & Sagiv, POPL'95).  ``configurations``
-builds each summary once, the first time a callee is reached in a
-direction, by walking the body with empty availability: ``_walk_down``
-forward, and backward one bottom-up walk, ``_walk_up``, that keeps a set
-of availability sets per call, since only the union over paths is ever
-used.  It walks each node once and builds an availability set only
-where a call records it or a later node reads it; the body's own result
-is never read.  The reachability fixed point is then a FIFO worklist;
-no tree is walked per popped configuration, and a configuration whose
-callee calls nothing in its direction is recorded but never queued.
+``configurations`` builds each summary once, the first time a callee is
+reached in a direction, and closes over the summaries with a FIFO
+worklist; no tree is walked per popped configuration, and a
+configuration whose callee calls nothing in its direction is recorded
+but never queued.  The summaries, the fixed point and the hints hold
+label sets as bit masks (Kildall, POPL'73): label *i* is bit *i* of a
+Python int, and ``input`` and ``output`` are the two bits after the
+last label.  The labeler numbers nodes in pre-order, so a node's labels
+are one interval of bits, which ``labeler.label_mask`` computes from
+the node's rightmost spine without a walk, and a function's own labels
+are one interval from its parameter to the end of its body.  The fixed
+point deduplicates ints in one set per (caller, callee, argument mask),
+which is also the report's grouping, and returns those groups as
+``Configurations``: a sized, iterable view that builds a
+``CallConfiguration`` and its frozensets only when iterated.  It is not
+a set: membership would have to re-encode frozensets of labels as
+masks, and no caller asks for it.  On the path behind ``analyze`` no
+record and no frozenset of labels is built; hashing and uniting
+frozensets was most of the fixed point's time on branch-heavy code.
+The fixed point keeps configurations per path rather than joining them,
+preserving path-sensitive availability.
 
-Each step is a gen/kill transfer, ``(entering & ~own) | gained``, so
-the summaries, the fixed point and the hints run on label sets as bit
-masks (Kildall, POPL'73): label *i* is bit *i* of a Python int, and
-``input`` and ``output`` are the two bits after the last label.  The
-labeler numbers nodes in pre-order, so a node's labels are one interval
-of bits, which ``labeler.label_mask`` computes from the node's rightmost
-spine without a walk, and a function's own labels are one interval from
-its parameter to the end of its body.  The fixed point deduplicates ints
-in one set per (caller, callee, argument mask), which is also the
-report's grouping, and returns those groups as ``Configurations``: a
-sized, iterable view that builds a ``CallConfiguration`` and its
-frozensets only when iterated.  It is not a set: membership would have
-to re-encode frozensets of labels as masks, and no caller asks for it.
-On the path behind ``analyze`` no record and no frozenset of labels is
-built; hashing and uniting frozensets was most of the fixed point's time
-on branch-heavy code.  ``term_down``, ``term_up`` and ``call`` stay on
-frozensets, as the reference rules that the tests and the benchmark's
-tracer use.  The fixed point keeps configurations per path rather than
-joining them, preserving path-sensitive availability.
+``call`` reads one configured call's successors off the callee's
+summary; it exists for the benchmark's tracer, which counts them.  The
+rules on frozensets of labels, which walk a body per call and a
+scrutinee once per backward path, are kept in the tests as the
+reference that this module is checked against.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .labeler import LabeledProgram, body_root_label, label_mask, labels_of
+from .labeler import LabeledProgram, label_mask
 from .syntax import (
     Apply,
     Case,
@@ -94,90 +94,14 @@ class UndefinedCalleeError(Exception):
     """A configuration's callee has no definition; validation prevents this."""
 
 
-LabelSet = frozenset  # of Label
-
-
 @record()
 class CallConfiguration:
     """One reachable call: caller, callee, argument labels, implicit labels."""
 
     caller: str
     callee: FunctionRef
-    argument_labels: LabelSet
-    implicit_labels: LabelSet
-
-
-ConfigurationSet = frozenset  # of CallConfiguration
-
-_EMPTY: frozenset = frozenset()
-
-
-def term_down(caller: str, implicit: LabelSet, term: Term) -> ConfigurationSet:
-    """Configurations reachable from a term in the conventional direction.
-
-    A pattern contains no application.  An application yields the single
-    configuration for its call site; its direction is not stored, being
-    recomputable from the callee reference.  A case contributes its
-    scrutinee's configurations unchanged and each branch body's with the
-    scrutinee's and branch pattern's labels added to the availability.
-    """
-    if isinstance(term, (Var, Con)):
-        return _EMPTY
-    if isinstance(term, Apply):
-        config = CallConfiguration(
-            caller, term.callee, labels_of(term.argument), frozenset(implicit)
-        )
-        return frozenset((config,))
-    if isinstance(term, Case):
-        result = set(term_down(caller, implicit, term.scrutinee))
-        scrutinee_labels = labels_of(term.scrutinee)
-        for pattern, body in term.branches:
-            branch_implicit = frozenset(implicit) | scrutinee_labels | labels_of(pattern)
-            result |= term_down(caller, branch_implicit, body)
-        return frozenset(result)
-    raise ValueError(f"cannot analyze sugared term {term!r}")
-
-
-UpResult = frozenset  # of (ConfigurationSet, LabelSet) pairs
-
-
-def term_up(
-    caller: str, implicit: LabelSet, term: Term, program: LabeledProgram
-) -> UpResult:
-    """Configurations and future-available labels for the inverse direction.
-
-    Each element pairs the configurations reached on one inverse path
-    through the term with the labels whose values are known once the
-    term's result is known.
-    """
-    if isinstance(term, (Var, Con)):
-        return frozenset(((_EMPTY, frozenset(implicit) | labels_of(term)),))
-    if isinstance(term, Apply):
-        callee_def = _definition(program, term.callee.name)
-        config = CallConfiguration(
-            caller,
-            flip(term.callee),
-            frozenset((body_root_label(callee_def.body),)),
-            frozenset(implicit),
-        )
-        available = (
-            frozenset(implicit) | labels_of(term.argument) | {body_root_label(term)}
-        )
-        return frozenset(((frozenset((config,)), available),))
-    if isinstance(term, Case):
-        results: set[tuple[ConfigurationSet, LabelSet]] = set()
-        own = {body_root_label(term)}
-        for pattern, body in term.branches:
-            for body_configs, body_available in term_up(caller, implicit, body, program):
-                scrutinee_implicit = body_available | labels_of(pattern)
-                for head_configs, head_available in term_up(
-                    caller, scrutinee_implicit, term.scrutinee, program
-                ):
-                    results.add(
-                        (body_configs | head_configs, frozenset(own) | head_available)
-                    )
-        return frozenset(results)
-    raise ValueError(f"cannot analyze sugared term {term!r}")
+    argument_labels: frozenset
+    implicit_labels: frozenset
 
 
 def _definition(program: LabeledProgram, name: str) -> FunDef:
@@ -185,38 +109,6 @@ def _definition(program: LabeledProgram, name: str) -> FunDef:
     if definition is None:
         raise UndefinedCalleeError(f"function '{name}' is not defined")
     return definition
-
-
-def call(config: CallConfiguration, program: LabeledProgram) -> ConfigurationSet:
-    """All configurations reachable by performing one configured call.
-
-    The availability entering the callee is the caller-side argument and
-    implicit labels minus every label belonging to the callee itself;
-    whatever the callee contributes on the path to an inner call site is
-    re-accumulated by the body walk.
-    """
-    definition = _definition(program, config.callee.name)
-    own_labels = labels_of(definition.parameter) | labels_of(definition.body)
-    entering = (config.implicit_labels | config.argument_labels) - own_labels
-    name = definition.name
-    if not config.callee.backward:
-        return term_down(name, entering, definition.body)
-    configs: set[CallConfiguration] = set()
-    for reached, _available in term_up(name, entering, definition.body, program):
-        configs |= reached
-    return frozenset(configs)
-
-
-def seed_configurations(program: LabeledProgram) -> tuple[CallConfiguration, CallConfiguration]:
-    """The two top-level entry configurations: forward and backward."""
-    main = program.program.main
-    forward = CallConfiguration(TOP, main, frozenset((INPUT,)), _EMPTY)
-    # main wrapped once more, not flipped: the report orders the two entry
-    # rows by marker count, the forward one first
-    backward = CallConfiguration(
-        TOP, FunctionRef(main.name, main.inversions + 1), frozenset((OUTPUT,)), _EMPTY
-    )
-    return forward, backward
 
 
 # bin(mask)[:1:-1] holds a mask's bits from bit 0 up as b"0"/b"1"; these
@@ -287,9 +179,9 @@ def configurations(program: LabeledProgram) -> Configurations:
 
     FIFO worklist closure over the callees' summaries, on label masks;
     termination follows from the finite label universe.  The result is
-    the set that closing over ``call`` gives, so it does not depend on
-    pop order.  A configuration whose callee reaches no call in its
-    direction is recorded but never queued.
+    the set that closing over the one-step rule gives, so it does not
+    depend on pop order.  A configuration whose callee reaches no call
+    in its direction is recorded but never queued.
     """
     count = program.label_count
     groups: _Groups = {}
@@ -307,9 +199,12 @@ def configurations(program: LabeledProgram) -> Configurations:
             summary = summaries[key] = (~own, reachable, set())
         return summary
 
+    main = program.program.main
+    # main wrapped once more, not flipped: the report orders the two entry
+    # rows by marker count, the forward one first
+    seeds = ((main, 1 << count), (FunctionRef(main.name, main.inversions + 1), 2 << count))
     queue: deque[tuple[int, _Summary]] = deque()
-    for seed, argument in zip(seed_configurations(program), (1 << count, 2 << count)):
-        callee = seed.callee
+    for callee, argument in seeds:
         groups[TOP, callee, argument] = {0}
         summary = summary_of((callee.name, callee.backward))
         if summary[1]:
@@ -334,6 +229,28 @@ def configurations(program: LabeledProgram) -> Configurations:
     return Configurations(groups, [*range(count), INPUT, OUTPUT])
 
 
+def call(config: CallConfiguration, program: LabeledProgram) -> Configurations:
+    """The configurations that performing one configured call reaches,
+    read off the callee's summary; the benchmark's tracer counts them.
+
+    The availability entering the callee is the caller-side argument and
+    implicit labels minus every label belonging to the callee itself.
+    """
+    count = program.label_count
+    symbols = {INPUT: 1 << count, OUTPUT: 2 << count}
+    available = 0
+    for label in config.argument_labels | config.implicit_labels:
+        available |= symbols[label] if label in symbols else 1 << label
+    name, backward = config.callee.name, config.callee.backward
+    own, calls = _summary((name, backward), program)
+    entering = available & ~own
+    groups = {
+        (name, callee, arguments): {entering | gained for gained in gains}
+        for (callee, arguments), gains in calls.items()
+    }
+    return Configurations(groups, [*range(count), INPUT, OUTPUT])
+
+
 # The complement of a callee's own labels, the (argument mask, gained
 # mask, group of the configurations it reaches, the callee's summary key)
 # of every call its body reaches in one direction, and the entering masks
@@ -345,7 +262,7 @@ _Calls = dict[tuple[FunctionRef, int], set[int]]
 
 
 def _summary(key: tuple[str, bool], program: LabeledProgram) -> tuple[int, _Calls]:
-    """What ``call`` gives for a callee and direction, with the entering
+    """One configured call of a callee in a direction, with the entering
     availability left out, on masks: the callee's own labels, and the
     implicit masks its body brings to each call it reaches."""
     name, backward = key
@@ -359,8 +276,8 @@ def _summary(key: tuple[str, bool], program: LabeledProgram) -> tuple[int, _Call
 
 
 def _walk_down(implicit: int, term: Term, calls: _Calls) -> None:
-    """``term_down`` on masks: records in ``calls`` the implicit mask that
-    each application is reached with."""
+    """The forward walk: records in ``calls`` the implicit mask that each
+    application is reached with."""
     kind = type(term)
     if kind is Apply:
         calls.setdefault((term.callee, label_mask(term.argument)), set()).add(implicit)
@@ -380,7 +297,7 @@ def _walk_up(
     program: LabeledProgram,
     calls: _Calls,
 ) -> set[int]:
-    """``term_up`` on masks for every entering availability in
+    """The backward walk, for every entering availability in
     ``implicits`` at once, merged over paths.
 
     Records the implicit masks that some inverse path brings to each
@@ -388,8 +305,8 @@ def _walk_up(
     ``calls``.  Returns every availability mask that some path ends
     with, each joined with ``then``.  Every step distributes over the
     union of ``implicits``, so each node is walked at most once, a
-    scrutinee on the union of its branches' results, where ``term_up``
-    walks it once per path through the branch bodies.
+    scrutinee on the union of its branches' results, not once per path
+    through the branch bodies.
 
     A mask is built only where an application records it or a later
     node reads it.  ``then`` is None where nothing reads the result: the
@@ -405,7 +322,7 @@ def _walk_up(
         gained = label_mask(term) | then
         return {implicit | gained for implicit in implicits}
     if kind is Apply:
-        argument = 1 << body_root_label(_definition(program, term.callee.name).body)
+        argument = 1 << _definition(program, term.callee.name).body.label
         calls.setdefault((flip(term.callee), argument), set()).update(implicits)
         if then is None:
             return set()
@@ -505,7 +422,7 @@ def symmetry_hints(program: LabeledProgram, configs: Configurations) -> list[Hin
                     witness |= reduce(or_, masks, 0) & (down_labels | up_labels)
             if witness:
                 hints.append(
-                    Hint(fd.name, callee, body_root_label(site), tuple(configs.unmask(witness)))
+                    Hint(fd.name, callee, site.label, tuple(configs.unmask(witness)))
                 )
     hints.sort(key=lambda h: (h.function, h.call_label))
     return hints

@@ -35,7 +35,6 @@ from .syntax import (
     Span,
     Term,
     Var,
-    nodes,
     record,
 )
 
@@ -109,29 +108,6 @@ def annotate(program: Program) -> LabeledProgram:
     return LabeledProgram(Program(tuple(definitions), program.main), index, functions)
 
 
-# node types that are program points, named as in error messages
-_POINT_KINDS = {Var: "pattern", Con: "pattern", Apply: "application", Case: "case"}
-
-
-def labels_of(node: Pattern | Term) -> frozenset[int]:
-    """All labels on a node and its descendants.
-
-    Requires a labeled core tree; an unlabeled or sugared node is an
-    error rather than silently contributing nothing.
-    """
-    if type(node) is Var and node.label is not None:
-        return frozenset((node.label,))
-    out: list[int] = []
-    for n in nodes(node):
-        kind = type(n)
-        if kind not in _POINT_KINDS:
-            raise ValueError(f"cannot collect labels from sugared term {n!r}")
-        if n.label is None:
-            raise ValueError(f"unlabeled {_POINT_KINDS[kind]} node: {n!r}")
-        out.append(n.label)
-    return frozenset(out)
-
-
 def label_mask(node: Pattern | Term) -> int:
     """The labels of a labeled core node and its descendants as the bits
     of an int: label *i* is bit *i*.  They are one interval, from the
@@ -148,9 +124,3 @@ def label_mask(node: Pattern | Term) -> int:
         else:
             return (2 << last.label) - (1 << node.label)
 
-
-def body_root_label(term: Term) -> int:
-    """The label of a labeled core term's root program point."""
-    if term.label is None:
-        raise ValueError(f"unlabeled term node: {term!r}")
-    return term.label

@@ -13,14 +13,7 @@ import time
 from contextlib import contextmanager
 
 from jeopardy_iaa import parse
-from jeopardy_iaa.analysis import (
-    call,
-    configurations,
-    seed_configurations,
-    symmetry_hints,
-    term_down,
-    term_up,
-)
+from jeopardy_iaa.analysis import call, configurations, symmetry_hints
 from jeopardy_iaa.cli import analysis_report
 from jeopardy_iaa.desugar import desugar_program
 from jeopardy_iaa.evaluator import run_main
@@ -35,6 +28,7 @@ from conftest import (
     random_label_sets,
     random_labeled_program,
 )
+from reference_analysis import seed_configurations, term_down, term_up
 
 
 @contextmanager

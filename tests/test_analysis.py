@@ -1,5 +1,9 @@
 """Call-configuration analysis: directions, body walks, the fixed point,
-the configuration order, and symmetry hints."""
+the configuration order, and symmetry hints.
+
+The body walks and the one-step rule are checked by hand on the
+frozenset reference rules (``reference_analysis``); a single call also
+on the package's ``call``, which must agree with them."""
 
 from __future__ import annotations
 
@@ -8,15 +12,7 @@ import random
 import pytest
 
 from jeopardy_iaa import annotate, desugar_program, parse
-from jeopardy_iaa.analysis import (
-    CallConfiguration,
-    call,
-    configurations,
-    seed_configurations,
-    symmetry_hints,
-    term_down,
-    term_up,
-)
+from jeopardy_iaa.analysis import CallConfiguration, call, configurations, symmetry_hints
 from jeopardy_iaa.syntax import FunctionRef, INPUT, OUTPUT, flip
 
 from conftest import (
@@ -26,6 +22,7 @@ from conftest import (
     random_label_sets,
     random_labeled_program,
 )
+from reference_analysis import call as reference_call, seed_configurations, term_down, term_up
 
 
 def labeled(source: str):
@@ -153,7 +150,8 @@ def test_term_up_argument_is_callee_body_root(fib_labeled):
 
 def test_call_first_step(fib_labeled):
     seed, _ = seed_configurations(fib_labeled)
-    result = call(seed, fib_labeled)
+    result = reference_call(seed, fib_labeled)
+    assert frozenset(call(seed, fib_labeled)) == result
     assert result == frozenset(
         {
             CallConfiguration(
@@ -169,8 +167,9 @@ def test_call_first_step(fib_labeled):
 def test_call_on_bare_pattern_body():
     program = labeled("f x = x. main f.")
     down, up = seed_configurations(program)
-    assert call(down, program) == frozenset()
-    assert call(up, program) == frozenset()
+    for config in (down, up):
+        assert reference_call(config, program) == frozenset()
+        assert len(call(config, program)) == 0
 
 
 def test_recursive_call_strips_own_labels(fib_labeled):
@@ -181,8 +180,8 @@ def test_recursive_call_strips_own_labels(fib_labeled):
         if c.caller == "sum" and not c.callee.backward
     ]
     own = set(range(0, 17))  # labels of sum's parameter and body
-    fresh = call(recursive, fib_labeled)
-    assert fresh == frozenset({recursive})
+    fresh = reference_call(recursive, fib_labeled)
+    assert fresh == frozenset({recursive}) == frozenset(call(recursive, fib_labeled))
     # availability entering the recursion excludes this incarnation's
     # program points except the path re-accumulated inside the body
     assert recursive.implicit_labels & own == {2, 3, 4, 5, 7, 10, 11}
@@ -208,7 +207,7 @@ def test_result_is_closed_under_call(path):
     program = load_labeled(path.name)
     configs = frozenset(configurations(program))
     for config in configs:
-        assert call(config, program) <= configs
+        assert reference_call(config, program) <= configs
 
 
 @pytest.mark.parametrize(
@@ -222,7 +221,7 @@ def test_leastness_on_small_fixtures(name):
     seeds = set(seed_configurations(program))
     for config in configs - seeds:
         rest = configs - {config}
-        assert any(config in call(other, program) for other in rest)
+        assert any(config in reference_call(other, program) for other in rest)
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from jeopardy_iaa import annotate, desugar_program, labels_of, parse
+from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import _summary
-from jeopardy_iaa.labeler import body_root_label, label_mask
-from jeopardy_iaa.syntax import Apply, Case, Con, ConApp, FunctionRef, Var, fun_defs, nodes
+from jeopardy_iaa.labeler import label_mask
+from jeopardy_iaa.syntax import Apply, Case, Con, nodes
 
 from conftest import (
     ALL_FIXTURES,
@@ -19,6 +19,7 @@ from conftest import (
     random_labeled_program,
     sugar_library,
 )
+from reference_analysis import labels_of
 
 
 def test_identity_program_labels():
@@ -152,25 +153,6 @@ def test_index_records_function_and_kind(fib_labeled):
     assert fib_labeled.index[24].function == "fibber"
     assert fib_labeled.index[24].kind == "application"
     assert fib_labeled.index[53].kind == "constructor"
-
-
-def test_body_root_label(fib_labeled):
-    assert body_root_label(fib_labeled.functions["sum"].body) == 1
-    labeled = annotate(desugar_program(parse("f x = x. main f.")))
-    assert body_root_label(labeled.functions["f"].body) == 1
-
-
-def test_labels_of_rejects_unlabeled_nodes():
-    program = desugar_program(parse("f x = x. main f."))
-    with pytest.raises(ValueError):
-        labels_of(next(fun_defs(program)).body)
-
-
-def test_labels_of_rejects_sugared_nodes():
-    pair = ConApp("pair", (Apply(FunctionRef("f"), Var("y", label=4), label=3), Var("x", label=5)))
-    case = Case(Var("x", label=1), None, ((Var("y", label=2), pair),), label=0)
-    with pytest.raises(ValueError, match="sugared"):
-        labels_of(case)
 
 
 def test_labeling_ignores_formatting():

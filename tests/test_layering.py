@@ -6,12 +6,16 @@ the tests alone, and the front end and the evaluator import neither the
 analysis nor the CLI, so that running a program never loads the
 analyzer, and the analysis imports neither the parser nor the printer.
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``, which
-would add to every start-up."""
+would add to every start-up.  The benchmark's modules, read the same
+way and left as they are, name only what the package has: the tracer
+rebinds names of ``jeopardy_iaa.cli``, and every name they import from
+the package resolves."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +38,15 @@ UPPER = frozenset({"analysis", "cli"})
 
 def _tree(module: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def benchmark_trees() -> dict[str, ast.Module]:
+    """The benchmark's own modules, less its tests, by file name."""
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(BENCHMARK.glob("*.py"))
+        if not path.name.startswith("test_")
+    }
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -224,10 +237,8 @@ def test_every_public_name_is_read_outside_the_tests():
     # own modules, less its tests
     trees = {module: _tree(module) for module in MODULES}
     elsewhere: set[str] = set()
-    for path in BENCHMARK.glob("*.py"):
-        if not path.name.startswith("test_"):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            elsewhere |= read_names(tree) | read_attributes(tree)
+    for tree in benchmark_trees().values():
+        elsewhere |= read_names(tree) | read_attributes(tree)
     assert unread_public_names(trees, elsewhere) == [f"{m}.{name}" for m, name, _ in TEST_SUPPORT]
     tests = Path(__file__).resolve().parent
     for _, name, test in TEST_SUPPORT:
@@ -254,3 +265,35 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, timeout=60
     )
     assert result.stdout == "[]\n"
+
+
+def test_the_benchmark_tracer_rebinds_names_that_the_cli_has():
+    # spans.Tracer.install replaces each key of WRAPPED, and json, on the
+    # CLI module, and fails at the first one that the CLI no longer has
+    (wrapped,) = [
+        node.value
+        for node in benchmark_trees()["spans.py"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
+    ]
+    names = [*ast.literal_eval(wrapped), "json"]
+    assert "configurations" in names
+    cli = importlib.import_module("jeopardy_iaa.cli")
+    assert [name for name in names if not hasattr(cli, name)] == []
+
+
+def test_the_benchmark_imports_only_names_that_the_package_has():
+    imported: list[str] = []
+    for tree in benchmark_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jeopardy_iaa":
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert imported
+
+    def resolves(dotted: str) -> bool:
+        # a name of the module, or a submodule of a package
+        module, name = importlib.import_module(dotted.rsplit(".", 1)[0]), dotted.rsplit(".", 1)[1]
+        if hasattr(module, name):
+            return True
+        return hasattr(module, "__path__") and importlib.util.find_spec(dotted) is not None
+
+    assert [dotted for dotted in imported if not resolves(dotted)] == []

@@ -11,7 +11,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from jeopardy_iaa import annotate, desugar_program, labels_of, parse
+from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.desugar import assert_core
 from jeopardy_iaa.evaluator import instantiate, match_pattern
 from jeopardy_iaa.printer import pretty_pattern, pretty_value
@@ -34,6 +34,7 @@ from jeopardy_iaa.syntax import (
 )
 
 from conftest import ALL_FIXTURES, fixture_source, random_labeled_program
+from reference_analysis import labels_of
 
 NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply)
 

@@ -1,15 +1,20 @@
-"""Differential checks of the summary-based closure and the indexed hints.
+"""Differential checks of the summary-based closure, the one-step rule
+and the indexed hints, against the frozenset rules of
+``reference_analysis``.
 
 ``configurations``, which works on label masks, must equal a naive FIFO
-closure over the one-step reference rule ``call``, including the type
+closure over the reference's one-step rule ``call``, including the type
 of any exception raised, and ``symmetry_hints`` on its result must
 equal the linear scan that compares every configuration of the naive
 closure against every call site; at every call site, the parts of the
 argument that ``_branching_parts`` finds must be those at the component
-paths of the old path walk, copied here.  Each backward summary must hold
-exactly the calls that the per-path rule ``term_up`` reaches, and the
-merged walk must end with exactly its availability sets.  The report's
-order of label masks must be ``label_sort_key`` order.
+paths of the old path walk, copied here.  The package's ``call``, which
+reads one call's successors off the same summaries for the benchmark's
+tracer, must equal the reference ``call`` on every configuration of a
+corpus, as a set and in size.  Each backward summary must hold exactly
+the calls that the reference's per-path rule ``term_up`` reaches, and
+the merged walk must end with exactly its availability sets.  The
+report's order of label masks must be ``label_sort_key`` order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import (
+    CallConfiguration,
     Configurations,
     Hint,
     UndefinedCalleeError,
@@ -30,19 +36,19 @@ from jeopardy_iaa.analysis import (
     _walk_up,
     call,
     configurations,
-    seed_configurations,
     symmetry_hints,
-    term_up,
 )
-from jeopardy_iaa.labeler import labels_of
 from jeopardy_iaa.syntax import (
     Apply,
     Case,
     Con,
     FunDef,
     FunctionRef,
+    INPUT,
+    OUTPUT,
     Pattern,
     Program,
+    TOP,
     Term,
     Var,
 )
@@ -55,7 +61,9 @@ from conftest import (
     random_label_sets,
     random_labeled_program,
     ring,
+    sugar_library,
 )
+from reference_analysis import call as reference_call, labels_of, seed_configurations, term_up
 
 NESTED_SCRUTINEES = [nested_scrutinees(depth) for depth in range(1, 7)]
 
@@ -81,7 +89,7 @@ def naive_configurations(program):
     seen = set(seeds)
     queue = deque(seeds)
     while queue:
-        for reached in call(queue.popleft(), program):
+        for reached in reference_call(queue.popleft(), program):
             if reached not in seen:
                 seen.add(reached)
                 queue.append(reached)
@@ -480,6 +488,60 @@ def test_undefined_callee_raises_like_the_reference(body, main):
     program = annotate(Program((FunDef("h", Var("z"), None, None, body),), main))
     assert _outcome(configurations, program) is UndefinedCalleeError
     _check(program)
+
+
+def _check_calls(program):
+    """The package's ``call`` against the reference's, on every
+    configuration that the program reaches: the same configurations, and
+    as many, since the tracer counts them with ``len``."""
+    for config in configurations(program):
+        expected = reference_call(config, program)
+        reached = call(config, program)
+        assert frozenset(reached) == expected
+        assert len(reached) == len(expected)
+
+
+CALL_CORPUS = {
+    "fixtures": lambda: [load_labeled(fixture.name) for fixture in ALL_FIXTURES],
+    "generated": lambda: [
+        labeled(source)
+        for source in [diamond(k) for k in range(1, 11)]
+        + [ring(n) for n in (5, 40, 140)]
+        + [nested_scrutinees(3), nested_scrutinees(6)]
+    ],
+    "random": lambda: [
+        random_labeled_program(random.Random(seed), budget=6 + seed % 25, branching=seed % 2 == 1)
+        for seed in range(800)
+    ],
+    "library": lambda: [labeled(sugar_library(40, random.Random(seed))) for seed in range(20)],
+}
+
+
+@pytest.mark.parametrize("family", CALL_CORPUS)
+def test_call_matches_the_reference_on_every_configuration(family):
+    for program in CALL_CORPUS[family]():
+        _check_calls(program)
+
+
+def test_call_on_an_undefined_callee_raises_like_the_reference():
+    # h calls q, which is not defined: calling q fails in either
+    # direction, and so does calling h backward, which looks up the body
+    # root of every callee it reaches
+    program = annotate(
+        Program((FunDef("h", Var("z"), None, None, Apply(FunctionRef("q"), Var("z"))),), FunctionRef("h"))
+    )
+    configs = [
+        CallConfiguration(TOP, FunctionRef("q"), frozenset({INPUT}), frozenset()),
+        CallConfiguration(TOP, FunctionRef("q", 1), frozenset({OUTPUT}), frozenset()),
+        CallConfiguration(TOP, FunctionRef("h", 1), frozenset({OUTPUT}), frozenset()),
+    ]
+    for config in configs:
+        with pytest.raises(UndefinedCalleeError):
+            reference_call(config, program)
+        with pytest.raises(UndefinedCalleeError):
+            call(config, program)
+    forward = CallConfiguration(TOP, FunctionRef("h"), frozenset({INPUT}), frozenset())
+    assert frozenset(call(forward, program)) == reference_call(forward, program)
 
 
 def test_report_order_is_label_sort_key_order():
