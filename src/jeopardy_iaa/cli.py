@@ -12,15 +12,15 @@ errors, located as ``FILE:line:col:`` when their label has a span.
 Every command validates the program before running any later stage.
 JSON output is deterministic: the same input file always produces
 identical bytes.
-The report reads the analysis' groups of label masks, keyed by
-(caller, callee, argument mask): it orders the groups once, sorts only a
-group of two or more implicit masks, and turns each mask into its label
-list once; the rows of a group share one argument list.  A mask's bits
-rise in the report's label order, integers then ``input`` then
-``output``, so sorting masks by their bit lists is sorting label sets.
-A writer made for the report produces ``analyze --format json``: its
-text is byte for byte that of ``json.dumps(report, ensure_ascii=False,
-sort_keys=True, indent=2)``.
+One walk over the analysis' groups of label masks, keyed by (caller,
+callee, argument mask), writes the report: it orders the groups once,
+sorts only a group of two or more implicit masks, and writes a group's
+row up to its implicit labels once.  A mask's bits rise in the report's
+label order, integers then ``input`` then ``output``, so sorting masks
+by their bit lists is sorting label sets.  The text and JSON formats
+differ only in their templates; the JSON is byte for byte what
+``json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)``
+writes for the report as a dict, which is never built.
 ``run --trace`` prints the calls' arguments through ``pretty_values``,
 which writes a node that arguments share once and then reuses its
 text; the result is printed through ``pretty_value``.
@@ -32,10 +32,9 @@ import argparse
 import json
 import os
 import sys
-from json.encoder import encode_basestring
 from typing import Sequence
 
-from .analysis import Hint, configurations, symmetry_hints
+from .analysis import configurations, symmetry_hints
 from .desugar import desugar_program
 from .evaluator import DEFAULT_MAX_CALLS, EvalError, run_main
 from .labeler import LabeledProgram, annotate
@@ -128,84 +127,45 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _hint_row(hint: Hint) -> dict:
-    return {
-        "function": hint.function,
-        "call_label": hint.call_label,
-        "witness_labels": list(hint.witness_labels),
-    }
+# Each format's templates: a label list's (empty, open, separator, close)
+# texts, a configuration row split around its implicit labels, an inverted
+# callee and a hint row.  JSON's are json.dumps(report, ensure_ascii=False,
+# sort_keys=True, indent=2)'s layout.
+_TEMPLATES = {
+    "json": (
+        ("[]", "[\n        ", ",\n        ", "\n      ]"),
+        '{{\n      "argument_labels": {arguments},\n      "callee": {callee},\n'
+        '      "caller": {caller},\n      "direction": "{direction}",\n      "implicit_labels": ',
+        ',\n      "inverted": {inverted}\n    }}',
+        "{}",
+        '{{\n      "call_label": {call_label},\n      "function": {function},\n'
+        '      "witness_labels": {witnesses}\n    }}',
+    ),
+    "text": (
+        ("{}", "{", ", ", "}"),
+        "{caller} -> {callee} [{direction}] A={arguments} I=",
+        "",
+        "(invert {})",
+        "  {function} call@{call_label}: branching argument available in both directions"
+        " (program points {witnesses})",
+    ),
+}
 
 
-def analysis_report(labeled: LabeledProgram) -> dict:
-    """The analyze command's payload: configurations, hints, label index.
-
-    Configurations are listed by caller, callee name, inversion depth,
-    argument labels and implicit labels, each label set in bit order:
-    the integers, then ``input``, then ``output``.  They come grouped
-    by (caller, callee, argument mask): the groups are ordered once, only
-    a group of two or more implicit masks is sorted, each mask is turned
-    into its label list once, and the rows of a group share one
-    argument-list object.
-    """
-    found = configurations(labeled)
-    hints = symmetry_hints(labeled, found)
-    unmask, order = found.unmask, found.order
-    # unique keys: a name and an inversion count fix the callee
-    groups = sorted(
-        (
-            (caller, callee.name, callee.inversions, order(arguments)),
-            callee.backward,
-            arguments,
-            implicits,
-        )
-        for (caller, callee, arguments), implicits in found.groups.items()
-    )
-    configuration_rows = []
-    for (caller, name, _, _), inverted, arguments, implicits in groups:
-        direction = "up" if inverted else "down"
-        argument_labels = unmask(arguments)
-        if len(implicits) > 1:
-            implicits = sorted(implicits, key=order)
-        configuration_rows += [
-            {
-                "caller": caller,
-                "callee": name,
-                "inverted": inverted,
-                "direction": direction,
-                "argument_labels": argument_labels,
-                "implicit_labels": unmask(implicit),
-            }
-            for implicit in implicits
-        ]
-    # one row object per (function, kind), shared by all of its labels; the
-    # encoder writes the text of a shared row once
-    rows: dict[tuple[str, str], dict] = {}
-    labels = {}
-    for label, (function, kind, _) in labeled.index.items():
-        row = rows.get((function, kind))
-        if row is None:
-            row = rows[function, kind] = {"function": function, "kind": kind}
-        labels[str(label)] = row
-    return {
-        "configurations": configuration_rows,
-        "hints": [_hint_row(h) for h in hints],
-        "labels": labels,
-    }
-
-
-class _Texts(dict):
+class _Quoted(dict):
     """The JSON text of each label, name and kind of one report, made the
-    first time it is asked for: ``str`` of an int, ``encode_basestring``
-    of a str.  A bool never comes in, since ``True`` and ``1`` are one key."""
+    first time it is asked for: ``str`` of an int, ``json.dumps`` of a
+    str.  A bool never comes in, since ``True`` and ``1`` are one key."""
 
     def __missing__(self, value: int | str) -> str:
-        text = self[value] = str(value) if type(value) is int else encode_basestring(value)
-        return text
+        quoted = str(value) if type(value) is int else json.dumps(value, ensure_ascii=False)
+        self[value] = quoted
+        return quoted
 
 
 def _splice(parts: list[str], head: str, brackets: str, items: list[str]) -> None:
-    """Appends a report member to ``parts``: ``head``, then its list or
-    dict of ``items``, one item per line at indentation 4."""
+    """Appends a JSON report member to ``parts``: ``head``, then its list
+    or dict of ``items``, one item per line at indentation 4."""
     if not items:
         parts.append(head + brackets)
         return
@@ -216,100 +176,79 @@ def _splice(parts: list[str], head: str, brackets: str, items: list[str]) -> Non
     parts.append("\n  " + brackets[1])
 
 
-class _ReportEncoder(json.JSONEncoder):
-    """Writes an ``analysis_report`` as ``json.dumps(report,
-    ensure_ascii=False, sort_keys=True, indent=2)`` does, whatever options
-    it is built with, and takes nothing but such a report.
+def analysis_report(labeled: LabeledProgram, form: str) -> str:
+    """The analyze command's report in ``form``, ``"text"`` or ``"json"``:
+    configurations, hints and, in JSON, the label index.
 
-    It knows the report's three members and the keys of their rows: each
-    row is one f-string with its keys in sorted order, each label, name
-    and kind is converted once per report, and a label row shared by many
-    labels, or an argument list shared by the rows of a group, is written
-    once: its text is kept by the object's identity.  ``_cmd_analyze``
-    calls it through ``json.dumps``, so a wrapper around
-    ``cli.json.dumps`` times it.
+    Configurations are listed by caller, callee name, inversion depth,
+    argument labels and implicit labels, each label set in bit order:
+    the integers, then ``input``, then ``output``.  They come grouped by
+    (caller, callee, argument mask): the groups are ordered once, only a
+    group of two or more implicit masks is sorted, and a group's row is
+    written up to its implicit labels once.
     """
+    found = configurations(labeled)
+    hints = symmetry_hints(labeled, found)
+    unmask, order = found.unmask, found.order
+    (empty, opened, separator, closed), head, tail, inverted_callee, hint_row = _TEMPLATES[form]
+    text = _Quoted().__getitem__ if form == "json" else str
 
-    def encode(self, report: dict) -> str:
-        text = _Texts().__getitem__
+    def labels(values: Sequence) -> str:
+        return opened + separator.join(map(text, values)) + closed if values else empty
 
-        def labels(values: list) -> str:
-            if not values:
-                return "[]"
-            return "[\n        " + ",\n        ".join(map(text, values)) + "\n      ]"
-
-        # analysis_report shares one argument list among the rows of a group
-        argument_texts: dict[int, str] = {}  # id of a list -> its text
-
-        def arguments(values: list) -> str:
-            values_text = argument_texts.get(id(values))
-            if values_text is None:
-                values_text = argument_texts[id(values)] = labels(values)
-            return values_text
-
-        configurations = [
-            f'{{\n      "argument_labels": {arguments(row["argument_labels"])},\n'
-            f'      "callee": {text(row["callee"])},\n'
-            f'      "caller": {text(row["caller"])},\n'
-            f'      "direction": {text(row["direction"])},\n'
-            f'      "implicit_labels": {labels(row["implicit_labels"])},\n'
-            f'      "inverted": {"true" if row["inverted"] else "false"}\n    }}'
-            for row in report["configurations"]
-        ]
-        hints = [
-            f'{{\n      "call_label": {text(row["call_label"])},\n'
-            f'      "function": {text(row["function"])},\n'
-            f'      "witness_labels": {labels(row["witness_labels"])}\n    }}'
-            for row in report["hints"]
-        ]
-        # analysis_report shares one row among the labels of a (function, kind)
-        made: dict[int, str] = {}  # id of a row -> its text
-        label_items = []
-        for key, row in sorted(report["labels"].items()):
-            row_text = made.get(id(row))
-            if row_text is None:
-                row_text = made[id(row)] = (
-                    f'{{\n      "function": {text(row["function"])},\n'
-                    f'      "kind": {text(row["kind"])}\n    }}'
-                )
-            label_items.append(f"{encode_basestring(key)}: {row_text}")
-        # A member joined on its own would be copied again into the
-        # document's text; that copy raised the peak RSS of analyze on
-        # ring-144 from 29 to 36 MB (Linux, CPython 3.11).
-        parts: list[str] = []
-        _splice(parts, '{\n  "configurations": ', "[]", configurations)
-        _splice(parts, ',\n  "hints": ', "[]", hints)
-        _splice(parts, ',\n  "labels": ', "{}", label_items)
-        parts.append("\n}")
-        return "".join(parts)
+    # unique keys: a name and an inversion count fix the callee
+    groups = sorted(
+        ((caller, callee.name, callee.inversions, order(arguments)), callee, arguments, masks)
+        for (caller, callee, arguments), masks in found.groups.items()
+    )
+    rows = []
+    for (caller, name, _, _), callee, arguments, masks in groups:
+        inverted = callee.backward
+        fields = {
+            "arguments": labels(unmask(arguments)),
+            "callee": inverted_callee.format(text(name)) if inverted else text(name),
+            "caller": text(caller),
+            "direction": "up" if inverted else "down",
+            "inverted": "true" if inverted else "false",
+        }
+        group_head, group_tail = head.format_map(fields), tail.format_map(fields)
+        if len(masks) > 1:
+            masks = sorted(masks, key=order)
+        rows += [group_head + labels(unmask(implicits)) + group_tail for implicits in masks]
+    hint_rows = [
+        hint_row.format(
+            function=text(hint.function),
+            call_label=text(hint.call_label),
+            witnesses=labels(hint.witness_labels),
+        )
+        for hint in hints
+    ]
+    if form == "text":
+        return "\n".join(rows + ["", "hints:"] + hint_rows if hint_rows else rows)
+    # the labels of a (function, kind) share their row's text; the keys
+    # are digit strings, sorted as strings
+    row_of = {
+        (function, kind): f'{{\n      "function": {text(function)},\n'
+        f'      "kind": {text(kind)}\n    }}'
+        for function, kind in {info[:2] for info in labeled.index.values()}
+    }
+    entries = sorted((str(label), row_of[info[:2]]) for label, info in labeled.index.items())
+    # A member joined on its own would be copied again into the
+    # document's text; that copy raised the peak RSS of analyze on
+    # ring-144 from 29 to 36 MB (Linux, CPython 3.11).
+    parts: list[str] = []
+    _splice(parts, '{\n  "configurations": ', "[]", rows)
+    _splice(parts, ',\n  "hints": ', "[]", hint_rows)
+    _splice(parts, ',\n  "labels": ', "{}", [f'"{key}": {row}' for key, row in entries])
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     labeled = _core(args.file)
     if args.show_labels:
         print(pretty_program(labeled.program, labels=True))
-    report = analysis_report(labeled)
-    if args.format == "json":
-        print(json.dumps(report, cls=_ReportEncoder))
-        return EXIT_OK
-    for row in report["configurations"]:
-        callee = row["callee"] if not row["inverted"] else f"(invert {row['callee']})"
-        arguments = ", ".join(map(str, row["argument_labels"]))
-        implicits = ", ".join(map(str, row["implicit_labels"]))
-        print(
-            f"{row['caller']} -> {callee} [{row['direction']}] "
-            f"A={{{arguments}}} I={{{implicits}}}"
-        )
-    if report["hints"]:
-        print()
-        print("hints:")
-        for hint in report["hints"]:
-            witnesses = ", ".join(str(l) for l in hint["witness_labels"])
-            print(
-                f"  {hint['function']} call@{hint['call_label']}: "
-                f"branching argument available in both directions "
-                f"(program points {{{witnesses}}})"
-            )
+    print(analysis_report(labeled, args.format))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ fixtures/fib_oracle.json.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -51,7 +52,7 @@ def nat(n: int) -> Con:
 def test_criterion_1_flagship_reproduction(fib_labeled, fib_oracle):
     with criterion(1, "flagship configuration set"):
         started = time.perf_counter()
-        report = analysis_report(fib_labeled)
+        report = json.loads(analysis_report(fib_labeled, "json"))
         elapsed = time.perf_counter() - started
 
         assert report["configurations"] == fib_oracle["configurations"]

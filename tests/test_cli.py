@@ -793,9 +793,9 @@ def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
 
 @pytest.mark.parametrize("program", ["fib", "sugar-library", "diamond-10"])
 def test_analyze_json_is_the_same_under_every_hash_seed(capsys, tmp_path, program):
-    # the report writer reuses the text of a row or argument list shared by
-    # many rows, keyed on its identity, and the report reads configurations
-    # from dicts and sets; no address or hash may reach the output
+    # the report writer reuses the text of a label row shared by many
+    # labels, keyed by its (function, kind) read from a set, and the report
+    # reads configurations from dicts and sets; no hash may reach the output
     if program == "fib":
         source = FIB
     else:

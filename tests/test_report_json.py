@@ -1,55 +1,50 @@
-"""The analyze report's JSON writer, ``cli._ReportEncoder``.
+"""The analyze report's writer, ``cli.analysis_report``.
 
-It must write exactly what the stdlib writes with
-``ensure_ascii=False, sort_keys=True, indent=2`` on every report that
-``analysis_report`` returns, and refuse a value that a report never holds
-rather than write it.
+Its JSON must be exactly what the stdlib writes with
+``ensure_ascii=False, sort_keys=True, indent=2`` for the dict that the
+earlier report builder (``test_report_differential.reference_report``)
+returned, and its text format must say what its JSON says, line by row.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
-from jeopardy_iaa.cli import _ReportEncoder, analysis_report
+from jeopardy_iaa.cli import analysis_report
 
 from conftest import ALL_FIXTURES, load_labeled, random_labeled_program, sugar_library
-
-
-def stdlib_text(report) -> str:
-    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)
-
-
-def source_report(source: str) -> dict:
-    return analysis_report(annotate(desugar_program(parse(source))))
+from test_report_differential import reference_report, stdlib_text
 
 
 @settings(deadline=None, max_examples=300)
 @given(st.integers(0, 2**32 - 1), st.integers(6, 30), st.booleans())
-def test_encoder_writes_the_stdlib_indented_text(seed, budget, branching):
-    report = analysis_report(random_labeled_program(random.Random(seed), budget, branching))
-    assert _ReportEncoder().encode(report) == stdlib_text(report)
+def test_json_report_is_the_stdlib_text_of_the_reference(seed, budget, branching):
+    program = random_labeled_program(random.Random(seed), budget, branching)
+    assert analysis_report(program, "json") == stdlib_text(reference_report(program))
 
 
-def corpus() -> list[dict]:
-    """The report of every fixture and of a generated sugar library."""
-    reports = [analysis_report(load_labeled(fixture.name)) for fixture in ALL_FIXTURES]
-    return reports + [source_report(sugar_library(40, random.Random(3)))]
+def corpus() -> list:
+    """Every fixture and a generated sugar library, labeled."""
+    programs = [load_labeled(fixture.name) for fixture in ALL_FIXTURES]
+    source = sugar_library(40, random.Random(3))
+    return programs + [annotate(desugar_program(parse(source)))]
 
 
-# a report shares one label row among the labels of a (function, kind);
-# the writer writes a shared row's text once and reuses it
-def test_encoder_writes_shared_objects_as_the_stdlib_does():
-    for report in corpus():
-        assert _ReportEncoder().encode(report) == stdlib_text(report)
+# the labels of a (function, kind) share one row, whose text the writer
+# writes once and reuses
+def test_json_report_writes_shared_rows_as_the_stdlib_does():
+    for program in corpus():
+        assert analysis_report(program, "json") == stdlib_text(reference_report(program))
 
 
 def test_the_corpus_holds_the_cases_the_writer_special_cases():
-    reports = corpus()
+    texts = [analysis_report(program, "json") for program in corpus()]
+    reports = [json.loads(text) for text in texts]
     rows = [row for report in reports for row in report["configurations"]]
     # the seeds, whose implicit labels are empty, called by the top level
     assert any(row["caller"] == "⊤" and row["implicit_labels"] == [] for row in rows)
@@ -58,47 +53,64 @@ def test_the_corpus_holds_the_cases_the_writer_special_cases():
     assert any(report["hints"] for report in reports)
     # label keys sort as strings, not as numbers
     assert any("10" in report["labels"] and "2" in report["labels"] for report in reports)
-    text = _ReportEncoder().encode(reports[0])
-    assert text.index('\n    "10": {') < text.index('\n    "2": {')
+    assert texts[0].index('\n    "10": {') < texts[0].index('\n    "2": {')
 
 
-def test_inverted_is_written_as_a_bool_when_label_1_was_written_first():
+def test_inverted_is_written_as_a_bool_in_a_report_with_label_1():
     # True and 1 are one dict key, so a memo of label texts must not see bools
-    report = {
-        "configurations": [
-            {
-                "argument_labels": [1],
-                "callee": "f",
-                "caller": "g",
-                "direction": "up",
-                "implicit_labels": [0, 1],
-                "inverted": True,
-            }
-        ],
-        "hints": [{"call_label": 1, "function": "g", "witness_labels": [1, "output"]}],
-        "labels": {"1": {"function": "g", "kind": "application"}},
-    }
-    text = _ReportEncoder().encode(report)
+    text = analysis_report(load_labeled("fib.jpd"), "json")
+    rows = json.loads(text)["configurations"]
+    assert any(1 in row["argument_labels"] + row["implicit_labels"] for row in rows)
+    assert any(row["inverted"] is True for row in rows)
+    assert all(type(row["inverted"]) is bool for row in rows)
     assert '"inverted": true\n' in text
-    assert text == stdlib_text(report)
 
 
-def test_encoder_ignores_the_options_it_is_built_with():
-    report = analysis_report(load_labeled("fib.jpd"))
-    written = json.dumps(report, cls=_ReportEncoder, indent=4, ensure_ascii=True, sort_keys=False)
-    assert written == stdlib_text(report)
+CONFIGURATION_LINE = re.compile(
+    r"(?P<caller>\S+) -> (?P<callee>\S+|\(invert \S+\)) \[(?P<direction>up|down)\] "
+    r"A=\{(?P<arguments>[^}]*)\} I=\{(?P<implicits>[^}]*)\}"
+)
+HINT_LINE = re.compile(
+    r"  (?P<function>\S+) call@(?P<call_label>\d+): branching argument available in both "
+    r"directions \(program points \{(?P<witnesses>[^}]*)\}\)"
+)
 
 
-@pytest.mark.parametrize("value", [1.5, [0.0], {"a": (1, 2)}, (1,), [1, 2, (3,)], {"k": {1.0}}])
-def test_encoder_refuses_floats_tuples_and_other_types(value):
-    # as a label in a label list, as a name, and as a label's kind
-    for place in ("label", "name", "kind"):
-        report = analysis_report(load_labeled("fib.jpd"))
-        if place == "label":
-            report["configurations"][-1]["implicit_labels"].append(value)
-        elif place == "name":
-            report["hints"][0]["function"] = value
-        else:
-            report["labels"]["3"] = {"function": "fib", "kind": value}
-        with pytest.raises(TypeError):
-            _ReportEncoder().encode(report)
+def label_list(text: str) -> list:
+    return [int(l) if l.isdigit() else l for l in text.split(", ")] if text else []
+
+
+def check_the_formats_agree(program) -> None:
+    """Each line of the text report parses back to its JSON row or hint."""
+    report = json.loads(analysis_report(program, "json"))
+    lines = analysis_report(program, "text").split("\n")
+    rows, hints = report["configurations"], report["hints"]
+    if hints:
+        assert lines[len(rows) : len(rows) + 2] == ["", "hints:"]
+    assert len(lines) == len(rows) + (2 + len(hints) if hints else 0)
+    for line, row in zip(lines, rows):
+        fields = CONFIGURATION_LINE.fullmatch(line)
+        assert fields, line
+        callee = f"(invert {row['callee']})" if row["inverted"] else row["callee"]
+        assert fields["caller"] == row["caller"] and fields["callee"] == callee
+        assert fields["direction"] == row["direction"]
+        assert label_list(fields["arguments"]) == row["argument_labels"]
+        assert label_list(fields["implicits"]) == row["implicit_labels"]
+    for line, hint in zip(lines[len(rows) + 2 :], hints):
+        fields = HINT_LINE.fullmatch(line)
+        assert fields, line
+        assert fields["function"] == hint["function"]
+        assert int(fields["call_label"]) == hint["call_label"]
+        assert label_list(fields["witnesses"]) == hint["witness_labels"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 30), st.booleans())
+def test_the_text_report_says_what_the_json_report_says(seed, budget, branching):
+    check_the_formats_agree(random_labeled_program(random.Random(seed), budget, branching))
+
+
+# few random programs have hints; most fixtures do
+def test_the_text_report_says_what_the_json_report_says_on_the_corpus():
+    for program in corpus():
+        check_the_formats_agree(program)
