@@ -6,7 +6,9 @@ it sorted every configuration by ``CallConfiguration.sort_key``, which
 ran ``_label_order`` on both label sets, and built each row from that
 key.  The writer's JSON must be the stdlib's indented text of the
 reference's dict, byte for byte, on every fixture, on the generated
-scaling families and on random programs.
+scaling families and on random programs.  Its text format must be what
+the analyze command printed from that dict, copied here as
+``reference_text``, on every fixture and on random programs.
 """
 
 from __future__ import annotations
@@ -115,6 +117,31 @@ def reference_report(labeled: LabeledProgram) -> dict:
     }
 
 
+def reference_text(report: dict) -> str:
+    """The text format's lines, as ``_cmd_analyze`` printed them from the
+    reference's dict, joined without the last newline."""
+    lines = []
+    for row in report["configurations"]:
+        callee = row["callee"] if not row["inverted"] else f"(invert {row['callee']})"
+        arguments = ", ".join(map(str, row["argument_labels"]))
+        implicits = ", ".join(map(str, row["implicit_labels"]))
+        lines.append(
+            f"{row['caller']} -> {callee} [{row['direction']}] "
+            f"A={{{arguments}}} I={{{implicits}}}"
+        )
+    if report["hints"]:
+        lines.append("")
+        lines.append("hints:")
+        for hint in report["hints"]:
+            witnesses = ", ".join(str(l) for l in hint["witness_labels"])
+            lines.append(
+                f"  {hint['function']} call@{hint['call_label']}: "
+                f"branching argument available in both directions "
+                f"(program points {{{witnesses}}})"
+            )
+    return "\n".join(lines)
+
+
 # -- the checks ----------------------------------------------------------------
 
 
@@ -164,6 +191,27 @@ def test_grouped_report_matches_the_reference_on_random_programs():
     for index in range(300):
         budget = rng.randint(6, 30)
         _check(random_labeled_program(rng, budget, branching=index % 2 == 1))
+
+
+def _check_text(program: LabeledProgram) -> None:
+    expected = _outcome(reference_report, program)
+    text = _outcome(lambda p: analysis_report(p, "text"), program)
+    if isinstance(expected, type):
+        assert text is expected
+        return
+    assert text == reference_text(expected)
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
+def test_text_report_matches_the_reference_on_fixtures(fixture):
+    _check_text(load_labeled(fixture.name))
+
+
+def test_text_report_matches_the_reference_on_random_programs():
+    rng = random.Random(11)
+    for index in range(300):
+        budget = rng.randint(6, 30)
+        _check_text(random_labeled_program(rng, budget, branching=index % 2 == 1))
 
 
 def test_the_corpus_groups_several_implicit_sets_and_symbolic_labels():
