@@ -17,10 +17,12 @@ callee, argument mask), writes the report: it orders the groups once,
 sorts only a group of two or more implicit masks, and writes a group's
 row up to its implicit labels once.  A mask's bits rise in the report's
 label order, integers then ``input`` then ``output``, so sorting masks
-by their bit lists is sorting label sets.  The text and JSON formats
-differ only in their templates; the JSON is byte for byte what
+by their bit lists is sorting label sets.  A mask becomes text with no
+label list between: a run of bits joins a slice of the universe, any
+other mask one text per byte from the report's per-byte tables.  The
+text and JSON formats differ only in their templates; the JSON is what
 ``json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)``
-writes for the report as a dict, which is never built.
+writes, byte for byte, for the report as a dict, which is never built.
 ``run --trace`` prints the calls' arguments through ``pretty_values``,
 which writes a node that arguments share once and then reuses its
 text; the result is printed through ``pretty_value``.
@@ -32,7 +34,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Sequence
 
 from .analysis import configurations, symmetry_hints
 from .desugar import desugar_program
@@ -163,6 +166,48 @@ class _Quoted(dict):
         return quoted
 
 
+class _ByteTexts(dict):
+    """The text of each value of one byte of a mask, made when first asked
+    for: its set bits' labels, each written by ``word``."""
+
+    __slots__ = ("labels", "word")
+
+    def __init__(self, labels: list, word: Callable[[object], str]) -> None:
+        self.labels, self.word = labels, word
+
+    def __missing__(self, byte: int) -> str:
+        bits = enumerate(self.labels)
+        joined = self[byte] = "".join([self.word(label) for i, label in bits if byte >> i & 1])
+        return joined
+
+
+def _mask_texts(universe: list, text: Callable, brackets: tuple) -> Callable[[int], str]:
+    """Writes a mask as ``brackets``' (empty, open, separator, close) list
+    of ``text`` of its labels: a run of bits from a slice of ``universe``,
+    any other mask a byte at a time, from one lazy table per byte."""
+    empty, opened, separator, closed = brackets
+    cut = len(separator)
+    tables: list[_ByteTexts] = []
+
+    def word(label: object) -> str:
+        return separator + text(label)
+
+    def labels(mask: int) -> str:
+        lowest = mask & -mask
+        if not mask & (mask + lowest):
+            # one run of bits or none, such as the mask of a node's labels
+            run = universe[lowest.bit_length() - 1 : mask.bit_length()]
+            return opened + separator.join(map(text, run)) + closed if mask else empty
+        low, high = (lowest.bit_length() - 1) >> 3, (mask.bit_length() + 7) >> 3
+        for start in range(8 * len(tables), 8 * high, 8):
+            tables.append(_ByteTexts(universe[start : start + 8], word))
+        values = (mask >> 8 * low).to_bytes(high - low, "little")
+        texts = map(dict.__getitem__, islice(tables, low, None), values)
+        return opened + "".join(texts)[cut:] + closed
+
+    return labels
+
+
 def _splice(parts: list[str], head: str, brackets: str, items: list[str]) -> None:
     """Appends a JSON report member to ``parts``: ``head``, then its list
     or dict of ``items``, one item per line at indentation 4."""
@@ -185,16 +230,15 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     the integers, then ``input``, then ``output``.  They come grouped by
     (caller, callee, argument mask): the groups are ordered once, only a
     group of two or more implicit masks is sorted, and a group's row is
-    written up to its implicit labels once.
+    written up to its implicit labels once.  ``_mask_texts`` writes masks.
     """
     found = configurations(labeled)
     hints = symmetry_hints(labeled, found)
-    unmask, order = found.unmask, found.order
-    (empty, opened, separator, closed), head, tail, inverted_callee, hint_row = _TEMPLATES[form]
+    order = found.order
+    brackets, head, tail, inverted_callee, hint_row = _TEMPLATES[form]
+    _, opened, separator, closed = brackets
     text = _Quoted().__getitem__ if form == "json" else str
-
-    def labels(values: Sequence) -> str:
-        return opened + separator.join(map(text, values)) + closed if values else empty
+    labels = _mask_texts(found.universe, text, brackets)
 
     # unique keys: a name and an inversion count fix the callee
     groups = sorted(
@@ -205,7 +249,7 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     for (caller, name, _, _), callee, arguments, masks in groups:
         inverted = callee.backward
         fields = {
-            "arguments": labels(unmask(arguments)),
+            "arguments": labels(arguments),
             "callee": inverted_callee.format(text(name)) if inverted else text(name),
             "caller": text(caller),
             "direction": "up" if inverted else "down",
@@ -214,12 +258,13 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
         group_head, group_tail = head.format_map(fields), tail.format_map(fields)
         if len(masks) > 1:
             masks = sorted(masks, key=order)
-        rows += [group_head + labels(unmask(implicits)) + group_tail for implicits in masks]
+        rows += [group_head + labels(implicits) + group_tail for implicits in masks]
+    # a hint has one witness label or more
     hint_rows = [
         hint_row.format(
             function=text(hint.function),
             call_label=text(hint.call_label),
-            witnesses=labels(hint.witness_labels),
+            witnesses=opened + separator.join(map(text, hint.witness_labels)) + closed,
         )
         for hint in hints
     ]

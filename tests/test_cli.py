@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import io
 import json
 import os
@@ -17,7 +18,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jeopardy_iaa.cli import main
+from jeopardy_iaa import annotate, desugar_program, parse
+from jeopardy_iaa.cli import analysis_report, main
 from jeopardy_iaa.printer import pretty_program
 
 from conftest import (
@@ -770,25 +772,39 @@ def test_sugar_under_a_user_constructor_of_another_arity(capsys, tmp_path, comma
 
 
 def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
-    # diamond-7's report is about 104 KB, more than a pipe holds, so the
-    # writer is still writing when the reader closes its end
-    source = tmp_path / "diamond7.jpd"
-    source.write_text(diamond(7), encoding="utf-8")
+    # The report is at least four times what a pipe holds, so the writer
+    # is still writing when the reader closes its end, however it splits
+    # its writes.  Unbuffered, stdout hands the report to one write(2)
+    # and drops what a pipe closed half-way did not take; with no later
+    # write the loss would go unseen, so both modes run.
+    read_end, write_end = os.pipe()
+    try:
+        capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    k = 7
+    while len(analysis_report(annotate(desugar_program(parse(diamond(k)))), "json")) < 4 * capacity:
+        k += 1
+    source = tmp_path / f"diamond{k}.jpd"
+    source.write_text(diamond(k), encoding="utf-8")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    child = subprocess.Popen(
-        [sys.executable, "-m", "jeopardy_iaa", "analyze", str(source), "--format", "json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert child.stdout.readline() == b"{\n"
-    child.stdout.close()
-    err = child.stderr.read().decode("utf-8")
-    child.stderr.close()
-    assert child.wait(timeout=60) == 2
-    assert "Traceback" not in err
-    assert "broken pipe" in err
+    buffered = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    buffered["PYTHONPATH"] = path
+    for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "jeopardy_iaa", "analyze", str(source), "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read().decode("utf-8")
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2, env.get("PYTHONUNBUFFERED")
+        assert "Traceback" not in err
+        assert "broken pipe" in err
 
 
 @pytest.mark.parametrize("program", ["fib", "sugar-library", "diamond-10"])

@@ -12,10 +12,11 @@ import json
 import random
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
-from jeopardy_iaa.cli import analysis_report
+from jeopardy_iaa.analysis import Configurations, configurations
+from jeopardy_iaa.cli import _TEMPLATES, _mask_texts, analysis_report
 
 from conftest import ALL_FIXTURES, load_labeled, random_labeled_program, sugar_library
 from test_report_differential import reference_report, stdlib_text
@@ -43,7 +44,8 @@ def test_json_report_writes_shared_rows_as_the_stdlib_does():
 
 
 def test_the_corpus_holds_the_cases_the_writer_special_cases():
-    texts = [analysis_report(program, "json") for program in corpus()]
+    programs = corpus()
+    texts = [analysis_report(program, "json") for program in programs]
     reports = [json.loads(text) for text in texts]
     rows = [row for report in reports for row in report["configurations"]]
     # the seeds, whose implicit labels are empty, called by the top level
@@ -54,6 +56,69 @@ def test_the_corpus_holds_the_cases_the_writer_special_cases():
     # label keys sort as strings, not as numbers
     assert any("10" in report["labels"] and "2" in report["labels"] for report in reports)
     assert texts[0].index('\n    "10": {') < texts[0].index('\n    "2": {')
+    # masks the writer slices out of the universe, and masks it reads a
+    # byte at a time, from byte 0 and from above it
+    masks = [
+        mask
+        for program in programs
+        for (_, _, arguments), implicits in configurations(program).groups.items()
+        for mask in (arguments, *implicits)
+    ]
+    assert any(mask and not scattered(mask) for mask in masks)
+    spans = [byte_span(mask) for mask in masks if scattered(mask)]
+    assert any(high - low >= 3 for low, high in spans)
+    assert any(low == 0 for low, _ in spans) and any(low > 0 for low, _ in spans)
+
+
+def scattered(mask: int) -> int:
+    """Nonzero unless the mask's bits are one run or none."""
+    return mask & (mask + (mask & -mask))
+
+
+def byte_span(mask: int) -> tuple[int, int]:
+    """The mask's lowest set byte and one past its highest."""
+    return ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
+
+
+TEXT_OF = {"json": lambda label: json.dumps(label, ensure_ascii=False), "text": str}
+
+
+@st.composite
+def universes_and_masks(draw) -> tuple[list, list[int]]:
+    """A label universe, integers then ``input`` and ``output``, and masks
+    over it, written in turn through one writer."""
+    integers = sorted(draw(st.sets(st.integers(0, 10**4), max_size=40)))
+    universe = integers + ["input", "output"]
+    masks = draw(st.lists(st.integers(0, 2 ** len(universe) - 1), min_size=1, max_size=8))
+    return universe, masks
+
+
+TWENTY = list(range(1, 21)) + ["input", "output"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(universes_and_masks())
+# bits 7 and 8, 15 and 16, in scattered masks
+@example((TWENTY, [1 << 7 | 1 << 16, 1 << 8 | 1 << 15, 1 | 1 << 7 | 1 << 8, 1 << 15 | 1 << 16 | 1]))
+# runs across a byte boundary, alone and in a scattered mask
+@example((TWENTY, [0b111 << 6, 0b1111 << 14, 0b1111 << 6 | 1 << 20, 1 | 0b11 << 15]))
+# lowest set byte above 0, as the first mask and after one from byte 0
+@example((TWENTY, [1 << 9 | 1 << 17, 1 << 16 | 1 << 19, 1 | 1 << 20, 1 << 10 | 1 << 12]))
+# input alone, output alone, both with integer labels, and with none
+@example((TWENTY, [1 << 20, 1 << 21, 1 << 20 | 1 << 21 | 0b101, 0b11 << 20 | 1 << 9]))
+@example((["input", "output"], [0b01, 0b10, 0b11, 0]))
+# the empty mask, before and after a scattered one
+@example((TWENTY, [0, 0b101, 0]))
+def test_a_mask_is_written_as_its_label_list(universe_and_masks):
+    universe, masks = universe_and_masks
+    unmask = Configurations({}, universe).unmask
+    for form, text in TEXT_OF.items():
+        brackets = _TEMPLATES[form][0]
+        empty, opened, separator, closed = brackets
+        labels = _mask_texts(universe, text, brackets)
+        for mask in masks:
+            expected = opened + separator.join(map(text, unmask(mask))) + closed
+            assert labels(mask) == (expected if mask else empty)
 
 
 def test_inverted_is_written_as_a_bool_in_a_report_with_label_1():
