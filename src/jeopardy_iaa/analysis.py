@@ -141,10 +141,6 @@ class Configurations:
 
     def unmask(self, mask: int) -> list:
         """A mask's labels, in bit order."""
-        lowest = mask & -mask
-        if not mask & (mask + lowest):
-            # one run of bits or none, such as the mask of a node's labels
-            return self.universe[lowest.bit_length() - 1 : mask.bit_length()]
         return list(compress(self.universe, bin(mask)[:1:-1].encode().translate(_SELECTORS)))
 
     @staticmethod
@@ -316,20 +312,10 @@ def _walk_up(
     so each path pays one union there.
     """
     kind = type(term)
-    if kind is Var or kind is Con:
-        if then is None:
-            return set()
-        gained = label_mask(term) | then
-        return {implicit | gained for implicit in implicits}
     if kind is Apply:
         argument = 1 << _definition(program, term.callee.name).body.label
         calls.setdefault((flip(term.callee), argument), set()).update(implicits)
-        if then is None:
-            return set()
-        # the application's own label and its argument's
-        gained = label_mask(term) | then
-        return {implicit | gained for implicit in implicits}
-    if kind is Case:
+    elif kind is Case:
         scrutinee = term.scrutinee
         if then is not None:
             then |= 1 << term.label
@@ -347,7 +333,13 @@ def _walk_up(
             body_then = label_mask(pattern) if bodies_read else None
             scrutinee_implicits |= _walk_up(implicits, body, body_then, program, calls)
         return _walk_up(scrutinee_implicits, scrutinee, then, program, calls)
-    raise ValueError(f"cannot analyze sugared term {term!r}")
+    elif kind is not Var and kind is not Con:
+        raise ValueError(f"cannot analyze sugared term {term!r}")
+    if then is None:
+        return set()
+    # a pattern's labels, or an application's own label and its argument's
+    gained = label_mask(term) | then
+    return {implicit | gained for implicit in implicits}
 
 
 # ---------------------------------------------------------------------------

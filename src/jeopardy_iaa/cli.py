@@ -31,6 +31,7 @@ text; the result is printed through ``pretty_value``.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -112,22 +113,19 @@ def _core(path: str) -> LabeledProgram:
     return annotate(desugar_program(program))
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: argparse.Namespace) -> None:
     _, program = _parse_and_validate(args.file)
     print(pretty_program(program), end="")
-    return EXIT_OK
 
 
-def _cmd_desugar(args: argparse.Namespace) -> int:
+def _cmd_desugar(args: argparse.Namespace) -> None:
     labeled = _core(args.file)
     print(pretty_program(labeled.program), end="")
-    return EXIT_OK
 
 
-def _cmd_label(args: argparse.Namespace) -> int:
+def _cmd_label(args: argparse.Namespace) -> None:
     labeled = _core(args.file)
     print(pretty_program(labeled.program, labels=True), end="")
-    return EXIT_OK
 
 
 # Each format's templates: a label list's (empty, open, separator, close)
@@ -256,6 +254,7 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
             "inverted": "true" if inverted else "false",
         }
         group_head, group_tail = head.format_map(fields), tail.format_map(fields)
+        # a key spells every bit up to the mask's highest, even for one mask
         if len(masks) > 1:
             masks = sorted(masks, key=order)
         rows += [group_head + labels(implicits) + group_tail for implicits in masks]
@@ -289,12 +288,11 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     return "".join(parts)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     labeled = _core(args.file)
     if args.show_labels:
         print(pretty_program(labeled.program, labels=True))
     print(analysis_report(labeled, args.format))
-    return EXIT_OK
 
 
 def _runtime_error(path: str, source: str, labeled: LabeledProgram, error: EvalError) -> str:
@@ -314,7 +312,7 @@ def _input_error(text: str, span: Span, problem: object) -> str:
     return f"invalid input value at {line}:{column}: {problem}"
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     source, program = _parse_and_validate(args.file)
     labeled = annotate(desugar_program(program))
     try:
@@ -340,7 +338,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for event, argument in zip(trace, arguments):
             print(f"call {event.caller} -> {event.callee} @ {event.application_label}: {argument}")
     print(pretty_value(result))
-    return EXIT_OK
 
 
 def _call_budget(text: str) -> int:
@@ -395,10 +392,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered (python -u), one write(2) into a pipe whose reader
+        # leaves part-way takes what fits, and the text layer drops the
+        # rest with no error.  A buffered writer writes the rest, and so
+        # meets the broken pipe.
+        buffered = io.BufferedWriter(stdout.buffer)
+        sys.stdout = io.TextIOWrapper(buffered, stdout.encoding, stdout.errors, write_through=True)
     try:
-        code = args.handler(args)
+        args.handler(args)
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except _CommandError as error:
         print(error.message, file=sys.stderr)
         return error.code
@@ -410,6 +415,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         print("jeopardy-iaa: output closed before it was written (broken pipe)", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if sys.stdout is not stdout:
+            # detached, so that neither layer closes the file descriptor
+            sys.stdout.detach().detach()
+            sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,7 +41,6 @@ from .syntax import (
     DataDef,
     GeneralApply,
     Program,
-    SUGAR_TERM_TYPES,
     Term,
     Var,
     constructor_table,
@@ -145,11 +144,3 @@ def desugar_program(program: Program) -> Program:
         definitions.append(DataDef(type_name, components))
     return Program(tuple(definitions), program.main)
 
-
-def assert_core(program: Program) -> None:
-    """Raise if any sugared node survived desugaring."""
-    for definition in fun_defs(program):
-        if not isinstance(definition.parameter, Var):
-            raise AssertionError(f"function '{definition.name}' still has a pattern parameter")
-        if any(isinstance(node, SUGAR_TERM_TYPES) for node in nodes(definition.body)):
-            raise AssertionError(f"function '{definition.name}' still contains sugar")

@@ -144,11 +144,11 @@ def _write(
                 kept = 0
 
 
-def pretty_term(term: Term, labels: bool = False, indent: int = 0, atom: bool = False) -> str:
-    """Print a term.  ``atom`` parenthesises an application or a case, and
-    ``indent`` is the column its case branches are indented from."""
+def pretty_term(term: Term, labels: bool = False, indent: int = 0) -> str:
+    """Print a term; ``indent`` is the column its case branches are
+    indented from."""
     out: list[str] = []
-    stack: list[str | tuple[Term, int, bool]] = [(term, indent, atom)]
+    stack: list[str | tuple[Term, int, bool]] = [(term, indent, False)]
     while stack:
         item = stack.pop()
         if type(item) is str:

@@ -184,8 +184,6 @@ class GeneralApply:
 
 Term = Union[Var, Con, Apply, Case, ConApp, GeneralApply]
 
-SUGAR_TERM_TYPES = (ConApp, GeneralApply)
-
 
 # ---------------------------------------------------------------------------
 # Function references

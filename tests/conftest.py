@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse, validate
 from jeopardy_iaa.parser import tokenize
+from jeopardy_iaa.syntax import ConApp, GeneralApply, Program, Var, fun_defs, nodes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,6 +33,15 @@ def load_labeled(name: str):
     return annotate(load_core(name))
 
 
+def assert_core(program: Program) -> None:
+    """Raise if any sugared node survived desugaring."""
+    for definition in fun_defs(program):
+        if not isinstance(definition.parameter, Var):
+            raise AssertionError(f"function '{definition.name}' still has a pattern parameter")
+        if any(isinstance(node, (ConApp, GeneralApply)) for node in nodes(definition.body)):
+            raise AssertionError(f"function '{definition.name}' still contains sugar")
+
+
 @pytest.fixture(scope="session")
 def fib_labeled():
     return load_labeled("fib.jpd")
@@ -54,8 +64,6 @@ from jeopardy_iaa.syntax import (  # noqa: E402
     DataDef,
     FunDef,
     FunctionRef,
-    Program,
-    Var,
 )
 
 _CONSTRUCTORS = (("c0", 0), ("c1", 1), ("c2", 2))

@@ -296,3 +296,18 @@ def test_no_hints_when_sum_is_main():
     program = load_labeled("main_sum.jpd")
     hints = symmetry_hints(program, configurations(program))
     assert hints == []
+
+
+@pytest.mark.xfail(strict=True, reason="backward evidence is not keyed by site")
+def test_a_hint_names_only_a_site_whose_own_evidence_holds():
+    # `sum (b, r)` at label 30 is hinted with witnesses {22, 27, 32}, but
+    # label 32 comes only from the backward configuration that the other
+    # call, `sum (a, b)` at label 24, emits
+    program = labeled(
+        "data nat = [z] [s nat].\n"
+        "sum (m, n) = case m of ; [z] -> n ; [s k] -> sum (k, [s n]).\n"
+        "f p = case p of ; (a, b) -> case sum (a, b) of ; r -> case sum (b, r) of ; t -> (t, a).\n"
+        "main f.\n"
+    )
+    hints = symmetry_hints(program, configurations(program))
+    assert 30 not in [hint.call_label for hint in hints]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import io
+import itertools
 import json
 import os
 import random
@@ -771,40 +772,91 @@ def test_sugar_under_a_user_constructor_of_another_arity(capsys, tmp_path, comma
     assert err == f"{path}:{diagnostic} argument(s), got 2\n"
 
 
-def test_analyze_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
-    # The report is at least four times what a pipe holds, so the writer
+def _printed(command: str, source: str) -> str:
+    """What ``command`` prints for ``source``, ``analyze`` as JSON."""
+    program = parse(source)
+    if command == "parse":
+        return pretty_program(program)
+    labeled = annotate(desugar_program(program))
+    if command == "analyze":
+        return analysis_report(labeled, "json")
+    return pretty_program(labeled.program, labels=command == "label")
+
+
+def _child_env(**settings: str) -> dict[str, str]:
+    """The environment of a ``python -m jeopardy_iaa`` child: this one's,
+    buffered unless ``settings`` say otherwise, with the package on the path."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(env, **settings)
+
+
+@pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze"])
+def test_printing_into_a_closed_pipe_exits_without_a_traceback(tmp_path, command):
+    # The output is at least four times what a pipe holds, so the writer
     # is still writing when the reader closes its end, however it splits
-    # its writes.  Unbuffered, stdout hands the report to one write(2)
-    # and drops what a pipe closed half-way did not take; with no later
-    # write the loss would go unseen, so both modes run.
+    # its writes.  Unbuffered, a raw stdout hands the output to one
+    # write(2), and the text layer drops what a pipe closed half-way did
+    # not take; with no later write the loss would go unseen unless main
+    # buffers it, so both modes run.
     read_end, write_end = os.pipe()
     try:
         capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
     finally:
         os.close(read_end)
         os.close(write_end)
-    k = 7
-    while len(analysis_report(annotate(desugar_program(parse(diamond(k)))), "json")) < 4 * capacity:
-        k += 1
-    source = tmp_path / f"diamond{k}.jpd"
-    source.write_text(diamond(k), encoding="utf-8")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    buffered = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    buffered["PYTHONPATH"] = path
-    for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
+    if command == "analyze":
+        sources = (diamond(k) for k in itertools.count(7))
+    else:
+        sources = (sugar_library(250 << i, random.Random(5)) for i in itertools.count())
+    text = next(text for text in sources if len(_printed(command, text)) >= 4 * capacity)
+    source = tmp_path / "big.jpd"
+    source.write_text(text, encoding="utf-8")
+    options = ["--format", "json"] if command == "analyze" else []
+    for env in (_child_env(), _child_env(PYTHONUNBUFFERED="1")):
         child = subprocess.Popen(
-            [sys.executable, "-m", "jeopardy_iaa", "analyze", str(source), "--format", "json"],
+            [sys.executable, "-m", "jeopardy_iaa", command, str(source), *options],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
-        assert child.stdout.readline() == b"{\n"
+        assert child.stdout.readline().endswith(b"\n")
         child.stdout.close()
         err = child.stderr.read().decode("utf-8")
         child.stderr.close()
         assert child.wait(timeout=60) == 2, env.get("PYTHONUNBUFFERED")
         assert "Traceback" not in err
         assert "broken pipe" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["parse"],
+        ["desugar"],
+        ["label"],
+        ["analyze", "--show-labels"],
+        ["analyze", "--format", "json"],
+        ["run", "--trace"],
+    ],
+)
+def test_unbuffered_output_is_the_buffered_output(args):
+    # No in-process run has a raw stdout under its text layer, so only a
+    # child started with -u reaches the writer main puts over one.
+    command, *options = args
+    argv = [command, FIB, "3", *options] if command == "run" else [command, FIB, *options]
+    buffered, unbuffered = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "jeopardy_iaa", *argv],
+            capture_output=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        for flags in ([], ["-u"])
+    )
+    assert (buffered.returncode, buffered.stderr) == (0, b"")
+    assert buffered.stdout
+    assert (unbuffered.returncode, unbuffered.stdout, unbuffered.stderr) == (0, buffered.stdout, b"")
 
 
 @pytest.mark.parametrize("program", ["fib", "sugar-library", "diamond-10"])

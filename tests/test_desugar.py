@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from jeopardy_iaa import parse, validate
-from jeopardy_iaa.desugar import assert_core, desugar_program
+from jeopardy_iaa.desugar import desugar_program
 from jeopardy_iaa.syntax import (
     Apply,
     Case,
@@ -18,7 +18,7 @@ from jeopardy_iaa.syntax import (
     pattern_variables,
 )
 
-from conftest import ALL_FIXTURES, load_core
+from conftest import ALL_FIXTURES, assert_core, load_core
 
 
 def body_of(program, name):

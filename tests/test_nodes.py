@@ -12,7 +12,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
-from jeopardy_iaa.desugar import assert_core
 from jeopardy_iaa.evaluator import instantiate, match_pattern
 from jeopardy_iaa.printer import pretty_pattern, pretty_value
 from jeopardy_iaa.syntax import (
@@ -33,7 +32,7 @@ from jeopardy_iaa.syntax import (
     validate_value,
 )
 
-from conftest import ALL_FIXTURES, fixture_source, random_labeled_program
+from conftest import ALL_FIXTURES, assert_core, fixture_source, random_labeled_program
 from reference_analysis import labels_of
 
 NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply)
