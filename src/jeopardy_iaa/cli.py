@@ -17,10 +17,11 @@ callee, argument mask), writes the report: it orders the groups once,
 sorts only a group of two or more implicit masks, and writes a group's
 row up to its implicit labels once.  A mask's bits rise in the report's
 label order, integers then ``input`` then ``output``, so sorting masks
-by their bit lists is sorting label sets.  A mask becomes text with no
-label list between: a run of bits joins a slice of the universe, any
-other mask one text per byte from the report's per-byte tables.  The
-text and JSON formats differ only in their templates; the JSON is what
+by their bit lists is sorting label sets.  Each label becomes text once
+per report, and a mask becomes text with no label list between: a run of
+bits joins a slice of those texts, any other mask one text per byte from
+the report's per-byte tables.  The text and JSON formats differ only in
+their templates; the JSON is what
 ``json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)``
 writes, byte for byte, for the report as a dict, which is never built.
 ``run --trace`` prints the calls' arguments through ``pretty_values``,
@@ -89,9 +90,9 @@ def _parse_and_validate(path: str) -> tuple[str, Program]:
     try:
         program = parse(source)
     except ParseError as error:
-        line, column = line_col(source, error.span.start)
+        diagnostic = Diagnostic("parse error", error.message, error.span)
         raise _CommandError(
-            EXIT_DIAGNOSTICS, f"{path}:{line}:{column}: parse error: {error.message}"
+            EXIT_DIAGNOSTICS, _format_diagnostic(path, source, diagnostic)
         ) from None
     diagnostics = validate(program)
     if diagnostics:
@@ -108,9 +109,9 @@ def _format_diagnostic(path: str, source: str, diagnostic: Diagnostic) -> str:
     return f"{path}: {diagnostic}"
 
 
-def _core(path: str) -> LabeledProgram:
-    _, program = _parse_and_validate(path)
-    return annotate(desugar_program(program))
+def _core(path: str) -> tuple[str, LabeledProgram]:
+    source, program = _parse_and_validate(path)
+    return source, annotate(desugar_program(program))
 
 
 def _cmd_parse(args: argparse.Namespace) -> None:
@@ -119,12 +120,12 @@ def _cmd_parse(args: argparse.Namespace) -> None:
 
 
 def _cmd_desugar(args: argparse.Namespace) -> None:
-    labeled = _core(args.file)
+    _, labeled = _core(args.file)
     print(pretty_program(labeled.program), end="")
 
 
 def _cmd_label(args: argparse.Namespace) -> None:
-    labeled = _core(args.file)
+    _, labeled = _core(args.file)
     print(pretty_program(labeled.program, labels=True), end="")
 
 
@@ -154,54 +155,49 @@ _TEMPLATES = {
 
 
 class _Quoted(dict):
-    """The JSON text of each label, name and kind of one report, made the
-    first time it is asked for: ``str`` of an int, ``json.dumps`` of a
-    str.  A bool never comes in, since ``True`` and ``1`` are one key."""
+    """The JSON text of each name and kind of one report, made the first
+    time it is asked for."""
 
-    def __missing__(self, value: int | str) -> str:
-        quoted = str(value) if type(value) is int else json.dumps(value, ensure_ascii=False)
-        self[value] = quoted
+    def __missing__(self, value: str) -> str:
+        quoted = self[value] = json.dumps(value, ensure_ascii=False)
         return quoted
 
 
 class _ByteTexts(dict):
     """The text of each value of one byte of a mask, made when first asked
-    for: its set bits' labels, each written by ``word``."""
+    for: its set bits' label ``texts``, each after a ``separator``."""
 
-    __slots__ = ("labels", "word")
+    __slots__ = ("texts", "separator")
 
-    def __init__(self, labels: list, word: Callable[[object], str]) -> None:
-        self.labels, self.word = labels, word
+    def __init__(self, texts: list[str], separator: str) -> None:
+        self.texts, self.separator = texts, separator
 
     def __missing__(self, byte: int) -> str:
-        bits = enumerate(self.labels)
-        joined = self[byte] = "".join([self.word(label) for i, label in bits if byte >> i & 1])
+        bits, separator = enumerate(self.texts), self.separator
+        joined = self[byte] = "".join([separator + text for i, text in bits if byte >> i & 1])
         return joined
 
 
-def _mask_texts(universe: list, text: Callable, brackets: tuple) -> Callable[[int], str]:
+def _mask_texts(texts: list[str], brackets: tuple) -> Callable[[int], str]:
     """Writes a mask as ``brackets``' (empty, open, separator, close) list
-    of ``text`` of its labels: a run of bits from a slice of ``universe``,
-    any other mask a byte at a time, from one lazy table per byte."""
+    of its labels' ``texts``: a run of bits from a slice of ``texts``, any
+    other mask a byte at a time, from one lazy table per byte."""
     empty, opened, separator, closed = brackets
     cut = len(separator)
     tables: list[_ByteTexts] = []
-
-    def word(label: object) -> str:
-        return separator + text(label)
 
     def labels(mask: int) -> str:
         lowest = mask & -mask
         if not mask & (mask + lowest):
             # one run of bits or none, such as the mask of a node's labels
-            run = universe[lowest.bit_length() - 1 : mask.bit_length()]
-            return opened + separator.join(map(text, run)) + closed if mask else empty
+            run = texts[lowest.bit_length() - 1 : mask.bit_length()]
+            return opened + separator.join(run) + closed if mask else empty
         low, high = (lowest.bit_length() - 1) >> 3, (mask.bit_length() + 7) >> 3
         for start in range(8 * len(tables), 8 * high, 8):
-            tables.append(_ByteTexts(universe[start : start + 8], word))
+            tables.append(_ByteTexts(texts[start : start + 8], separator))
         values = (mask >> 8 * low).to_bytes(high - low, "little")
-        texts = map(dict.__getitem__, islice(tables, low, None), values)
-        return opened + "".join(texts)[cut:] + closed
+        parts = map(dict.__getitem__, islice(tables, low, None), values)
+        return opened + "".join(parts)[cut:] + closed
 
     return labels
 
@@ -236,7 +232,11 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     brackets, head, tail, inverted_callee, hint_row = _TEMPLATES[form]
     _, opened, separator, closed = brackets
     text = _Quoted().__getitem__ if form == "json" else str
-    labels = _mask_texts(found.universe, text, brackets)
+    # each label's text, made once: the integers, then input and output;
+    # a comprehension, since map(str, ...) took 1.4 times as long
+    texts = [str(label) for label in range(labeled.label_count)]
+    texts += map(text, found.universe[-2:])
+    labels = _mask_texts(texts, brackets)
 
     # unique keys: a name and an inversion count fix the callee
     groups = sorted(
@@ -262,8 +262,8 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     hint_rows = [
         hint_row.format(
             function=text(hint.function),
-            call_label=text(hint.call_label),
-            witnesses=opened + separator.join(map(text, hint.witness_labels)) + closed,
+            call_label=texts[hint.call_label],
+            witnesses=opened + separator.join([texts[i] for i in hint.witness_labels]) + closed,
         )
         for hint in hints
     ]
@@ -276,7 +276,7 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
         f'      "kind": {text(kind)}\n    }}'
         for function, kind in {info[:2] for info in labeled.index.values()}
     }
-    entries = sorted((str(label), row_of[info[:2]]) for label, info in labeled.index.items())
+    entries = sorted((texts[label], row_of[info[:2]]) for label, info in labeled.index.items())
     # A member joined on its own would be copied again into the
     # document's text; that copy raised the peak RSS of analyze on
     # ring-144 from 29 to 36 MB (Linux, CPython 3.11).
@@ -289,7 +289,7 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    labeled = _core(args.file)
+    _, labeled = _core(args.file)
     if args.show_labels:
         print(pretty_program(labeled.program, labels=True))
     print(analysis_report(labeled, args.format))
@@ -313,8 +313,7 @@ def _input_error(text: str, span: Span, problem: object) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    source, program = _parse_and_validate(args.file)
-    labeled = annotate(desugar_program(program))
+    source, labeled = _core(args.file)
     try:
         value = parse_value(args.input)
     except ParseError as error:

@@ -9,9 +9,9 @@ parenthesised, which keeps the printed form unambiguous without
 tracking operator context.  A value is a pattern without variables or
 labels, so ``pretty_value`` is another name for ``pretty_pattern``;
 ``pretty_values`` prints a sequence of values, such as a call trace's
-arguments, and writes a node they share once.  The three run one node
-loop.  Terms have a writer of their own.  Both writers keep their own
-stack, so a tree of any depth is safe.
+arguments, and writes a node they share once.  Terms, patterns and
+values run one node loop with a stack of its own, so a tree of any depth
+is safe.
 
 With ``labels=True`` every labeled node is suffixed with a ``{-n-}``
 marker.  That form is for human inspection of analysis reports and is
@@ -75,23 +75,44 @@ def pretty_values(values: Iterable[Con]) -> Iterator[str]:
 KEPT_LINES = 64
 
 
-def _write(
-    patterns: Iterable[Pattern], labels: bool, memo: dict[int, tuple[Con, int, int]] | None
-) -> Iterator[str]:
-    """The one node loop behind every pattern and value printer.
+class _Parens:
+    """A term that its parent prints in parentheses."""
 
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term) -> None:
+        self.term = term
+
+
+def _atom(term: Term) -> Term | _Parens:
+    """``term`` as an argument of a list cell, ``[c …]`` or general application."""
+    kind = type(term)
+    return _Parens(term) if kind is Apply or kind is GeneralApply or kind is Case else term
+
+
+def _write(
+    nodes: Iterable[Term],
+    labels: bool,
+    memo: dict[int, tuple[Con, int, int]] | None,
+    indent: int = 0,
+) -> Iterator[str]:
+    """The one node loop behind every printer of terms, patterns and values.
+
+    ``indent`` is the column case branches are indented from; an int on
+    the stack sets it for a case's branch bodies and back after them.
     ``memo`` maps the ``id`` of each composite node written so far to the
-    node itself, which keeps the ``id`` from being reused, and the range
-    of fragments its text takes up in ``out``; it is ``None`` when there
-    is nothing to share.  A node met again appends that text as one
-    fragment, which becomes the node's range; ``kept`` counts the text
-    joined for that.
+    node itself, which keeps the ``id`` from being reused, and the range of
+    fragments its text takes up in ``out``; it is ``None`` when there is
+    nothing to share.  A node met again appends that text as one fragment,
+    which becomes the node's range; ``kept`` counts the text joined for
+    that.  ``Con`` is tested right after the loop's own markers: a value is
+    all ``Con``, and ``run`` prints every traced call's argument here.
     """
     out: list[str] = []
     kept = longest = 0
-    for pattern in patterns:
+    for root in nodes:
         first = len(out)
-        stack: list[Pattern | str | tuple[Con, int]] = [pattern]
+        stack: list[Term | _Parens | str | int | tuple[Con, int]] = [root]
         while stack:
             node = stack.pop()
             kind = type(node)
@@ -103,29 +124,61 @@ def _write(
                 node, start = node
                 memo[id(node)] = (node, start, len(out))
                 continue
-            if kind is Var:
-                name = "_" if is_wildcard_name(node.name) and not labels else node.name
-                out.append(f"{name}{_lab(node.label, labels)}")
-                continue
-            # no call when unlabeled: a traced run prints every argument
-            suffix = _lab(node.label, labels) if labels else ""
-            name, args = node.name, node.args
-            if not args:
-                out.append(("[]" if name == "nil" else f"[{name}]") + suffix)
-                continue
-            if memo is not None:
-                seen = memo.get(id(node))
-                if seen is not None:
-                    _, start, end = seen
-                    memo[id(node)] = (node, len(out), len(out) + 1)
-                    if end - start == 1:
-                        out.append(out[start])
-                    else:
-                        text = "".join(out[start:end])
-                        kept += len(text)
-                        out.append(text)
+            if kind is Con:
+                # no call when unlabeled: a traced run prints every argument
+                suffix = _lab(node.label, labels) if labels else ""
+                name, args = node.name, node.args
+                if not args:
+                    out.append(("[]" if name == "nil" else f"[{name}]") + suffix)
                     continue
-                stack.append((node, len(out)))
+                if memo is not None:
+                    seen = memo.get(id(node))
+                    if seen is not None:
+                        _, start, end = seen
+                        memo[id(node)] = (node, len(out), len(out) + 1)
+                        if end - start == 1:
+                            out.append(out[start])
+                        else:
+                            text = "".join(out[start:end])
+                            kept += len(text)
+                            out.append(text)
+                        continue
+                    stack.append((node, len(out)))
+            elif kind is ConApp:
+                name, args, suffix = node.name, node.args, ""
+                if len(args) != 2 or name != "pair":
+                    args = [_atom(arg) for arg in args]
+            else:
+                if kind is Var:
+                    name = "_" if is_wildcard_name(node.name) and not labels else node.name
+                    out.append(f"{name}{_lab(node.label, labels)}")
+                elif kind is int:
+                    indent = node
+                elif kind is _Parens:
+                    out.append("(")
+                    stack += (")", node.term)
+                elif kind is Apply:
+                    out.append(f"{pretty_funref(node.callee)}{_lab(node.label, labels)} ")
+                    stack.append(node.argument)
+                elif kind is GeneralApply:
+                    out.append(f"{pretty_funref(node.callee)} ")
+                    stack.append(_atom(node.argument))
+                elif kind is Case:
+                    pad = "\n" + " " * (indent + 2) + "; "
+                    stack.append(indent)
+                    for pattern, body in reversed(node.branches):
+                        body = _Parens(body) if type(body) is Case else body
+                        stack += (body, " -> ", pattern, pad)
+                    ascription = f" : {node.scrutinee_type}" if node.scrutinee_type else ""
+                    scrutinee = node.scrutinee
+                    if type(scrutinee) is Case:
+                        scrutinee = _Parens(scrutinee)
+                    stack += (indent + 2, f"{ascription} of", scrutinee)
+                    out.append(f"case{_lab(node.label, labels)} ")
+                else:
+                    raise TypeError(f"unknown node: {node!r}")  # pragma: no cover
+                continue
+            # a Con or a ConApp with arguments
             if len(args) == 2 and (name == "pair" or name == "cons"):
                 out.append("(")
                 stack += (")" + suffix, args[1], ", " if name == "pair" else " : ", args[0])
@@ -144,57 +197,6 @@ def _write(
                 kept = 0
 
 
-def pretty_term(term: Term, labels: bool = False, indent: int = 0) -> str:
-    """Print a term; ``indent`` is the column its case branches are
-    indented from."""
-    out: list[str] = []
-    stack: list[str | tuple[Term, int, bool]] = [(term, indent, False)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        term, indent, atom = item
-        kind = type(term)
-        if kind is Var or kind is Con:
-            out.append(pretty_pattern(term, labels))
-            continue
-        if kind is ConApp:
-            name, args = term.name, term.args
-            if len(args) == 2 and name == "pair":
-                out.append("(")
-                stack += (")", (args[1], indent, False), ", ", (args[0], indent, False))
-            elif len(args) == 2 and name == "cons":
-                out.append("(")
-                stack += (")", (args[1], indent, True), " : ", (args[0], indent, True))
-            else:
-                out.append("[" + name)
-                stack.append("]")
-                for arg in reversed(args):
-                    stack += ((arg, indent, True), " ")
-            continue
-        if atom:
-            out.append("(")
-            stack.append(")")
-        if kind is Apply:
-            callee = f"{pretty_funref(term.callee)}{_lab(term.label, labels)}"
-            out.append(f"{callee} {pretty_pattern(term.argument, labels)}")
-        elif kind is GeneralApply:
-            out.append(f"{pretty_funref(term.callee)} ")
-            stack.append((term.argument, indent, True))
-        elif kind is Case:
-            pad = "\n" + " " * (indent + 2) + "; "
-            for pattern, body in reversed(term.branches):
-                branch = f"{pad}{pretty_pattern(pattern, labels)} -> "
-                stack += ((body, indent + 2, type(body) is Case), branch)
-            ascription = f" : {term.scrutinee_type}" if term.scrutinee_type else ""
-            stack += (f"{ascription} of", (term.scrutinee, indent, type(term.scrutinee) is Case))
-            out.append(f"case{_lab(term.label, labels)} ")
-        else:
-            raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
-    return "".join(out)
-
-
 def pretty_definition(definition: DataDef | FunDef, labels: bool = False) -> str:
     if isinstance(definition, DataDef):
         constructors = []
@@ -202,7 +204,9 @@ def pretty_definition(definition: DataDef | FunDef, labels: bool = False) -> str
             inner = " ".join((name,) + components)
             constructors.append(f"[{inner}]")
         return f"data {definition.type_name} = {' '.join(constructors)}."
-    parameter = pretty_pattern(definition.parameter, labels)
+    # a case body starts on a line of its own, its branches indented from 2
+    indent = 2 if isinstance(definition.body, Case) else 0
+    parameter, body = _write((definition.parameter, definition.body), labels, None, indent)
     if definition.parameter_type:
         parameter = f"({parameter} : {definition.parameter_type})"
     elif (
@@ -216,11 +220,7 @@ def pretty_definition(definition: DataDef | FunDef, labels: bool = False) -> str
     header = f"{definition.name} {parameter}"
     if definition.return_type:
         header += f" : {definition.return_type}"
-    if isinstance(definition.body, Case):
-        body = pretty_term(definition.body, labels, indent=2)
-        return f"{header} =\n  {body}."
-    body = pretty_term(definition.body, labels)
-    return f"{header} = {body}."
+    return f"{header} =\n  {body}." if indent else f"{header} = {body}."
 
 
 def pretty_program(program: Program, labels: bool = False) -> str:

@@ -179,6 +179,12 @@ def test_builtin_injection_for_sugar_met_only_in_patterns():
     assert [name for name, _ in injected[0].constructors] == ["cons", "nil", "pair"]
 
 
+def test_the_injected_type_takes_a_name_the_program_leaves_free():
+    core = desugar_program(parse("data builtin = [b]. f x = (x, x). main f."))
+    data = [(d.type_name, d.constructors) for d in core.definitions if isinstance(d, DataDef)]
+    assert data == [("builtin", (("b", ()),)), ("builtin2", (("pair", ("builtin2", "builtin2")),))]
+
+
 def test_assert_core_finds_sugar_below_a_case():
     with pytest.raises(AssertionError, match="still contains sugar"):
         assert_core(parse("f x = case x of ; y -> (f y, y). main f."))

@@ -42,6 +42,13 @@ def test_inverted_application():
     assert body.callee == FunctionRef("f", 1)
 
 
+def test_an_inverted_reference_in_argument_position_takes_the_next_atom():
+    body = next(fun_defs(parse("f x = h (invert g) x. main f."))).body
+    assert body == GeneralApply(FunctionRef("h"), Apply(FunctionRef("g", 1), Var("x")))
+    with pytest.raises(ParseError, match="expected '.' after function body, found 'x'"):
+        parse("f x = h g x. main f.")
+
+
 def test_main_can_be_inverted():
     program = parse("f x = x. main (invert f).")
     assert program.main == FunctionRef("f", 1)

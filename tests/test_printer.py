@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jeopardy_iaa import parse, parse_value, pretty_program, printer
+from jeopardy_iaa import annotate, desugar_program, parse, parse_value, pretty_program, printer
 from jeopardy_iaa.evaluator import run_main
 from jeopardy_iaa.printer import (
     KEPT_LINES,
@@ -14,8 +14,22 @@ from jeopardy_iaa.printer import (
     pretty_value,
     pretty_values,
 )
-from jeopardy_iaa.syntax import Con, FunctionRef, Pattern, Var, is_wildcard_name
+from jeopardy_iaa.syntax import (
+    Apply,
+    Case,
+    Con,
+    ConApp,
+    FunDef,
+    FunctionRef,
+    GeneralApply,
+    Pattern,
+    Program,
+    Term,
+    Var,
+    is_wildcard_name,
+)
 
+import test_nodes
 from conftest import ALL_FIXTURES, load_core, load_labeled
 
 
@@ -83,6 +97,51 @@ def test_mixed_sugar_round_trip():
     )
     first = parse(source)
     assert parse(pretty_program(first)) == first
+
+
+ASCRIBED = (
+    "data nat = [zero] [successor nat].\n\n"
+    "data list = [nil] [cons nat list].\n\n"
+    "f (x : nat) : nat = x.\n\n"
+    "g ((h : t) : list) = h.\n\n"
+    "main f.\n"
+)
+
+
+def test_definition_ascriptions_print_and_read_back():
+    program = parse(ASCRIBED)
+    core = desugar_program(program)
+    assert pretty_program(program) == ASCRIBED
+    assert "\n\nf (x : nat) : nat = x.\n\ng (w1 : list) =\n" in pretty_program(core)
+    assert parse(pretty_program(core)) == core
+    labeled = pretty_program(annotate(core).program, labels=True)
+    assert "\n\nf (x{-0-} : nat) : nat = x{-1-}.\n\ng (w1{-2-} : list) =\n" in labeled
+
+
+# -- the one node loop on generated terms ---------------------------------------
+
+
+def program_of(body: Term) -> Program:
+    return Program((FunDef("f", Var("a"), None, None, body),), FunctionRef("f"))
+
+
+_b = FunctionRef("b")
+_case = Case(Var("a"), None, ((Con("a"), Var("b")), (Var("c"), Var("c"))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(test_nodes.terms | test_nodes.core_terms)
+# a case as a branch body other than the last, and as a scrutinee
+@example(Case(Var("a"), None, ((Con("a"), _case), (Var("b"), Var("b")))))
+@example(Case(_case, None, ((Var("b"), Var("b")),)))
+# an application, a general application and a case in a list cell and in [c …]
+@example(ConApp("cons", (Apply(_b, Var("a")), ConApp("cons", (GeneralApply(_b, _case), _case)))))
+@example(ConApp("c", (Apply(_b, Var("a")), GeneralApply(_b, Apply(_b, Var("a"))), _case)))
+# a case as a pair's first element
+@example(ConApp("pair", (_case, Var("a"))))
+def test_printed_terms_read_back(term):
+    printed = pretty_program(program_of(term))
+    assert pretty_program(parse(printed)) == printed
 
 
 # -- the iterative writer against the recursive printer it replaced -------------

@@ -115,7 +115,7 @@ def test_a_mask_is_written_as_its_label_list(universe_and_masks):
     for form, text in TEXT_OF.items():
         brackets = _TEMPLATES[form][0]
         empty, opened, separator, closed = brackets
-        labels = _mask_texts(universe, text, brackets)
+        labels = _mask_texts(list(map(text, universe)), brackets)
         for mask in masks:
             expected = opened + separator.join(map(text, unmask(mask))) + closed
             assert labels(mask) == (expected if mask else empty)
