@@ -487,6 +487,10 @@ def validate(program: Program) -> list[Diagnostic]:
         check_term(definition.body, bound)
 
     check_ref(program.main, program.main.span)
+    # the walker holds itself through its closure, and so every definition
+    # through ``functions``; break that cycle, so that reference counting,
+    # not the cycle collector, frees the program
+    del check_term
     return diagnostics
 
 

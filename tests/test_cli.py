@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import gc
 import io
 import itertools
 import json
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import jsonschema
@@ -941,3 +943,132 @@ def test_no_generated_source_or_input_escapes_the_exit_codes(tmp_path_factory, s
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
+
+
+# -- the cycle collector ---------------------------------------------------------
+
+# an input for each fixture's main, and run's exit code on it
+RUN_INPUTS = {
+    "fib.jpd": ("2", 0),
+    "first_match.jpd": ("[a]", 0),
+    "identity.jpd": ("[]", 0),
+    "invert_main.jpd": ("[c]", 3),
+    "main_sum.jpd": ("(2, 1)", 0),
+    "mutual.jpd": ("[z]", 0),
+    "ring10.jpd": ("[z]", 0),
+    "selfrec.jpd": ("[z]", 0),
+    "sugar_soup.jpd": ("2", 0),
+}
+
+PRINTING_COMMANDS = (
+    ["parse"],
+    ["desugar"],
+    ["label"],
+    ["analyze"],
+    ["analyze", "--format", "json", "--show-labels"],
+)
+
+
+def _package_object(thing: object) -> bool:
+    """Whether ``thing`` is a function of this package or an instance of
+    one of its classes."""
+    owner = thing if isinstance(thing, types.FunctionType) else type(thing)
+    return (owner.__module__ or "").partition(".")[0] == "jeopardy_iaa"
+
+
+def test_no_command_leaves_a_cycle_of_its_own(tmp_path):
+    # main pauses the cycle collector, so a tree that a cycle holds would
+    # stay until a later collection; argparse's own cycles may
+    library = tmp_path / "library.jpd"
+    library.write_text(sugar_library(40, random.Random(5)), encoding="utf-8")
+    broken = tmp_path / "broken.jpd"
+    broken.write_text("f x = .\nmain f.\n", encoding="utf-8")
+    runs = [
+        ([*command, str(path)], 0)
+        for path in [*ALL_FIXTURES, library]
+        for command in PRINTING_COMMANDS
+    ]
+    for path in ALL_FIXTURES:
+        value, code = RUN_INPUTS[path.name]
+        runs.append((["run", "--trace", str(path), value], code))
+    runs += [
+        (["parse", str(broken)], 1),
+        (["run", FIB, "[z]"], 1),
+        (["analyze", str(tmp_path / "missing.jpd")], 2),
+        (["run", "--max-calls", "0", FIB, "3"], 3),
+    ]
+    flags = gc.get_debug()
+    try:
+        for argv, expected in runs:
+            gc.collect()
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            gc.collect()
+            gc.set_debug(flags)
+            assert code == expected, argv
+            assert [repr(thing)[:80] for thing in gc.garbage if _package_object(thing)] == [], argv
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", FIB], 0),
+        (["run", FIB, "[z]"], 1),
+        (["parse", str(FIXTURES / "no_such.jpd")], 2),
+        (["run", "--max-calls", "0", FIB, "3"], 3),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3"],
+)
+def test_main_leaves_the_cycle_collector_as_it_found_it(capsys, argv, expected):
+    assert gc.isenabled()
+    assert run_cli(capsys, *argv)[0] == expected
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(capsys, *argv)[0] == expected
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_main_enables_the_collector_again_after_a_closed_pipe(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["parse", FIB]) == 2
+        monkeypatch.undo()
+    assert gc.isenabled()
+
+
+def test_main_enables_the_collector_again_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--max-calls", "-1", FIB, "3"])
+    assert gc.isenabled()
+
+
+def test_no_collection_starts_while_a_command_runs(capsys, tmp_path):
+    source = tmp_path / "library.jpd"
+    source.write_text(sugar_library(130, random.Random(5)), encoding="utf-8")
+    starts = []
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            starts.append(info["generation"])
+
+    # argparse builds fewer objects than a first-generation collection
+    # waits for; what main built counts towards the next one after it
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code = main(["analyze", str(source)])
+    finally:
+        gc.callbacks.remove(count)
+    assert (code, starts) == (0, [])
+    assert capsys.readouterr().out

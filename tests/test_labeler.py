@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import random
 
 import pytest
@@ -162,16 +161,3 @@ def test_labeling_ignores_formatting():
     )
     assert dense.program == spaced.program
 
-
-def test_desugaring_and_labeling_leave_no_cycles():
-    # each pass's recursive walker holds itself through its closure;
-    # unless the pass breaks that cycle, what the walker holds, the label
-    # index among it, waits for the cycle collector to be freed
-    program = parse(sugar_library(40, random.Random(5)))
-    gc.collect()
-    gc.disable()
-    try:
-        annotate(desugar_program(program))
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
