@@ -8,7 +8,7 @@
 
 Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors
 (a closed output pipe and a source that is not UTF-8 too), 3 runtime
-errors, located as ``FILE:line:col:`` when their label has a span.
+errors, located as ``FILE:line:col:`` where their labeled node starts.
 Every command validates the program before running any later stage.
 JSON output is deterministic: the same input file always produces
 identical bytes.
@@ -32,6 +32,7 @@ text; the result is printed through ``pretty_value``.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
 import json
@@ -49,7 +50,6 @@ from .printer import pretty_program, pretty_value, pretty_values
 from .syntax import (
     Diagnostic,
     Program,
-    Span,
     constructor_table,
     validate,
     validate_value,
@@ -91,7 +91,7 @@ def _parse_and_validate(path: str) -> tuple[str, Program]:
     try:
         program = parse(source)
     except ParseError as error:
-        diagnostic = Diagnostic("parse error", error.message, error.span)
+        diagnostic = Diagnostic("parse error", error.message, error.offset)
         raise _CommandError(
             EXIT_DIAGNOSTICS, _format_diagnostic(path, source, diagnostic)
         ) from None
@@ -104,8 +104,8 @@ def _parse_and_validate(path: str) -> tuple[str, Program]:
 
 
 def _format_diagnostic(path: str, source: str, diagnostic: Diagnostic) -> str:
-    if diagnostic.span is not None:
-        line, column = line_col(source, diagnostic.span.start)
+    if diagnostic.offset is not None:
+        line, column = line_col(source, diagnostic.offset)
         return f"{path}:{line}:{column}: {diagnostic}"
     return f"{path}: {diagnostic}"
 
@@ -303,18 +303,18 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 def _runtime_error(path: str, source: str, labeled: LabeledProgram, error: EvalError) -> str:
     """A runtime error, located like a parse diagnostic when its label has
-    a span; ``input`` and a label without one have no place in the source."""
+    an offset; ``input`` and a label without one have no place in the source."""
     message = f"runtime error: {error.kind} at {error.label}: {error.message}"
     info = labeled.index.get(error.label)
-    if info is None or info.span is None:
+    if info is None or info.offset is None:
         return message
-    line, column = line_col(source, info.span.start)
+    line, column = line_col(source, info.offset)
     return f"{path}:{line}:{column}: {message}"
 
 
-def _input_error(text: str, span: Span, problem: object) -> str:
+def _input_error(text: str, offset: int, problem: object) -> str:
     """A parse error or a diagnostic in the input value, located in it."""
-    line, column = line_col(text, span.start)
+    line, column = line_col(text, offset)
     return f"invalid input value at {line}:{column}: {problem}"
 
 
@@ -324,13 +324,13 @@ def _cmd_run(args: argparse.Namespace) -> None:
         value = parse_value(args.input)
     except ParseError as error:
         raise _CommandError(
-            EXIT_DIAGNOSTICS, _input_error(args.input, error.span, error.message)
+            EXIT_DIAGNOSTICS, _input_error(args.input, error.offset, error.message)
         ) from None
     table, _ = constructor_table(labeled.program)
     diagnostics = validate_value(value, table)
     if diagnostics:
         raise _CommandError(
-            EXIT_DIAGNOSTICS, "\n".join(_input_error(args.input, d.span, d) for d in diagnostics)
+            EXIT_DIAGNOSTICS, "\n".join(_input_error(args.input, d.offset, d) for d in diagnostics)
         )
     try:
         result, trace = run_main(labeled, value, max_calls=args.max_calls)
@@ -356,7 +356,10 @@ def _call_budget(text: str) -> int:
     return budget
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept: building it
+    takes about twenty times as long as parsing one command line with it."""
     parser = argparse.ArgumentParser(
         prog="jeopardy-iaa",
         description="Front end and available-implicit-arguments analyzer for Jeopardy programs.",

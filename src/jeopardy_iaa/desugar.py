@@ -85,7 +85,7 @@ def desugar_program(program: Program) -> Program:
             branches = []
             for p, b in t.branches:
                 branches.append((p, term(b)))
-            return Case(scrutinee, t.scrutinee_type, tuple(branches), t.label, t.span)
+            return Case(scrutinee, t.scrutinee_type, tuple(branches), t.label, t.offset)
         if kind is GeneralApply:
             args, ascriptions = (t.argument,), (fun_types.get(t.callee.name),)
         elif kind is ConApp:
@@ -107,9 +107,9 @@ def desugar_program(program: Program) -> Program:
                 hoisted.append((variable, arg, ascription))
                 patterns.append(variable)
         if kind is GeneralApply:
-            # the rebuilt application keeps the source application's span,
-            # so a runtime error there is located
-            result = Apply(t.callee, patterns[0], span=t.span)
+            # the rebuilt application starts where the source application
+            # did, so a runtime error there is located
+            result = Apply(t.callee, patterns[0], offset=t.offset)
         else:
             result = Con(t.name, tuple(patterns))
         for variable, arg, ascription in reversed(hoisted):
@@ -126,7 +126,7 @@ def desugar_program(program: Program) -> Program:
         body = definition.body
         if not isinstance(parameter, Var):
             variable = next(fresh)
-            body = Case(variable, definition.parameter_type, ((parameter, body),), span=parameter.span)
+            body = Case(variable, definition.parameter_type, ((parameter, body),), offset=parameter.offset)
             parameter = variable
         definitions.append(definition.rebuilt(parameter, term(body)))
     # the walker holds itself through its closure; break that cycle, so

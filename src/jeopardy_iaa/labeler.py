@@ -32,7 +32,6 @@ from .syntax import (
     FunDef,
     Pattern,
     Program,
-    Span,
     Term,
     Var,
     record,
@@ -40,11 +39,12 @@ from .syntax import (
 
 
 class LabelInfo(NamedTuple):
-    """What a label points at: enclosing function and node kind."""
+    """What a label points at: enclosing function, node kind and the
+    node's start offset in the source."""
 
     function: str
     kind: str  # 'variable' | 'constructor' | 'application' | 'case'
-    span: Span | None = None
+    offset: int | None = None
 
 
 @record()
@@ -67,13 +67,13 @@ def annotate(program: Program) -> LabeledProgram:
     def pattern(p: Pattern) -> Pattern:
         label = len(index)
         if type(p) is Var:
-            index[label] = LabelInfo(function, "variable", p.span)
-            return Var(p.name, label, p.span)
-        index[label] = LabelInfo(function, "constructor", p.span)
+            index[label] = LabelInfo(function, "variable", p.offset)
+            return Var(p.name, label, p.offset)
+        index[label] = LabelInfo(function, "constructor", p.offset)
         args = []
         for arg in p.args:
             args.append(pattern(arg))
-        return Con(p.name, tuple(args), label, p.span)
+        return Con(p.name, tuple(args), label, p.offset)
 
     def term(t: Term) -> Term:
         kind = type(t)
@@ -81,15 +81,15 @@ def annotate(program: Program) -> LabeledProgram:
             return pattern(t)
         label = len(index)
         if kind is Apply:
-            index[label] = LabelInfo(function, "application", t.span)
-            return Apply(t.callee, pattern(t.argument), label, t.span)
+            index[label] = LabelInfo(function, "application", t.offset)
+            return Apply(t.callee, pattern(t.argument), label, t.offset)
         if kind is Case:
-            index[label] = LabelInfo(function, "case", t.span)
+            index[label] = LabelInfo(function, "case", t.offset)
             scrutinee = term(t.scrutinee)
             branches = []
             for p, b in t.branches:
                 branches.append((pattern(p), term(b)))
-            return Case(scrutinee, t.scrutinee_type, tuple(branches), label, t.span)
+            return Case(scrutinee, t.scrutinee_type, tuple(branches), label, t.offset)
         raise ValueError(f"cannot label sugared term {t!r}; desugar first")
 
     definitions = []

@@ -29,6 +29,10 @@ that token starts no pattern (``case``) or the term is not a ``Var`` or
 A value literal is a pattern without variables: ``parse_value`` reads
 it as a ``Con`` tree, with brackets and numerals as in a term, and a
 parenthesis only as a pair or a list cell.
+
+Every node records only where it starts: a bracket, a pair or a case at
+its first token, a list cell or an application at its first item, and
+each node of a numeral at the numeral.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .syntax import (
     KEYWORDS,
     Pattern,
     Program,
-    Span,
     Term,
     Var,
 )
@@ -57,16 +60,18 @@ _MAX_DEPTH = 400
 
 
 class ParseError(Exception):
-    """Malformed input, with the offending span."""
+    """Malformed input, with the offset of the offending character or
+    token."""
 
-    def __init__(self, message: str, span: Span):
+    def __init__(self, message: str, offset: int):
         super().__init__(message)
         self.message = message
-        self.span = span
+        self.offset = offset
 
 
 def line_col(source: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a byte offset, for error display."""
+    """1-based line and column of a character index into the decoded
+    text, for error display."""
     offset = max(0, min(offset, len(source)))
     line = source.count("\n", 0, offset) + 1
     column = offset - (source.rfind("\n", 0, offset) + 1) + 1
@@ -77,11 +82,6 @@ class Token(NamedTuple):
     kind: str  # 'name', 'number', 'wildcard', 'eof', a keyword, or a punct
     text: str
     start: int
-    end: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end)
 
 
 # One alternative per token class, ASCII only; whitespace and comments
@@ -115,12 +115,12 @@ def tokenize(source: str) -> list[Token]:
             kind = text
         elif kind == "name" and text in KEYWORDS:
             kind = text
-        append(new(Token, (kind, text, start, stop)))
+        append(new(Token, (kind, text, start)))
     if end < len(source):
         if source[end] == "_":
-            raise ParseError("identifiers must start with a letter", Span(end, end + 1))
-        raise ParseError(f"unexpected character {source[end]!r}", Span(end, end + 1))
-    append(Token("eof", "", end, end))
+            raise ParseError("identifiers must start with a letter", end)
+        raise ParseError(f"unexpected character {source[end]!r}", end)
+    append(Token("eof", "", end))
     return tokens
 
 
@@ -156,11 +156,11 @@ class _Parser:
 
     def fail(self, message: str, token: Token | None = None) -> None:
         token = token or self.peek()
-        raise ParseError(message, token.span)
+        raise ParseError(message, token.start)
 
-    def fresh_wildcard(self, span: Span) -> Var:
+    def fresh_wildcard(self, offset: int) -> Var:
         self.wildcards += 1
-        return Var(f"_{self.wildcards}", span=span)
+        return Var(f"_{self.wildcards}", offset=offset)
 
     def _enter(self) -> None:
         self.depth += 1
@@ -220,8 +220,8 @@ class _Parser:
             constructors.append((con_name.text, tuple(components)))
         if not constructors:
             self.fail("a data definition needs at least one constructor")
-        end = self.expect(".", "'.' after data definition")
-        return DataDef(type_name.text, tuple(constructors), Span(start.start, end.end))
+        self.expect(".", "'.' after data definition")
+        return DataDef(type_name.text, tuple(constructors), start.start)
 
     def parse_fun_def(self) -> FunDef:
         name = self.expect("name")
@@ -232,15 +232,8 @@ class _Parser:
             return_type = self.expect("name", "a type name").text
         self.expect("=", "'=' after function header")
         body = self.parse_term()
-        end = self.expect(".", "'.' after function body")
-        return FunDef(
-            name.text,
-            parameter,
-            parameter_type,
-            return_type,
-            body,
-            Span(name.start, end.end),
-        )
+        self.expect(".", "'.' after function body")
+        return FunDef(name.text, parameter, parameter_type, return_type, body, name.start)
 
     def parse_parameter(self) -> tuple[Pattern, str | None]:
         if self.peek().kind != "(":
@@ -256,8 +249,8 @@ class _Parser:
         if token.kind == ",":
             self.advance()
             second = self._pattern(self.parse_term)
-            end = self.expect(")")
-            return Con("pair", (pattern, second), span=Span(start.start, end.end)), None
+            self.expect(")")
+            return Con("pair", (pattern, second), offset=start.start), None
         self.expect(")")
         return pattern, None
 
@@ -273,11 +266,11 @@ class _Parser:
         token = self.peek()
         if token.kind != "name":
             self.fail("expected a function reference", token)
-        end = self.advance()
+        self.advance()
         for _ in range(markers):
-            end = self.expect(")")
+            self.expect(")")
         self.depth -= markers
-        return FunctionRef(token.text, markers, Span(start.start, end.end))
+        return FunctionRef(token.text, markers, start.start)
 
     # -- patterns -----------------------------------------------------------
 
@@ -290,11 +283,11 @@ class _Parser:
             self.fail(f"expected a pattern, found {token.text or 'end of input'!r}", token)
         return pattern
 
-    def _nat_pattern(self, n: int, span: Span) -> Pattern:
+    def _nat_pattern(self, n: int, offset: int) -> Pattern:
         # positional: a call with a keyword costs a fifth more
-        result: Pattern = Con("zero", (), None, span)
+        result: Pattern = Con("zero", (), None, offset)
         for _ in range(n):
-            result = Con("successor", (result,), None, span)
+            result = Con("successor", (result,), None, offset)
         return result
 
     # -- terms --------------------------------------------------------------
@@ -322,8 +315,7 @@ class _Parser:
     def _fold_cons(self, items: list[Term]) -> Term:
         result = items[-1]
         for item in reversed(items[:-1]):
-            span = Span(item.span.start, result.span.end)
-            result = _constructor_term("cons", (item, result), span)
+            result = _constructor_term("cons", (item, result), item.offset)
         return result
 
     def parse_case(self) -> Case:
@@ -345,12 +337,7 @@ class _Parser:
             if self.peek().kind != ";":
                 break
             self.advance()
-        return Case(
-            scrutinee,
-            scrutinee_type,
-            tuple(branches),
-            span=Span(start.start, self.peek().start),
-        )
+        return Case(scrutinee, scrutinee_type, tuple(branches), offset=start.start)
 
     def parse_let(self) -> Case:
         start = self.expect("let")
@@ -363,24 +350,22 @@ class _Parser:
         bound = self.parse_term()
         self.expect("in", "'in'")
         body = self.parse_term()
-        return Case(
-            bound, type_name, ((pattern, body),), span=Span(start.start, self.peek().start)
-        )
+        return Case(bound, type_name, ((pattern, body),), offset=start.start)
 
     def parse_app_or_atom(self) -> Term:
         token = self.peek()
         if token.kind == "name" and self.peek(1).kind in _ATOM_START:
             self.advance()
-            return self._application(FunctionRef(token.text, span=token.span), token.span)
+            return self._application(FunctionRef(token.text, offset=token.start))
         if token.kind == "(" and self.peek(1).kind == "invert":
-            return self._application(self.parse_funref(), token.span)
+            return self._application(self.parse_funref())
         return self.parse_atom_term()
 
-    def _application(self, callee: FunctionRef, span: Span) -> Term:
+    def _application(self, callee: FunctionRef) -> Term:
         argument = self.parse_atom_term()
         if isinstance(argument, (Var, Con)):
-            return Apply(callee, argument, span=span)
-        return GeneralApply(callee, argument, span=span)
+            return Apply(callee, argument, offset=callee.offset)
+        return GeneralApply(callee, argument, offset=callee.offset)
 
     def parse_atom_term(self) -> Term:
         self._enter()
@@ -388,12 +373,12 @@ class _Parser:
             token = self.peek()
             if token.kind == "name":
                 self.advance()
-                return Var(token.text, span=token.span)
+                return Var(token.text, offset=token.start)
             if token.kind == "wildcard":
                 self.advance()
-                return self.fresh_wildcard(token.span)
+                return self.fresh_wildcard(token.start)
             if token.kind == "number":
-                return self._nat_pattern(self._numeral(), token.span)
+                return self._nat_pattern(self._numeral(), token.start)
             if token.kind == "[":
                 return self.parse_bracket_term(self.parse_atom_term)
             if token.kind == "(":
@@ -404,8 +389,8 @@ class _Parser:
                 if self.peek().kind == ",":
                     self.advance()
                     second = self.parse_term()
-                    end = self.expect(")", "')' after pair")
-                    return _constructor_term("pair", (first, second), Span(start.start, end.end))
+                    self.expect(")", "')' after pair")
+                    return _constructor_term("pair", (first, second), start.start)
                 self.expect(")")
                 return first
             self.fail(f"expected a term, found {token.text or 'end of input'!r}", token)
@@ -418,14 +403,14 @@ class _Parser:
         ``parse_atom_term`` in a term, ``parse_value`` in a value."""
         start = self.expect("[")
         if self.peek().kind == "]":
-            end = self.advance()
-            return Con("nil", (), span=Span(start.start, end.end))
+            self.advance()
+            return Con("nil", (), offset=start.start)
         name = self.expect("name", "a constructor name")
         args: list[Term] = []
         while self.peek().kind != "]":
             args.append(read())
-        end = self.advance()
-        return _constructor_term(name.text, tuple(args), Span(start.start, end.end))
+        self.advance()
+        return _constructor_term(name.text, tuple(args), start.start)
 
     # -- values -------------------------------------------------------------
 
@@ -436,7 +421,7 @@ class _Parser:
         try:
             token = self.peek()
             if token.kind == "number":
-                return self._nat_pattern(self._numeral(), token.span)
+                return self._nat_pattern(self._numeral(), token.start)
             if token.kind == "[":
                 return self.parse_bracket_term(self.parse_value)
             if token.kind == "(":
@@ -445,20 +430,20 @@ class _Parser:
                 name = "cons" if self.peek().kind == ":" else "pair"
                 self.expect(":" if name == "cons" else ",", "',' in pair value")
                 second = self.parse_value()
-                end = self.expect(")")
-                return Con(name, (first, second), None, Span(start.start, end.end))
+                self.expect(")")
+                return Con(name, (first, second), None, start.start)
             self.fail(f"expected a value, found {token.text or 'end of input'!r}", token)
             raise AssertionError  # unreachable
         finally:
             self._leave()
 
 
-def _constructor_term(name: str, args: tuple[Term, ...], span: Span) -> Term:
+def _constructor_term(name: str, args: tuple[Term, ...], offset: int) -> Term:
     """A constructor applied to terms: a pattern when every argument is
     one, otherwise a ``ConApp`` for the desugarer to take apart."""
     if all(type(arg) is Var or type(arg) is Con for arg in args):
-        return Con(name, args, None, span)
-    return ConApp(name, args, span=span)
+        return Con(name, args, None, offset)
+    return ConApp(name, args, offset)
 
 
 def parse(source: str) -> Program:
@@ -468,7 +453,7 @@ def parse(source: str) -> Program:
 
 def parse_value(source: str) -> Con:
     """Parse a value literal: constructor syntax, a pair, a list cell
-    ``(h : t)``, or a numeral.  Every node carries its span."""
+    ``(h : t)``, or a numeral.  Every node carries its start offset."""
     parser = _Parser(source)
     value = parser.parse_value()
     trailing = parser.peek()

@@ -17,8 +17,9 @@ stage:
   assumes has passed.
 
 All nodes are immutable records (see ``record``), safe to share across
-threads once built.  Source spans never participate in equality, so
-structural comparison is layout-independent.
+threads once built.  A node's ``offset`` is where it starts in the
+source, the one place a message about it points to; it never takes
+part in equality, so structural comparison is layout-independent.
 """
 
 from __future__ import annotations
@@ -94,28 +95,20 @@ def record(*hidden: str):
     return make
 
 
-@record()
-class Span:
-    """Byte-offset range into the source text."""
-
-    start: int
-    end: int
-
-
 # ---------------------------------------------------------------------------
 # Patterns
 
 
-@record("span")
+@record("offset")
 class Var:
     """Pattern variable.  Wildcards are freshened to reserved ``_N`` names."""
 
     name: str
     label: int | None = None
-    span: Span | None = None
+    offset: int | None = None
 
 
-@record("span")
+@record("offset")
 class Con:
     """Constructor pattern ``[c p1 ... pn]``.  A runtime value is a ``Con``
     tree with no variables or labels."""
@@ -123,7 +116,7 @@ class Con:
     name: str
     args: tuple["Pattern", ...] = ()
     label: int | None = None
-    span: Span | None = None
+    offset: int | None = None
 
 
 Pattern = Union[Var, Con]
@@ -138,17 +131,17 @@ Pattern = Union[Var, Con]
 # statement.
 
 
-@record("span")
+@record("offset")
 class Apply:
     """Core application ``g p`` of a function reference to a pattern."""
 
     callee: "FunctionRef"
     argument: Pattern
     label: int | None = None
-    span: Span | None = None
+    offset: int | None = None
 
 
-@record("span")
+@record("offset")
 class Case:
     """``case t : tau of ; p1 -> t1 ; ...`` with first-match semantics."""
 
@@ -156,7 +149,7 @@ class Case:
     scrutinee_type: str | None
     branches: tuple[tuple[Pattern, "Term"], ...]
     label: int | None = None
-    span: Span | None = None
+    offset: int | None = None
 
 
 # Sugared terms, eliminated by the desugarer.  The parser reads pairs,
@@ -164,22 +157,22 @@ class Case:
 # for, so these two are the only sugar left.
 
 
-@record("span")
+@record("offset")
 class ConApp:
     """Constructor applied to at least one non-pattern argument."""
 
     name: str
     args: tuple["Term", ...]
-    span: Span | None = None
+    offset: int | None = None
 
 
-@record("span")
+@record("offset")
 class GeneralApply:
     """Application whose argument is an arbitrary term, not yet a pattern."""
 
     callee: "FunctionRef"
     argument: "Term"
-    span: Span | None = None
+    offset: int | None = None
 
 
 Term = Union[Var, Con, Apply, Case, ConApp, GeneralApply]
@@ -189,14 +182,14 @@ Term = Union[Var, Con, Apply, Case, ConApp, GeneralApply]
 # Function references
 
 
-@record("span")
+@record("offset")
 class FunctionRef:
     """A defined function's name under ``inversions`` ``(invert ...)``
     markers."""
 
     name: str
     inversions: int = 0
-    span: Span | None = None
+    offset: int | None = None
 
     @property
     def backward(self) -> bool:
@@ -253,16 +246,16 @@ def pattern_variables(pattern: Pattern) -> Iterator[Var]:
 # Definitions and programs
 
 
-@record("span")
+@record("offset")
 class DataDef:
     """``data tau = [c1 tau...] ... [cn tau...].``"""
 
     type_name: str
     constructors: tuple[tuple[str, tuple[str, ...]], ...]
-    span: Span | None = None
+    offset: int | None = None
 
 
-@record("span")
+@record("offset")
 class FunDef:
     """``f (p : tau_p) : tau_t = t.`` with both type ascriptions optional."""
 
@@ -271,11 +264,11 @@ class FunDef:
     parameter_type: str | None
     return_type: str | None
     body: Term
-    span: Span | None = None
+    offset: int | None = None
 
     def rebuilt(self, parameter: Pattern, body: Term) -> FunDef:
         """This definition with another parameter and body."""
-        return FunDef(self.name, parameter, self.parameter_type, self.return_type, body, self.span)
+        return FunDef(self.name, parameter, self.parameter_type, self.return_type, body, self.offset)
 
 
 Definition = Union[DataDef, FunDef]
@@ -305,11 +298,12 @@ def data_defs(program: Program) -> Iterator[DataDef]:
 
 @record()
 class Diagnostic:
-    """A single well-formedness violation with an optional location."""
+    """A single well-formedness violation, with the offset where the
+    offending node starts when it has one."""
 
     kind: str
     message: str
-    span: Span | None = None
+    offset: int | None = None
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"
@@ -343,7 +337,7 @@ def constructor_table(program: Program) -> tuple[dict[str, ConstructorInfo], lis
                     Diagnostic(
                         "duplicate-constructor",
                         f"constructor '{con_name}' declared more than once",
-                        definition.span,
+                        definition.offset,
                     )
                 )
                 continue
@@ -355,7 +349,7 @@ def constructor_table(program: Program) -> tuple[dict[str, ConstructorInfo], lis
 
 
 def _check_constructor(
-    name: str, argc: int, span: Span | None, table: dict[str, ConstructorInfo], out: list[Diagnostic]
+    name: str, argc: int, offset: int | None, table: dict[str, ConstructorInfo], out: list[Diagnostic]
 ) -> None:
     info = table.get(name)
     if info is None:
@@ -363,7 +357,7 @@ def _check_constructor(
             Diagnostic(
                 "undefined-constructor",
                 f"constructor '{name}' is not declared",
-                span,
+                offset,
             )
         )
     elif info.arity != argc:
@@ -372,7 +366,7 @@ def _check_constructor(
                 "arity-mismatch",
                 f"constructor '{name}' takes {info.arity} "
                 f"argument(s), got {argc}",
-                span,
+                offset,
             )
         )
 
@@ -391,21 +385,22 @@ def _check_pattern(
     since a term may copy a binding.  All constructor diagnostics come
     before the variable diagnostics, each group in pre-order.  A
     constructor diagnostic is reported once per place: the nodes of a
-    numeral all share its span.
+    numeral all start where it does, and so do two cons cells of
+    ``(a : b) : c``.
     """
     names: set[str] = set()
     constructors: list[Diagnostic] = []
     variables: list[Diagnostic] = []
     for node in nodes(root):
         if type(node) is not Var:
-            _check_constructor(node.name, len(node.args), node.span, table, constructors)
+            _check_constructor(node.name, len(node.args), node.offset, table, constructors)
         elif bound is None:
             if node.name in names:
                 variables.append(
                     Diagnostic(
                         "nonlinear-pattern",
                         f"variable '{node.name}' bound twice in one pattern",
-                        node.span,
+                        node.offset,
                     )
                 )
             names.add(node.name)
@@ -414,7 +409,7 @@ def _check_pattern(
                 Diagnostic(
                     "unbound-variable",
                     f"variable '{node.name}' is not in scope",
-                    node.span,
+                    node.offset,
                 )
             )
     if constructors:
@@ -443,19 +438,19 @@ def validate(program: Program) -> list[Diagnostic]:
                 Diagnostic(
                     "duplicate-function",
                     f"function '{definition.name}' defined more than once",
-                    definition.span,
+                    definition.offset,
                 )
             )
             continue
         functions[definition.name] = definition
 
-    def check_ref(ref: FunctionRef, span: Span | None) -> None:
+    def check_ref(ref: FunctionRef, offset: int | None) -> None:
         if ref.name not in functions:
             diagnostics.append(
                 Diagnostic(
                     "undefined-function",
                     f"function '{ref.name}' is not defined",
-                    span,
+                    offset,
                 )
             )
 
@@ -463,10 +458,10 @@ def validate(program: Program) -> list[Diagnostic]:
         if isinstance(term, (Var, Con)):
             _check_pattern(term, table, diagnostics, bound)
         elif isinstance(term, Apply):
-            check_ref(term.callee, term.span)
+            check_ref(term.callee, term.offset)
             _check_pattern(term.argument, table, diagnostics, bound)
         elif isinstance(term, GeneralApply):
-            check_ref(term.callee, term.span)
+            check_ref(term.callee, term.offset)
             check_term(term.argument, bound)
         elif isinstance(term, Case):
             check_term(term.scrutinee, bound)
@@ -474,7 +469,7 @@ def validate(program: Program) -> list[Diagnostic]:
                 names = _check_pattern(pattern, table, diagnostics)
                 check_term(body, bound | names)
         elif isinstance(term, ConApp):
-            _check_constructor(term.name, len(term.args), term.span, table, diagnostics)
+            _check_constructor(term.name, len(term.args), term.offset, table, diagnostics)
             for arg in term.args:
                 check_term(arg, bound)
         else:  # pragma: no cover - exhaustive over Term
@@ -486,7 +481,7 @@ def validate(program: Program) -> list[Diagnostic]:
         bound = frozenset(_check_pattern(definition.parameter, table, diagnostics))
         check_term(definition.body, bound)
 
-    check_ref(program.main, program.main.span)
+    check_ref(program.main, program.main.offset)
     # the walker holds itself through its closure, and so every definition
     # through ``functions``; break that cycle, so that reference counting,
     # not the cycle collector, frees the program

@@ -10,11 +10,12 @@ class-based one, copied whole: ``_names``, ``_Fresh`` and
 scanners agree on every input except one: the reference reads any
 Unicode digit (``²``, ``٣``) as part of a numeral, where numerals are
 ASCII digits only.  The labelers agree on labels, on the label index and
-on every node's span; the desugarers on the core program and on every
-node's span but one kind: an application that the desugarer rebuilds
-from one whose argument is not a pattern now keeps that application's
-span, where the reference left it without one.  The parsers agree on
-every source the pattern grammar accepts, trees and spans alike; where
+on every node's start offset; the desugarers on the core program and on
+every node's offset but one kind: an application that the desugarer
+rebuilds from one whose argument is not a pattern now keeps that
+application's offset, where the reference left it without one.  The
+parsers agree on every source the pattern grammar accepts, trees and
+offsets alike; where
 it fails, the term grammar fails with the same error, or inside a
 pattern position in one of two ways: ``expected a pattern`` at the first
 token of a term that is not a pattern, or a term error no earlier than
@@ -48,7 +49,6 @@ from jeopardy_iaa.syntax import (
     GeneralApply,
     Pattern,
     Program,
-    Span,
     Term,
     Var,
     constructor_table,
@@ -81,11 +81,6 @@ class Token:
     kind: str  # 'name', 'number', 'wildcard', 'eof', a keyword, or a punct
     text: str
     start: int
-    end: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end)
 
 
 def _is_name_start(c: str) -> bool:
@@ -110,27 +105,24 @@ def tokenize(source: str) -> list[Token]:
             i = n if j < 0 else j + 1
             continue
         if source.startswith("->", i):
-            tokens.append(Token("->", "->", i, i + 2))
+            tokens.append(Token("->", "->", i))
             i += 2
             continue
         if c in ".;,()[]=:":
-            tokens.append(Token(c, c, i, i + 1))
+            tokens.append(Token(c, c, i))
             i += 1
             continue
         if c == "_":
             if i + 1 < n and _is_name_char(source[i + 1]):
-                raise ParseError(
-                    "identifiers must start with a letter",
-                    Span(i, i + 1),
-                )
-            tokens.append(Token("wildcard", "_", i, i + 1))
+                raise ParseError("identifiers must start with a letter", i)
+            tokens.append(Token("wildcard", "_", i))
             i += 1
             continue
         if c.isdigit():
             j = i
             while j < n and source[j].isdigit():
                 j += 1
-            tokens.append(Token("number", source[i:j], i, j))
+            tokens.append(Token("number", source[i:j], i))
             i = j
             continue
         if _is_name_start(c):
@@ -139,11 +131,11 @@ def tokenize(source: str) -> list[Token]:
                 j += 1
             text = source[i:j]
             kind = text if text in KEYWORDS else "name"
-            tokens.append(Token(kind, text, i, j))
+            tokens.append(Token(kind, text, i))
             i = j
             continue
-        raise ParseError(f"unexpected character {c!r}", Span(i, i + 1))
-    tokens.append(Token("eof", "", n, n))
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(Token("eof", "", n))
     return tokens
 
 
@@ -156,7 +148,7 @@ class LabelInfo:
 
     function: str
     kind: str  # 'variable' | 'constructor' | 'application' | 'case'
-    span: Span | None = None
+    offset: int | None = None
 
 
 @dataclass(frozen=True)
@@ -175,16 +167,16 @@ class _Labeler:
         self.counter = 0
         self.index: dict[int, LabelInfo] = {}
 
-    def _next(self, function: str, kind: str, span: Span | None) -> int:
+    def _next(self, function: str, kind: str, offset: int | None) -> int:
         label = self.counter
         self.counter += 1
-        self.index[label] = LabelInfo(function, kind, span)
+        self.index[label] = LabelInfo(function, kind, offset)
         return label
 
     def pattern(self, p: Pattern, function: str) -> Pattern:
         if isinstance(p, Var):
-            return replace(p, label=self._next(function, "variable", p.span))
-        label = self._next(function, "constructor", p.span)
+            return replace(p, label=self._next(function, "variable", p.offset))
+        label = self._next(function, "constructor", p.offset)
         args = tuple(self.pattern(arg, function) for arg in p.args)
         return replace(p, label=label, args=args)
 
@@ -192,10 +184,10 @@ class _Labeler:
         if isinstance(t, (Var, Con)):
             return self.pattern(t, function)
         if isinstance(t, Apply):
-            label = self._next(function, "application", t.span)
+            label = self._next(function, "application", t.offset)
             return replace(t, label=label, argument=self.pattern(t.argument, function))
         if isinstance(t, Case):
-            label = self._next(function, "case", t.span)
+            label = self._next(function, "case", t.offset)
             scrutinee = self.term(t.scrutinee, function)
             branches = tuple(
                 (self.pattern(p, function), self.term(b, function))
@@ -229,7 +221,7 @@ def annotate(program: Program) -> LabeledProgram:
 # that was a class, before it became one function with one walker.  On
 # them, ``_ReplaceDesugarer`` puts back the two methods that rebuilt a
 # node with ``dataclasses.replace``, the application rewrite that left
-# the rebuilt application without a span, and the constructor rewrite
+# the rebuilt application without an offset, and the constructor rewrite
 # they call.
 
 
@@ -316,7 +308,7 @@ class _Desugarer:
         body = definition.body
         if not isinstance(parameter, Var):
             fresh = self.fresh.next()
-            body = Case(fresh, definition.parameter_type, ((parameter, body),), span=parameter.span)
+            body = Case(fresh, definition.parameter_type, ((parameter, body),), offset=parameter.offset)
             parameter = fresh
         return definition.rebuilt(parameter, self.desugar_term(body))
 
@@ -326,15 +318,15 @@ class _Desugarer:
         if isinstance(term, Case):
             scrutinee = self.desugar_term(term.scrutinee)
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
-            return Case(scrutinee, term.scrutinee_type, branches, term.label, term.span)
+            return Case(scrutinee, term.scrutinee_type, branches, term.label, term.offset)
         if isinstance(term, GeneralApply):
-            # the rebuilt application keeps the source application's span,
-            # so a runtime error there is located
-            callee, span = term.callee, term.span
+            # the rebuilt application starts where the source application
+            # did, so a runtime error there is located
+            callee, offset = term.callee, term.offset
             return self._hoisted(
                 (term.argument,),
                 (self.fun_types.get(callee.name),),
-                lambda argument: Apply(callee, argument, span=span),
+                lambda argument: Apply(callee, argument, offset=offset),
             )
         if isinstance(term, ConApp):
             name = term.name
@@ -386,7 +378,7 @@ class _ReplaceDesugarer(_Desugarer):
                 fresh,
                 definition.parameter_type,
                 ((parameter, body),),
-                span=parameter.span,
+                offset=parameter.offset,
             )
             parameter = fresh
         body = self.desugar_term(body)
@@ -428,18 +420,14 @@ class _ReplaceDesugarer(_Desugarer):
 # -- reference pattern grammar -------------------------------------------------
 #
 # The recursive-descent grammar that read patterns before pattern
-# positions were read by the term grammar, with its two span helpers.
+# positions were read by the term grammar, with its offset helper.
 # ``_pattern`` dispatches to it as the parser's pattern positions did:
 # a branch or a parameter's pair component to ``parse_pattern``, an
 # atom to ``parse_pattern_atom``.
 
 
 def _pattern_start(pattern: Pattern) -> int:
-    return pattern.span.start if pattern.span else 0
-
-
-def _pattern_end(pattern: Pattern) -> int:
-    return pattern.span.end if pattern.span else 0
+    return pattern.offset if pattern.offset is not None else 0
 
 
 class _PatternGrammarParser(_Parser):
@@ -454,8 +442,7 @@ class _PatternGrammarParser(_Parser):
             if self.peek().kind == ":":
                 self.advance()
                 tail = self.parse_pattern()
-                span = Span(_pattern_start(head), _pattern_end(tail))
-                return Con("cons", (head, tail), span=span)
+                return Con("cons", (head, tail), offset=_pattern_start(head))
             return head
         finally:
             self._leave()
@@ -466,31 +453,31 @@ class _PatternGrammarParser(_Parser):
             token = self.peek()
             if token.kind == "name":
                 self.advance()
-                return Var(token.text, span=token.span)
+                return Var(token.text, offset=token.start)
             if token.kind == "wildcard":
                 self.advance()
-                return self.fresh_wildcard(token.span)
+                return self.fresh_wildcard(token.start)
             if token.kind == "number":
-                return self._nat_pattern(self._numeral(), token.span)
+                return self._nat_pattern(self._numeral(), token.start)
             if token.kind == "[":
                 start = self.advance()
                 if self.peek().kind == "]":
-                    end = self.advance()
-                    return Con("nil", (), span=Span(start.start, end.end))
+                    self.advance()
+                    return Con("nil", (), offset=start.start)
                 name = self.expect("name", "a constructor name")
                 args: list[Pattern] = []
                 while self.peek().kind != "]":
                     args.append(self.parse_pattern_atom())
-                end = self.advance()
-                return Con(name.text, tuple(args), span=Span(start.start, end.end))
+                self.advance()
+                return Con(name.text, tuple(args), offset=start.start)
             if token.kind == "(":
                 start = self.advance()
                 first = self.parse_pattern()
                 if self.peek().kind == ",":
                     self.advance()
                     second = self.parse_pattern()
-                    end = self.expect(")")
-                    return Con("pair", (first, second), span=Span(start.start, end.end))
+                    self.expect(")")
+                    return Con("pair", (first, second), offset=start.start)
                 self.expect(")")
                 return first
             self.fail(f"expected a pattern, found {token.text or 'end of input'!r}", token)
@@ -518,11 +505,11 @@ class _RecordingParser(_Parser):
 
 
 def scanned(scanner, text: str):
-    """The tokens as plain tuples, or the error's message and span."""
+    """The tokens as plain tuples, or the error's message and offset."""
     try:
-        return [(t.kind, t.text, t.start, t.end) for t in scanner(text)]
+        return [(t.kind, t.text, t.start) for t in scanner(text)]
     except ParseError as error:
-        return error.message, error.span
+        return error.message, error.offset
 
 
 def is_unicode_digit(c: str) -> bool:
@@ -548,14 +535,14 @@ sources = st.lists(st.one_of(characters, fragments), max_size=40).map("".join)
 @example("a\xa0b")
 def test_scanner_agrees_with_the_character_loop(text):
     new = scanned(scan, text)
-    stop = new[1].start if type(new) is tuple else None
+    stop = new[1] if type(new) is tuple else None
     if stop is not None and is_unicode_digit(text[stop]):
         # the one intended difference: the reference read this digit as
         # part of a numeral; up to it, the two scanners agree
         assert new[0] == f"unexpected character {text[stop]!r}"
         assert scanned(scan, text[:stop]) == scanned(tokenize, text[:stop])
         old = scanned(tokenize, text)
-        assert type(old) is list or old[1].start > stop
+        assert type(old) is list or old[1] > stop
     else:
         assert new == scanned(tokenize, text)
 
@@ -563,14 +550,14 @@ def test_scanner_agrees_with_the_character_loop(text):
 def test_scanner_token_list_ends_in_one_end_marker():
     tokens = scan("f x = x. -- done")
     assert [t.kind for t in tokens].count("eof") == 1
-    assert tokens[-1] == ("eof", "", 16, 16)
+    assert tokens[-1] == ("eof", "", 16)
 
 
 # -- labeler ------------------------------------------------------------------
 
 
 def located(program: Program) -> list:
-    """Everything in a program that has a span, in source order: ``main``,
+    """Everything in a program that has an offset, in source order: ``main``,
     each definition, and each node of a function body or parameter, an
     application followed by its callee."""
     found: list = [program.main]
@@ -586,18 +573,18 @@ def located(program: Program) -> list:
     return found
 
 
-def assert_spans_alike(new: Program, old: Program, rebuilt: dict[int, Span] | None = None) -> None:
-    """Spans never take part in equality, so compare them node by node.
-    ``rebuilt`` maps the ``id`` of a callee to the span that the new
+def assert_offsets_alike(new: Program, old: Program, rebuilt: dict[int, int] | None = None) -> None:
+    """Offsets never take part in equality, so compare them node by node.
+    ``rebuilt`` maps the ``id`` of a callee to the offset that the new
     side's application of it has where the old side has none."""
     rebuilt = rebuilt or {}
     new_nodes, old_nodes = located(new), located(old)
     assert [type(n) for n in new_nodes] == [type(o) for o in old_nodes]
     for n, o in zip(new_nodes, old_nodes):
         if type(n) is Apply and id(n.callee) in rebuilt:
-            assert (n.span, o.span) == (rebuilt[id(n.callee)], None)
+            assert (n.offset, o.offset) == (rebuilt[id(n.callee)], None)
         else:
-            assert n.span == o.span
+            assert n.offset == o.offset
 
 
 def assert_labeled_alike(program: Program) -> None:
@@ -605,26 +592,26 @@ def assert_labeled_alike(program: Program) -> None:
     assert new.program == old.program
     assert new.functions == old.functions
     assert [(k, tuple(v)) for k, v in new.index.items()] == [
-        (k, (v.function, v.kind, v.span)) for k, v in old.index.items()
+        (k, (v.function, v.kind, v.offset)) for k, v in old.index.items()
     ]
-    assert_spans_alike(new.program, old.program)
+    assert_offsets_alike(new.program, old.program)
 
 
 def assert_desugared_alike(program: Program) -> int:
     """Compare the desugarers; the count of applications rebuilt from a
-    ``GeneralApply``, the one place where their spans differ."""
+    ``GeneralApply``, the one place where their offsets differ."""
     new, old = desugar_program(program), _ReplaceDesugarer(program).run()
     assert new == old
     # the one intended difference: the application rebuilt from a
-    # GeneralApply keeps its span, where the reference left it none
+    # GeneralApply keeps its offset, where the reference left it none
     rebuilt = {
-        id(node.callee): node.span
+        id(node.callee): node.offset
         for definition in program.definitions
         if type(definition) is FunDef
         for node in nodes(definition.body)
         if type(node) is GeneralApply
     }
-    assert_spans_alike(new, old, rebuilt)
+    assert_offsets_alike(new, old, rebuilt)
     return len(rebuilt)
 
 
@@ -645,9 +632,9 @@ def test_desugarer_agrees_on_every_fixture(path):
 def test_desugarer_agrees_on_a_sugar_heavy_source():
     program = parse(sugar_library(130, random.Random(3)))
     assert assert_desugared_alike(program) > 50
-    # the spans compared are real ones, not a run of Nones
+    # the offsets compared are real ones, not a run of Nones
     core = desugar_program(program)
-    assert sum(n.span is not None for d in core.definitions if type(d) is FunDef for n in nodes(d.body)) > 1000
+    assert sum(n.offset is not None for d in core.definitions if type(d) is FunDef for n in nodes(d.body)) > 1000
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -655,7 +642,7 @@ def test_labeler_agrees_on_random_programs(seed):
     rng = random.Random(seed)
     program = random_core_program(rng, budget=rng.randrange(6, 30), branching=seed % 2 == 1)
     assert_labeled_alike(program)
-    # printed and read back, the same program carries source spans
+    # printed and read back, the same program carries source offsets
     assert_labeled_alike(parse(pretty_program(program)))
 
 
@@ -681,22 +668,23 @@ def assert_parsed_alike(source: str) -> str:
     if type(old) is Program:
         assert type(new) is Program
         assert new == old
-        assert_spans_alike(new, old)
+        assert_offsets_alike(new, old)
         return "accepted"
     assert type(new) is ParseError
-    if (new.message, new.span) == (old.message, old.span):
+    if (new.message, new.offset) == (old.message, old.offset):
         return "same error"
     # they differ only inside a pattern position that the term grammar
     # reads, which starts no later than where the pattern grammar failed
-    assert recording.open_patterns and recording.open_patterns[0] <= old.span.start
-    token = source[new.span.start:new.span.end]
+    assert recording.open_patterns and recording.open_patterns[0] <= old.offset
+    # the source scanned, or both would have failed alike
+    token = next(t.text for t in scan(source) if t.start == new.offset)
     if new.message == f"expected a pattern, found {token!r}":
         # a term that is not a pattern, rejected at its first token
-        assert new.span.start in recording.open_patterns
-        assert new.span.start <= old.span.start
+        assert new.offset in recording.open_patterns
+        assert new.offset <= old.offset
         return "not a pattern"
     # the term grammar read on where the pattern grammar stopped
-    assert new.span.start >= old.span.start
+    assert new.offset >= old.offset
     return "term error"
 
 
@@ -779,7 +767,7 @@ def test_nested_branch_patterns_meet_the_nesting_bound_where_they_did(shape):
     build, expected = NESTED_PATTERNS[shape]
     deepest, error = deepest_branch_pattern(_Parser, build)
     old_deepest, old_error = deepest_branch_pattern(_PatternGrammarParser, build)
-    assert (deepest, error.message, error.span) == (old_deepest, old_error.message, old_error.span)
+    assert (deepest, error.message, error.offset) == (old_deepest, old_error.message, old_error.offset)
     assert (deepest, error.message) == (expected, "nesting too deep")
 
 
@@ -841,18 +829,18 @@ def old_parse_value(source: str) -> Con:
     return value
 
 
-def outcome(read, text: str) -> Con | tuple[str, Span]:
+def outcome(read, text: str) -> Con | tuple[str, int]:
     """The value that ``read`` finds in ``text``, or the error's message
-    and span."""
+    and offset."""
     try:
         return read(text)
     except ParseError as error:
-        return error.message, error.span
+        return error.message, error.offset
 
 
 def assert_values_alike(text: str) -> str:
     """Read ``text`` with both value readers and require the same printed
-    tree, or the same message and span; say which."""
+    tree, or the same message and offset; say which."""
     new, old = outcome(parse_value, text), outcome(old_parse_value, text)
     if type(old) is tuple:
         assert new == old
@@ -865,20 +853,20 @@ def assert_values_alike(text: str) -> str:
 
 
 def assert_located(value: Con, text: str) -> None:
-    """The root spans the literal; a numeral's nodes all have the
-    numeral's span, and every other node's runs from its opening bracket
-    or parenthesis to the closing one, around its arguments' in order."""
-    assert text[value.span.start:value.span.end] == text.strip()
+    """The root starts the literal; a numeral's nodes all start at the
+    numeral, and every other node at its opening bracket or parenthesis,
+    before its arguments, which start in order."""
+    assert value.offset == len(text) - len(text.lstrip())
     for node in nodes(value):
-        start, end = node.span.start, node.span.end
+        start = node.offset
         if text[start].isdigit():
-            assert all(arg.span == node.span for arg in node.args)
+            assert all(arg.offset == start for arg in node.args)
             continue
-        assert (text[start], text[end - 1]) in (("[", "]"), ("(", ")"))
-        at = start + 1
+        assert text[start] in "[("
+        at = start
         for arg in node.args:
-            assert at <= arg.span.start and arg.span.end <= end - 1
-            at = arg.span.end
+            assert at < arg.offset
+            at = arg.offset
 
 
 _constructors = st.sampled_from(["pair", "cons", "nil", "zero", "successor"])

@@ -12,6 +12,9 @@ they stand for left every one unchanged but a ``let``'s ``parse`` text.
 The text-format reports and the JSON reports of diamond-10 and ring-140
 were recorded before the report got a JSON writer of its own, and the
 ``run`` outputs before its trace reused the text of shared values.
+The exit code and stderr of each error path, and of ``parse`` on every
+fixture with one token deleted, were recorded at 234a325, whose nodes
+carried a source span from start to end; a location prints its start.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import re
 import pytest
 
 from jeopardy_iaa.cli import main
+from jeopardy_iaa.parser import tokenize
 
 from conftest import (
     ALL_FIXTURES,
@@ -218,6 +222,198 @@ TRACE_DIGESTS = {
 GENERATED_FRONT_END_DIGEST = "86ea62aeafa4180d4b03c24d6306b6f26aa2dc88b776dca90b67f65a68401900"
 
 
+# exit code and stderr lines of a failing command, by command (with its
+# options), source and run input; a source is a program's text or a
+# fixture's name, and the source file's path reads FILE
+ERRORS = {
+    # validate's diagnostics: one of each kind, then many in one program,
+    # in the order validate finds them, and after each command
+    ("parse", "data t = [c] [c].\nf x = x.\nmain f.\n", None):
+        (1, ["FILE:1:1: duplicate-constructor: constructor 'c' declared more than once"]),
+    ("parse", "data t = [c].\nf x = [d].\nmain f.\n", None):
+        (1, ["FILE:2:7: undefined-constructor: constructor 'd' is not declared"]),
+    ("parse", "data t = [c t] [z].\nf x = [c].\nmain f.\n", None):
+        (1, ["FILE:2:7: arity-mismatch: constructor 'c' takes 1 argument(s), got 0"]),
+    ("parse", "data t = [c t] [z].\nf x = [c (f x) x].\nmain f.\n", None):
+        (1, ["FILE:2:7: arity-mismatch: constructor 'c' takes 1 argument(s), got 2"]),
+    ("parse", "data t = [c t t] [z].\nf [c x x] = x.\nmain f.\n", None):
+        (1, ["FILE:2:8: nonlinear-pattern: variable 'x' bound twice in one pattern"]),
+    ("parse", "data t = [z].\nf x = y.\nmain f.\n", None):
+        (1, ["FILE:2:7: unbound-variable: variable 'y' is not in scope"]),
+    ("parse", "data t = [z].\nf x = x.\nf y = y.\nmain f.\n", None):
+        (1, ["FILE:3:1: duplicate-function: function 'f' defined more than once"]),
+    ("parse", "data t = [z].\nf x = g x.\nmain f.\n", None):
+        (1, ["FILE:2:7: undefined-function: function 'g' is not defined"]),
+    ("parse", "data t = [z].\nf x = (invert g) (f x).\nmain f.\n", None):
+        (1, ["FILE:2:7: undefined-function: function 'g' is not defined"]),
+    ("parse", "data t = [z].\nf x = x.\nmain (invert g).\n", None):
+        (1, ["FILE:3:6: undefined-function: function 'g' is not defined"]),
+    ("parse", "f x = 2.\nmain f.\n", None):
+        (1, [
+            "FILE:1:7: undefined-constructor: constructor 'successor' is not declared",
+            "FILE:1:7: undefined-constructor: constructor 'zero' is not declared",
+        ]),
+    (
+        "desugar",
+        "data t = [c] [c].\nf [c x x] = case y of ; [d] -> g (h w) ; [c z z] -> [c z].\nf x = x.\nmain k.\n",
+        None,
+    ):
+        (1, [
+            "FILE:1:1: duplicate-constructor: constructor 'c' declared more than once",
+            "FILE:3:1: duplicate-function: function 'f' defined more than once",
+            "FILE:2:3: arity-mismatch: constructor 'c' takes 0 argument(s), got 2",
+            "FILE:2:8: nonlinear-pattern: variable 'x' bound twice in one pattern",
+            "FILE:2:18: unbound-variable: variable 'y' is not in scope",
+            "FILE:2:25: undefined-constructor: constructor 'd' is not declared",
+            "FILE:2:32: undefined-function: function 'g' is not defined",
+            "FILE:2:35: undefined-function: function 'h' is not defined",
+            "FILE:2:37: unbound-variable: variable 'w' is not in scope",
+            "FILE:2:42: arity-mismatch: constructor 'c' takes 0 argument(s), got 2",
+            "FILE:2:47: nonlinear-pattern: variable 'z' bound twice in one pattern",
+            "FILE:2:53: arity-mismatch: constructor 'c' takes 0 argument(s), got 1",
+            "FILE:4:6: undefined-function: function 'k' is not defined",
+        ]),
+    ("analyze", "data t = [pair t] [z].\nf (x, y) = x.\nmain f.\n", None):
+        (1, ["FILE:2:3: arity-mismatch: constructor 'pair' takes 1 argument(s), got 2"]),
+    ("run", "data t = [z].\nf x = y.\nmain f.\n", "[z]"):
+        (1, ["FILE:2:7: unbound-variable: variable 'y' is not in scope"]),
+    # parse errors: one of each message family
+    ("parse", "f _x = x.\nmain f.\n", None):
+        (1, ["FILE:1:3: parse error: identifiers must start with a letter"]),
+    ("parse", "f x = x $.\nmain f.\n", None):
+        (1, ["FILE:1:9: parse error: unexpected character '$'"]),
+    ("parse", "f x = x\nmain f.\n", None):
+        (1, ["FILE:2:1: parse error: expected '.' after function body, found 'main'"]),
+    ("parse", "f x = x.\nmain f.\nf y = ", None):
+        (1, ["FILE:3:7: parse error: expected a term, found 'end of input'"]),
+    ("parse", "data t = [c. main f.", None):
+        (1, ["FILE:1:12: parse error: expected ']', found '.'"]),
+    ("parse", "data t = [z].\nf x = x.\nmain f.\nmain f.\n", None):
+        (1, ["FILE:4:1: parse error: duplicate main declaration"]),
+    ("parse", "f x = x.\n) main f.\n", None):
+        (1, ["FILE:2:1: parse error: expected a definition, found ')'"]),
+    ("parse", "data t = [z].\nf x = x.\n", None):
+        (1, ["FILE:3:1: parse error: missing main declaration"]),
+    ("parse", "data t = .\nmain f.\n", None):
+        (1, ["FILE:1:10: parse error: a data definition needs at least one constructor"]),
+    ("parse", "f x = x.\nmain (invert [c]).\n", None):
+        (1, ["FILE:2:14: parse error: expected a function reference"]),
+    ("parse", "f x = x.\nmain (f).\n", None):
+        (1, ["FILE:2:7: parse error: expected 'invert', found 'f'"]),
+    ("parse", "f x = case x of ; case -> x.\nmain f.\n", None):
+        (1, ["FILE:1:19: parse error: expected a pattern, found 'case'"]),
+    ("parse", "f x = case x of ; g y -> x.\nmain f.\n", None):
+        (1, ["FILE:1:19: parse error: expected a pattern, found 'g'"]),
+    ("parse", "f x = let (g x) = x in x.\nmain f.\n", None):
+        (1, ["FILE:1:11: parse error: expected a pattern, found '('"]),
+    ("parse", "f x = ).\nmain f.\n", None):
+        (1, ["FILE:1:7: parse error: expected a term, found ')'"]),
+    ("parse", "f x = (x, x, x).\nmain f.\n", None):
+        (1, ["FILE:1:12: parse error: expected ')' after pair, found ','"]),
+    ("parse", "f x = let y = x.\nmain f.\n", None):
+        (1, ["FILE:1:16: parse error: expected 'in', found '.'"]),
+    ("parse", "f x = " + "[c " * 500 + "x" + "]" * 500 + ".\nmain f.\n", None):
+        (1, ["FILE:1:1204: parse error: nesting too deep"]),
+    ("parse", "f x = " + " : ".join(["x"] * 1000) + ".\nmain f.\n", None):
+        (1, ["FILE:1:1603: parse error: nesting too deep"]),
+    ("parse", "main " + "(invert " * 450 + "f" + ")" * 450 + ".\n", None):
+        (1, ["FILE:1:3206: parse error: nesting too deep"]),
+    ("parse", "f x = 401.\nmain f.\n", None):
+        (1, ["FILE:1:7: parse error: numeral too large"]),
+    ("parse", "f x = ².\nmain f.\n", None):
+        (1, ["FILE:1:7: parse error: unexpected character '²'"]),
+    ("label", "f x = [c\n", None):
+        (1, ["FILE:2:1: parse error: expected a term, found 'end of input'"]),
+    ("analyze", "\n\nf x =\n  [c x\n", None):
+        (1, ["FILE:5:1: parse error: expected a term, found 'end of input'"]),
+    # sources with CRLF and CR line ends, read as with LF
+    ("parse", "data t = [z].\r\nf x = y.\r\nmain f.\r\n", None):
+        (1, ["FILE:2:7: unbound-variable: variable 'y' is not in scope"]),
+    ("parse", "data t = [z].\r\nf x = x\r\nmain f.\r\n", None):
+        (1, ["FILE:3:1: parse error: expected '.' after function body, found 'main'"]),
+    ("parse", "data t = [z].\rf x =\r  x $.\rmain f.\r", None):
+        (1, ["FILE:3:5: parse error: unexpected character '$'"]),
+    # run's runtime errors, located at their label: a case, an application,
+    # a parameter's tuple and an application rebuilt around a hoisted term
+    ("run", "data nat = [zero] [successor nat].\nf n =\n  case n of\n  ; [zero] -> [zero].\nmain f.\n", "3"):
+        (3, [
+            "FILE:3:3: runtime error: no-branch-matched at 1: no case branch matched value"
+            " [successor [successor [successor [zero]]]]",
+        ]),
+    ("run --max-calls 5", "data d = [c].\nspin x =\n  spin x.\nmain spin.\n", "[c]"):
+        (3, ["FILE:3:3: runtime error: call-budget-exceeded at 1: more than 5 calls; looping program?"]),
+    ("run", "data d = [c].\n\nf x = (invert f) x.\n\nmain f.\n", "[c]"):
+        (3, ["FILE:3:7: runtime error: inverted-call at 1: backward execution is not supported"]),
+    ("run", "data d = [a].\ng (x, y) = x.\nf v = g v.\nmain f.\n", "[a]"):
+        (3, ["FILE:2:3: runtime error: no-branch-matched at 1: no case branch matched value [a]"]),
+    ("run", "main_sum.jpd", "[zero]"):
+        (3, ["FILE:3:5: runtime error: no-branch-matched at 1: no case branch matched value [zero]"]),
+    ("run --max-calls 2", "data t = [c].\nid x = x.\nf x = f (id x).\nmain f.\n", "[c]"):
+        (3, ["FILE:3:7: runtime error: call-budget-exceeded at 7: more than 2 calls; looping program?"]),
+    ("run", "data t = [c].\nid x = x.\nf x = (invert id) (id x).\nmain f.\n", "[c]"):
+        (3, ["FILE:3:7: runtime error: inverted-call at 7: backward execution is not supported"]),
+    ("run", "data t = [c].\r\nid x = x.\r\nf x =\r\n  (invert id) x.\r\nmain f.\r\n", "[c]"):
+        (3, ["FILE:4:3: runtime error: inverted-call at 3: backward execution is not supported"]),
+    # runtime errors at the input, which has no place in the source
+    ("run --max-calls 0", "fib.jpd", "3"):
+        (3, ["runtime error: call-budget-exceeded at input: more than 0 calls; looping program?"]),
+    ("run", "data d = [c].\nf x = x.\nmain (invert f).\n", "[c]"):
+        (3, ["runtime error: inverted-call at input: backward execution is not supported"]),
+    # invalid input values: parse errors, then diagnostics
+    ("run", "fib.jpd", "[zero"):
+        (1, ["invalid input value at 1:6: expected a value, found 'end of input'"]),
+    ("run", "fib.jpd", "(1)"):
+        (1, ["invalid input value at 1:3: expected ',' in pair value, found ')'"]),
+    ("run", "fib.jpd", "[zero] x"):
+        (1, ["invalid input value at 1:8: unexpected input after value: 'x'"]),
+    ("run", "fib.jpd", ""):
+        (1, ["invalid input value at 1:1: expected a value, found 'end of input'"]),
+    ("run", "fib.jpd", "x"):
+        (1, ["invalid input value at 1:1: expected a value, found 'x'"]),
+    ("run", "fib.jpd", "  $"):
+        (1, ["invalid input value at 1:3: unexpected character '$'"]),
+    ("run", "fib.jpd", "_x"):
+        (1, ["invalid input value at 1:1: identifiers must start with a letter"]),
+    ("run", "fib.jpd", "(0, 401)"):
+        (1, ["invalid input value at 1:5: numeral too large"]),
+    ("run", "fib.jpd", "٣"):
+        (1, ["invalid input value at 1:1: unexpected character '٣'"]),
+    ("run", "fib.jpd", "[successor " * 400 + "[zero]" + "]" * 400):
+        (1, ["invalid input value at 1:4401: nesting too deep"]),
+    ("run", "fib.jpd", "[succ [zero]]"):
+        (1, ["invalid input value at 1:1: undefined-constructor: constructor 'succ' is not declared"]),
+    ("run", "fib.jpd", "([zero], [successor])"):
+        (1, [
+            "invalid input value at 1:10: arity-mismatch: constructor 'successor' takes 1 argument(s), got 0",
+        ]),
+    ("run", "fib.jpd", "\n ([zero],\n  [pair [zero]])"):
+        (1, ["invalid input value at 3:3: arity-mismatch: constructor 'pair' takes 2 argument(s), got 1"]),
+    ("run", "data t = [c].\nf x = x.\nmain f.\n", "([c], 1)"):
+        (1, [
+            "invalid input value at 1:7: undefined-constructor: constructor 'successor' is not declared",
+            "invalid input value at 1:7: undefined-constructor: constructor 'zero' is not declared",
+        ]),
+    ("run", "first_match.jpd", "400"):
+        (1, [
+            "invalid input value at 1:1: undefined-constructor: constructor 'successor' is not declared",
+            "invalid input value at 1:1: undefined-constructor: constructor 'zero' is not declared",
+        ]),
+}
+
+# for each fixture, one digest over parse's exit code and stderr on every
+# source that is the fixture with one token deleted, in token order
+PARSE_MUTANT_DIGESTS = {
+    "fib.jpd": "2e3edf4c50b10b4519aa2975708db80bb3c6162bf35f168387b119ca9b296b95",
+    "first_match.jpd": "3b7f48ac227290c2766523c9bed93ac12b056d487405544c4b1f55d3777d68d4",
+    "identity.jpd": "dcc72c5d06408e65ef3c5fc7c094d549abcd211ca044872d898c7b91e58f2e4f",
+    "invert_main.jpd": "327a268b6e022edd10ba7ca1a80971223732dac640aa378e3e1cdc834a429e60",
+    "main_sum.jpd": "969c476054abddaadd12e72ea0ff39e97a60ef3145185944d33dc68a2385b42c",
+    "mutual.jpd": "bfffdafd268d40daee734d7afd7c74ba91674aa94159d50a052cdc026a96bc2d",
+    "ring10.jpd": "8b7c02c22600188448b3bb128decd8c3bc62a54855182ffc600a1f418dab73a4",
+    "selfrec.jpd": "e530a2a8f58a025b810206e6311779a84bfd1d72deef3f962ea674c0b9e59e36",
+    "sugar_soup.jpd": "972ee0c7083fd658d1903336015040ddde665bacf4fde994fbbb45cfcb993221",
+}
+
 def _report(path, capsys) -> bytes:
     assert main(["analyze", str(path), "--format", "json"]) == 0
     return capsys.readouterr().out.encode("utf-8")
@@ -229,7 +425,7 @@ def _digest(data: bytes) -> str:
 
 def test_every_fixture_has_a_digest():
     assert sorted(FIXTURE_DIGESTS) == [f.name for f in ALL_FIXTURES]
-    for digests in [*PRINTED_DIGESTS.values(), TEXT_REPORT_DIGESTS]:
+    for digests in [*PRINTED_DIGESTS.values(), TEXT_REPORT_DIGESTS, PARSE_MUTANT_DIGESTS]:
         assert sorted(n for n in digests if n.endswith(".jpd")) == [f.name for f in ALL_FIXTURES]
 
 
@@ -323,3 +519,36 @@ def test_trace_bytes(name, value, traced, capsys):
     assert main(["run", str(FIXTURES / name), value, *["--trace"] * traced]) == 0
     data = capsys.readouterr().out.encode("utf-8")
     assert _digest(data) == TRACE_DIGESTS[name, value, traced]
+
+
+def _failure(command: str, source: str, value: str | None, tmp_path, capsys) -> tuple[int, str]:
+    """The exit code and stderr of ``command`` on ``source`` (and ``value``),
+    with the source file's path written FILE."""
+    if source.endswith(".jpd"):
+        path = FIXTURES / source
+    else:
+        path = tmp_path / "source.jpd"
+        path.write_bytes(source.encode("utf-8"))
+    code = main([*command.split(), str(path), *([] if value is None else [value])])
+    captured = capsys.readouterr()
+    return code, captured.err.replace(str(path), "FILE")
+
+
+@pytest.mark.parametrize(
+    "command, source, value", ERRORS, ids=[f"{i}-{key[0].split()[0]}" for i, key in enumerate(ERRORS)]
+)
+def test_error_bytes(command, source, value, tmp_path, capsys):
+    code, lines = ERRORS[command, source, value]
+    expected = code, "".join(f"{line}\n" for line in lines)
+    assert _failure(command, source, value, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
+def test_one_token_deleted_parse_bytes(fixture, tmp_path, capsys):
+    source = fixture.read_text(encoding="utf-8")
+    digest = hashlib.sha256()
+    for token in tokenize(source)[:-1]:
+        mutant = source[: token.start] + source[token.start + len(token.text) :]
+        code, err = _failure("parse", mutant, None, tmp_path, capsys)
+        digest.update(f"{code}\n{err}".encode("utf-8"))
+    assert digest.hexdigest() == PARSE_MUTANT_DIGESTS[fixture.name]

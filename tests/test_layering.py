@@ -9,18 +9,25 @@ Importing the CLI loads neither ``dataclasses`` nor ``inspect``, which
 would add to every start-up.  The benchmark's modules, read the same
 way and left as they are, name only what the package has: the tracer
 rebinds names of ``jeopardy_iaa.cli``, and every name they import from
-the package resolves."""
+the package resolves.  The tracer, loaded from its file, counts what
+``analyze`` and ``run`` did on the Fibonacci fixture."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from jeopardy_iaa.evaluator import run_main
+from jeopardy_iaa.parser import parse_value
+
+from conftest import FIXTURES, load_labeled
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jeopardy_iaa"
 BENCHMARK = PACKAGE.parent.parent / "perfbench"
@@ -297,3 +304,32 @@ def test_the_benchmark_imports_only_names_that_the_package_has():
         return hasattr(module, "__path__") and importlib.util.find_spec(dotted) is not None
 
     assert [dotted for dotted in imported if not resolves(dotted)] == []
+
+
+def test_the_benchmark_tracer_counts_what_the_cli_did(capsys):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", BENCHMARK / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    cli = importlib.import_module("jeopardy_iaa.cli")
+    originals = {name: getattr(cli, name) for name in [*spans.WRAPPED, "json"]}
+    fib = str(FIXTURES / "fib.jpd")
+    counts, outputs = [], []
+    tracer = spans.Tracer(cli)
+    tracer.install()
+    try:
+        for argv in (["analyze", fib, "--format", "json"], ["run", fib, "5"]):
+            assert cli.main(argv) == 0
+            counters = spans.Counters()
+            counters.take(tracer.captured)
+            counts.append(counters.sums)
+            outputs.append(capsys.readouterr().out)
+    finally:
+        tracer.remove()
+    assert {name: getattr(cli, name) for name in originals} == originals
+    analyze, run = counts
+    oracle = json.loads((FIXTURES / "fib_oracle.json").read_text(encoding="utf-8"))
+    assert (analyze["labels"], analyze["configurations"], analyze["hints"]) == (59, 12, 2)
+    assert (oracle["label_count"], len(oracle["configurations"]), len(oracle["hints"])) == (59, 12, 2)
+    kinds = [info["kind"] for info in json.loads(outputs[0])["labels"].values()]
+    assert analyze["call_sites"] == kinds.count("application") > 0
+    assert run["evaluator_calls"] == len(run_main(load_labeled("fib.jpd"), parse_value("5"))[1]) > 0

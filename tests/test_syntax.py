@@ -24,7 +24,6 @@ from jeopardy_iaa.syntax import (
     FunctionRef,
     GeneralApply,
     Program,
-    Span,
     Var,
     flip,
 )
@@ -120,10 +119,9 @@ def test_pattern_diagnostics_put_constructors_before_variables():
 
 # -- records -------------------------------------------------------------------
 
-# the classes whose ``span`` stays out of ==, hash and repr
+# the classes whose ``offset`` stays out of ==, hash and repr
 LOCATED = (Var, Con, Apply, Case, ConApp, GeneralApply, FunctionRef, DataDef, FunDef)
 RECORDS = LOCATED + (
-    Span,
     Program,
     Diagnostic,
     ConstructorInfo,
@@ -134,7 +132,7 @@ RECORDS = LOCATED + (
 )
 
 _field_values = st.none() | st.integers(0, 3) | st.sampled_from(["a", "b"]) | st.just(())
-_spans = st.none() | st.builds(Span, st.integers(0, 9), st.integers(0, 9))
+_offsets = st.none() | st.integers(0, 9)
 
 
 def test_the_properties_cover_every_record_class():
@@ -146,19 +144,19 @@ def test_the_properties_cover_every_record_class():
         if isinstance(value, type) and value.__setattr__ is syntax._immutable
     }
     assert found == set(RECORDS)
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
 
 
 def _compared(cls: type) -> tuple[str, ...]:
-    return tuple(name for name in cls.__slots__ if not (cls in LOCATED and name == "span"))
+    return tuple(name for name in cls.__slots__ if not (cls in LOCATED and name == "offset"))
 
 
-@given(st.sampled_from(RECORDS), st.lists(_field_values, min_size=5, max_size=5), _spans, _spans)
+@given(st.sampled_from(RECORDS), st.lists(_field_values, min_size=5, max_size=5), _offsets, _offsets)
 def test_a_record_compares_hashes_and_shows_its_fields(cls, values, one, two):
     names = _compared(cls)
     fields = dict(zip(names, values))
-    spans = ({"span": one}, {"span": two}) if cls in LOCATED else ({}, {})
-    a, b = cls(**fields, **spans[0]), cls(*fields.values(), **spans[1])
+    offsets = ({"offset": one}, {"offset": two}) if cls in LOCATED else ({}, {})
+    a, b = cls(**fields, **offsets[0]), cls(*fields.values(), **offsets[1])
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
@@ -180,17 +178,18 @@ def test_records_of_two_classes_are_never_equal(one, two, values):
     assert (a != b) is (one is not two)
 
 
-def test_a_diagnostic_compares_and_shows_its_span():
-    one, two = Diagnostic("k", "m", Span(0, 1)), Diagnostic("k", "m", Span(0, 2))
-    assert one != two and hash(one) == hash(Diagnostic("k", "m", Span(0, 1)))
-    assert repr(one) == "Diagnostic(kind='k', message='m', span=Span(start=0, end=1))"
+def test_a_diagnostic_compares_and_shows_its_offset():
+    one, two = Diagnostic("k", "m", 0), Diagnostic("k", "m", 1)
+    assert one != two and hash(one) == hash(Diagnostic("k", "m", 0))
+    assert one != Diagnostic("k", "m") and one != Diagnostic("k", "n", 0)
+    assert repr(one) == "Diagnostic(kind='k', message='m', offset=0)"
 
 
 def test_record_keywords_and_defaults():
     assert Apply(label=3, argument=Var("x"), callee=FunctionRef("f")) == Apply(FunctionRef("f"), Var("x"), 3)
-    assert (Var("x").label, Var("x").span) == (None, None)
+    assert (Var("x").label, Var("x").offset) == (None, None)
     assert (Con("c").args, FunctionRef("f").inversions) == ((), 0)
-    assert Diagnostic("k", "m").span is None
+    assert Diagnostic("k", "m").offset is None
     assert ConstructorInfo((None,)).builtin is False
     with pytest.raises(TypeError):
         Var()
