@@ -282,8 +282,6 @@ def _walk_down(implicit: int, term: Term, calls: _Calls) -> None:
         implicit |= label_mask(term.scrutinee)
         for pattern, body in term.branches:
             _walk_down(implicit | label_mask(pattern), body, calls)
-    elif kind is not Var and kind is not Con:
-        raise ValueError(f"cannot analyze sugared term {term!r}")
 
 
 def _walk_up(
@@ -333,8 +331,6 @@ def _walk_up(
             body_then = label_mask(pattern) if bodies_read else None
             scrutinee_implicits |= _walk_up(implicits, body, body_then, program, calls)
         return _walk_up(scrutinee_implicits, scrutinee, then, program, calls)
-    elif kind is not Var and kind is not Con:
-        raise ValueError(f"cannot analyze sugared term {term!r}")
     if then is None:
         return set()
     # a pattern's labels, or an application's own label and its argument's

@@ -270,15 +270,20 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     ]
     if form == "text":
         return "\n".join(rows + ["", "hints:"] + hint_rows if hint_rows else rows)
-    # the labels of a (function, kind) share their row's text; the keys
-    # are digit strings, sorted as strings, and the index lists the labels
-    # in order, so a label indexes its row
-    row_of = {
-        (function, kind): f'{{\n      "function": {text(function)},\n'
-        f'      "kind": {text(kind)}\n    }}'
-        for function, kind in {info[:2] for info in labeled.index.values()}
-    }
-    rows_by_label = [row_of[info[:2]] for info in labeled.index.values()]
+    # a function's labels run from its parameter's label to the next
+    # function's, and the labels of a (function, kind) share their row's
+    # text; the keys are digit strings, sorted as strings, and the index
+    # lists the labels in order, so a label indexes its row
+    kinds = [node.kind for node in labeled.index.values()]
+    starts = [definition.parameter.label for definition in labeled.functions.values()]
+    rows_by_label: list[str] = []
+    for function, start, end in zip(labeled.functions, starts, starts[1:] + [len(kinds)]):
+        run = kinds[start:end]
+        row_of = {
+            kind: f'{{\n      "function": {text(function)},\n      "kind": {text(kind)}\n    }}'
+            for kind in set(run)
+        }
+        rows_by_label += map(row_of.__getitem__, run)
     entries = [
         f'"{texts[label]}": {rows_by_label[label]}'
         for label in sorted(range(len(rows_by_label)), key=texts.__getitem__)
@@ -305,10 +310,10 @@ def _runtime_error(path: str, source: str, labeled: LabeledProgram, error: EvalE
     """A runtime error, located like a parse diagnostic when its label has
     an offset; ``input`` and a label without one have no place in the source."""
     message = f"runtime error: {error.kind} at {error.label}: {error.message}"
-    info = labeled.index.get(error.label)
-    if info is None or info.offset is None:
+    node = labeled.index.get(error.label)
+    if node is None or node.offset is None:
         return message
-    line, column = line_col(source, info.offset)
+    line, column = line_col(source, node.offset)
     return f"{path}:{line}:{column}: {message}"
 
 

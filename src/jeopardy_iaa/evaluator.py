@@ -154,8 +154,6 @@ def run_main(
                 pending.append((function, term, env))
                 term = term.scrutinee
                 continue
-            if type(term) is not Var and type(term) is not Con:
-                raise EvalError("sugared-term", None, f"cannot evaluate sugared term {term!r}")
             value = instantiate(term, env)
             if not pending:
                 return value, trace

@@ -16,14 +16,13 @@ A pattern used as a term is labeled as the pattern it is, so it has no
 program point beyond the pattern's own.  Function references and type
 ascriptions are not program points.
 
-``annotate`` labels with two inner walkers, one for patterns and one
-for terms, taking one Python frame per nesting level; the next label is
-the size of the index built so far.
+``annotate`` labels patterns and terms with one walker, ``label``,
+taking one Python frame per nesting level.  The next label is the
+length of the index, in which a node with children takes its slot
+before they take theirs, so the index lists the labels in order.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .syntax import (
     Apply,
@@ -38,19 +37,15 @@ from .syntax import (
 )
 
 
-class LabelInfo(NamedTuple):
-    """What a label points at: enclosing function, node kind and the
-    node's start offset in the source."""
-
-    function: str
-    kind: str  # 'variable' | 'constructor' | 'application' | 'case'
-    offset: int | None = None
-
-
 @record()
 class LabeledProgram:
+    """A labeled core program.  ``index`` maps each label, in order, to
+    the node of ``program`` that carries it.  ``functions`` holds the
+    labeled definitions in source order: a function's labels run from
+    its parameter's label up to the next function's, or to the end."""
+
     program: Program
-    index: dict[int, LabelInfo]
+    index: dict[int, Pattern | Term]
     functions: dict[str, FunDef]
 
     @property
@@ -60,37 +55,33 @@ class LabeledProgram:
 
 def annotate(program: Program) -> LabeledProgram:
     """Assign labels to every program point of a core program."""
-    index: dict[int, LabelInfo] = {}
+    index: dict[int, Pattern | Term] = {}
 
-    # loops, not comprehensions, here and in term: a comprehension is one
-    # Python frame more per nesting level
-    def pattern(p: Pattern) -> Pattern:
-        label = len(index)
-        if type(p) is Var:
-            index[label] = LabelInfo(function, "variable", p.offset)
-            return Var(p.name, label, p.offset)
-        index[label] = LabelInfo(function, "constructor", p.offset)
-        args = []
-        for arg in p.args:
-            args.append(pattern(arg))
-        return Con(p.name, tuple(args), label, p.offset)
-
-    def term(t: Term) -> Term:
+    # loops, not comprehensions: a comprehension is one Python frame more
+    # per nesting level
+    def label(t: Term) -> Term:
+        number = len(index)
+        index[number] = None  # taken before the children's labels
         kind = type(t)
-        if kind is Var or kind is Con:
-            return pattern(t)
-        label = len(index)
-        if kind is Apply:
-            index[label] = LabelInfo(function, "application", t.offset)
-            return Apply(t.callee, pattern(t.argument), label, t.offset)
-        if kind is Case:
-            index[label] = LabelInfo(function, "case", t.offset)
-            scrutinee = term(t.scrutinee)
+        if kind is Var:
+            node = Var(t.name, number, t.offset)
+        elif kind is Con:
+            args = []
+            for arg in t.args:
+                args.append(label(arg))
+            node = Con(t.name, tuple(args), number, t.offset)
+        elif kind is Apply:
+            node = Apply(t.callee, label(t.argument), number, t.offset)
+        elif kind is Case:
+            scrutinee = label(t.scrutinee)
             branches = []
             for p, b in t.branches:
-                branches.append((pattern(p), term(b)))
-            return Case(scrutinee, t.scrutinee_type, tuple(branches), label, t.offset)
-        raise ValueError(f"cannot label sugared term {t!r}; desugar first")
+                branches.append((label(p), label(b)))
+            node = Case(scrutinee, t.scrutinee_type, tuple(branches), number, t.offset)
+        else:
+            raise ValueError(f"cannot label sugared term {t!r}; desugar first")
+        index[number] = node
+        return node
 
     definitions = []
     functions: dict[str, FunDef] = {}
@@ -98,13 +89,12 @@ def annotate(program: Program) -> LabeledProgram:
         if not isinstance(definition, FunDef):
             definitions.append(definition)
             continue
-        function = definition.name
-        labeled = definition.rebuilt(pattern(definition.parameter), term(definition.body))
+        labeled = definition.rebuilt(label(definition.parameter), label(definition.body))
         definitions.append(labeled)
-        functions[function] = labeled
-    # each walker holds itself through its closure; break that cycle, so
-    # that reference counting, not the cycle collector, frees what they hold
-    del pattern, term
+        functions[definition.name] = labeled
+    # the walker holds itself through its closure; break that cycle, so
+    # that reference counting, not the cycle collector, frees what it holds
+    del label
     return LabeledProgram(Program(tuple(definitions), program.main), index, functions)
 
 

@@ -428,7 +428,7 @@ class _Parser:
                 start = self.advance()
                 first = self.parse_value()
                 name = "cons" if self.peek().kind == ":" else "pair"
-                self.expect(":" if name == "cons" else ",", "',' in pair value")
+                self.expect(":" if name == "cons" else ",", "',' or ':' in a pair or list value")
                 second = self.parse_value()
                 self.expect(")")
                 return Con(name, (first, second), None, start.start)

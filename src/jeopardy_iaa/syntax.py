@@ -20,6 +20,8 @@ All nodes are immutable records (see ``record``), safe to share across
 threads once built.  A node's ``offset`` is where it starts in the
 source, the one place a message about it points to; it never takes
 part in equality, so structural comparison is layout-independent.
+A labeled node's class attribute ``kind`` names its kind of program
+point for the ``analyze`` report's label map.
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ def record(*hidden: str):
 class Var:
     """Pattern variable.  Wildcards are freshened to reserved ``_N`` names."""
 
+    kind = "variable"
+
     name: str
     label: int | None = None
     offset: int | None = None
@@ -112,6 +116,8 @@ class Var:
 class Con:
     """Constructor pattern ``[c p1 ... pn]``.  A runtime value is a ``Con``
     tree with no variables or labels."""
+
+    kind = "constructor"
 
     name: str
     args: tuple["Pattern", ...] = ()
@@ -135,6 +141,8 @@ Pattern = Union[Var, Con]
 class Apply:
     """Core application ``g p`` of a function reference to a pattern."""
 
+    kind = "application"
+
     callee: "FunctionRef"
     argument: Pattern
     label: int | None = None
@@ -144,6 +152,8 @@ class Apply:
 @record("offset")
 class Case:
     """``case t : tau of ; p1 -> t1 ; ...`` with first-match semantics."""
+
+    kind = "case"
 
     scrutinee: "Term"
     scrutinee_type: str | None

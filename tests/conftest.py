@@ -42,6 +42,22 @@ def assert_core(program: Program) -> None:
             raise AssertionError(f"function '{definition.name}' still contains sugar")
 
 
+# each labeled node type's kind, spelled out here rather than read from
+# the ``kind`` attribute that the report prints
+KIND_NAMES = {"Var": "variable", "Con": "constructor", "Apply": "application", "Case": "case"}
+
+
+def label_rows(labeled) -> dict[int, tuple[str, str, int | None]]:
+    """Each label's function, kind and start offset, in label order, found
+    by walking every labeled definition with ``nodes``."""
+    rows = {}
+    for definition in fun_defs(labeled.program):
+        for root in (definition.parameter, definition.body):
+            for node in nodes(root):
+                rows[node.label] = (definition.name, KIND_NAMES[type(node).__name__], node.offset)
+    return dict(sorted(rows.items()))
+
+
 @pytest.fixture(scope="session")
 def fib_labeled():
     return load_labeled("fib.jpd")

@@ -15,6 +15,8 @@ were recorded before the report got a JSON writer of its own, and the
 The exit code and stderr of each error path, and of ``parse`` on every
 fixture with one token deleted, were recorded at 234a325, whose nodes
 carried a source span from start to end; a location prints its start.
+One message has changed since: an input value in parentheses whose first
+value is followed by neither ',' nor ':' now names both tokens.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ ERRORS = {
     ("run", "fib.jpd", "[zero"):
         (1, ["invalid input value at 1:6: expected a value, found 'end of input'"]),
     ("run", "fib.jpd", "(1)"):
-        (1, ["invalid input value at 1:3: expected ',' in pair value, found ')'"]),
+        (1, ["invalid input value at 1:3: expected ',' or ':' in a pair or list value, found ')'"]),
     ("run", "fib.jpd", "[zero] x"):
         (1, ["invalid input value at 1:8: unexpected input after value: 'x'"]),
     ("run", "fib.jpd", ""):

@@ -9,10 +9,23 @@ import pytest
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import _summary
 from jeopardy_iaa.labeler import label_mask
-from jeopardy_iaa.syntax import Apply, Case, Con, nodes
+from jeopardy_iaa.syntax import (
+    Apply,
+    Case,
+    Con,
+    ConApp,
+    FunDef,
+    FunctionRef,
+    GeneralApply,
+    Program,
+    Var,
+    fun_defs,
+    nodes,
+)
 
 from conftest import (
     ALL_FIXTURES,
+    label_rows,
     load_core,
     load_labeled,
     random_labeled_program,
@@ -146,12 +159,57 @@ def test_fib_label_table(fib_labeled):
 
 
 def test_index_records_function_and_kind(fib_labeled):
-    assert fib_labeled.index[0].function == "sum"
-    assert fib_labeled.index[0].kind == "variable"
-    assert fib_labeled.index[1].kind == "case"
-    assert fib_labeled.index[24].function == "fibber"
-    assert fib_labeled.index[24].kind == "application"
-    assert fib_labeled.index[53].kind == "constructor"
+    rows = label_rows(fib_labeled)
+    assert rows[0][:2] == ("sum", "variable")
+    assert rows[1][1] == "case"
+    assert rows[24][:2] == ("fibber", "application")
+    assert rows[53][1] == "constructor"
+    assert [node.kind for node in fib_labeled.index.values()] == [kind for _, kind, _ in rows.values()]
+
+
+def assert_index_is_the_tree(labeled):
+    """The index maps each label to the labeled node that carries it: the
+    nodes of every labeled definition, in pre-order, are the index's
+    values, the same objects in the same order."""
+    walked = [
+        node
+        for definition in fun_defs(labeled.program)
+        for root in (definition.parameter, definition.body)
+        for node in nodes(root)
+    ]
+    assert [id(node) for node in labeled.index.values()] == [id(node) for node in walked]
+    assert all(node.label == label for label, node in labeled.index.items())
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
+def test_the_index_is_the_labeled_tree_of_a_fixture(path):
+    assert_index_is_the_tree(load_labeled(path.name))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_index_is_the_labeled_tree_of_a_library(seed):
+    assert_index_is_the_tree(annotate(desugar_program(parse(sugar_library(30, random.Random(seed))))))
+
+
+def test_the_index_is_the_labeled_tree_of_a_random_program():
+    rng = random.Random(28)
+    for index in range(200):
+        assert_index_is_the_tree(random_labeled_program(rng, budget=6 + index % 25, branching=index % 2 == 1))
+
+
+@pytest.mark.parametrize(
+    "sugar",
+    [
+        GeneralApply(FunctionRef("f"), Apply(FunctionRef("f"), Var("y"))),
+        ConApp("pair", (Apply(FunctionRef("f"), Var("y")), Var("y"))),
+    ],
+    ids=["general-apply", "con-app"],
+)
+def test_annotate_refuses_sugar_in_a_case_branch(sugar):
+    body = Case(Var("x"), None, ((Con("zero"), Var("x")), (Var("y"), sugar)))
+    program = Program((FunDef("f", Var("x"), None, None, body),), FunctionRef("f"))
+    with pytest.raises(ValueError, match="cannot label sugared term"):
+        annotate(program)
 
 
 def test_labeling_ignores_formatting():

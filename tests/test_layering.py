@@ -18,6 +18,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ import pytest
 from jeopardy_iaa.evaluator import run_main
 from jeopardy_iaa.parser import parse_value
 
-from conftest import FIXTURES, load_labeled
+from conftest import FIXTURES, load_labeled, sugar_library
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jeopardy_iaa"
 BENCHMARK = PACKAGE.parent.parent / "perfbench"
@@ -306,18 +307,24 @@ def test_the_benchmark_imports_only_names_that_the_package_has():
     assert [dotted for dotted in imported if not resolves(dotted)] == []
 
 
-def test_the_benchmark_tracer_counts_what_the_cli_did(capsys):
+def test_the_benchmark_tracer_counts_what_the_cli_did(capsys, tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_spans", BENCHMARK / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     cli = importlib.import_module("jeopardy_iaa.cli")
     originals = {name: getattr(cli, name) for name in [*spans.WRAPPED, "json"]}
     fib = str(FIXTURES / "fib.jpd")
+    library = tmp_path / "library.jpd"
+    library.write_text(sugar_library(40, random.Random(5)), encoding="utf-8")
     counts, outputs = [], []
     tracer = spans.Tracer(cli)
     tracer.install()
     try:
-        for argv in (["analyze", fib, "--format", "json"], ["run", fib, "5"]):
+        for argv in (
+            ["analyze", fib, "--format", "json"],
+            ["run", fib, "5"],
+            ["analyze", str(library), "--format", "json"],
+        ):
             assert cli.main(argv) == 0
             counters = spans.Counters()
             counters.take(tracer.captured)
@@ -326,10 +333,14 @@ def test_the_benchmark_tracer_counts_what_the_cli_did(capsys):
     finally:
         tracer.remove()
     assert {name: getattr(cli, name) for name in originals} == originals
-    analyze, run = counts
+    analyze, run, large = counts
     oracle = json.loads((FIXTURES / "fib_oracle.json").read_text(encoding="utf-8"))
     assert (analyze["labels"], analyze["configurations"], analyze["hints"]) == (59, 12, 2)
     assert (oracle["label_count"], len(oracle["configurations"]), len(oracle["hints"])) == (59, 12, 2)
     kinds = [info["kind"] for info in json.loads(outputs[0])["labels"].values()]
     assert analyze["call_sites"] == kinds.count("application") > 0
+    # and on a program of over a thousand labels, read off their nodes
+    kinds = [info["kind"] for info in json.loads(outputs[2])["labels"].values()]
+    assert large["labels"] == len(kinds) > 1000
+    assert large["call_sites"] == kinds.count("application") > 50
     assert run["evaluator_calls"] == len(run_main(load_labeled("fib.jpd"), parse_value("5"))[1]) > 0

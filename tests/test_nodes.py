@@ -32,7 +32,7 @@ from jeopardy_iaa.syntax import (
     validate_value,
 )
 
-from conftest import ALL_FIXTURES, assert_core, fixture_source, random_labeled_program
+from conftest import ALL_FIXTURES, assert_core, fixture_source, label_rows, random_labeled_program
 from reference_analysis import labels_of
 
 NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply)
@@ -101,8 +101,10 @@ def test_nodes_is_the_recursive_preorder(tree):
 
 
 def _assert_labels_partition(labeled):
+    rows = label_rows(labeled)
+    assert list(rows) == list(labeled.index)
     for fd in labeled.functions.values():
-        assigned = {label for label, info in labeled.index.items() if info.function == fd.name}
+        assigned = {label for label, (function, _, _) in rows.items() if function == fd.name}
         assert labels_of(fd.parameter) | labels_of(fd.body) == assigned
 
 

@@ -204,7 +204,7 @@ def test_numerals_are_ascii_digits(digit):
     [
         (parse, "f x = x\nmain f.\n", "expected '.' after function body, found 'main'"),
         (parse, "f x = let y = x. main f.", "expected 'in', found '.'"),
-        (parse_value, "(1)", "expected ',' in pair value, found ')'"),
+        (parse_value, "(1)", "expected ',' or ':' in a pair or list value, found ')'"),
         (parse, "data t = [c. main f.", "expected ']', found '.'"),
     ],
     ids=["described", "keyword", "value", "token-kind"],

@@ -28,6 +28,7 @@ from jeopardy_iaa.syntax import INPUT, OUTPUT
 from conftest import (
     ALL_FIXTURES,
     diamond,
+    label_rows,
     load_labeled,
     nested_scrutinees,
     random_labeled_program,
@@ -105,7 +106,7 @@ def reference_report(labeled: LabeledProgram) -> dict:
     # encoder writes the text of a shared row once
     rows: dict[tuple[str, str], dict] = {}
     labels = {}
-    for label, (function, kind, _) in sorted(labeled.index.items()):
+    for label, (function, kind, _) in label_rows(labeled).items():
         row = rows.get((function, kind))
         if row is None:
             row = rows[function, kind] = {"function": function, "kind": kind}
