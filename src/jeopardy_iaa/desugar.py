@@ -39,7 +39,6 @@ from .syntax import (
     Con,
     ConApp,
     DataDef,
-    GeneralApply,
     Program,
     Term,
     Var,
@@ -78,7 +77,7 @@ def desugar_program(program: Program) -> Program:
         # loops, not comprehensions, and no helper call: one Python frame
         # per nesting level
         kind = type(t)
-        if kind is Var or kind is Con or kind is Apply:
+        if kind is Var or kind is Con:
             return t
         if kind is Case:
             scrutinee = term(t.scrutinee)
@@ -86,8 +85,11 @@ def desugar_program(program: Program) -> Program:
             for p, b in t.branches:
                 branches.append((p, term(b)))
             return Case(scrutinee, t.scrutinee_type, tuple(branches), t.label, t.offset)
-        if kind is GeneralApply:
-            args, ascriptions = (t.argument,), (fun_types.get(t.callee.name),)
+        if kind is Apply:
+            argument = t.argument
+            if type(argument) is Var or type(argument) is Con:
+                return t
+            args, ascriptions = (argument,), (fun_types.get(t.callee.name),)
         elif kind is ConApp:
             args, ascriptions = t.args, constructors[t.name].components
         else:  # pragma: no cover - exhaustive over Term
@@ -106,7 +108,7 @@ def desugar_program(program: Program) -> Program:
                 variable = next(fresh)
                 hoisted.append((variable, arg, ascription))
                 patterns.append(variable)
-        if kind is GeneralApply:
+        if kind is Apply:
             # the rebuilt application starts where the source application
             # did, so a runtime error there is located
             result = Apply(t.callee, patterns[0], offset=t.offset)

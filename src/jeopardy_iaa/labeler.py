@@ -14,7 +14,9 @@ the bits of an int, built without walking the subtree.
 
 A pattern used as a term is labeled as the pattern it is, so it has no
 program point beyond the pattern's own.  Function references and type
-ascriptions are not program points.
+ascriptions are not program points.  ``annotate`` is where core form is
+checked: a ``ConApp``, or an ``Apply`` whose argument is not a ``Var``
+or ``Con``, is sugar, and labeling it raises ``ValueError``.
 
 ``annotate`` labels patterns and terms with one walker, ``label``,
 taking one Python frame per nesting level.  The next label is the
@@ -70,7 +72,7 @@ def annotate(program: Program) -> LabeledProgram:
             for arg in t.args:
                 args.append(label(arg))
             node = Con(t.name, tuple(args), number, t.offset)
-        elif kind is Apply:
+        elif kind is Apply and (type(t.argument) is Var or type(t.argument) is Con):
             node = Apply(t.callee, label(t.argument), number, t.offset)
         elif kind is Case:
             scrutinee = label(t.scrutinee)

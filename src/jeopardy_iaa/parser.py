@@ -18,7 +18,8 @@ terms they stand for, and ``let p : tau = t in t'`` as
 ``case t : tau of ; p -> t'``.  A constructor term collapses to core
 pattern form whenever its parts are all patterns, so
 ``(k, [successor n])`` parses as the pattern ``[pair k [successor n]]``;
-it stays a ``ConApp`` only when a non-pattern part forces it.
+it stays a ``ConApp`` only when a non-pattern part forces it.  An
+application ``g t`` is an ``Apply`` whatever its argument.
 
 A pattern is a term, and the term grammar reads both.  ``_pattern``
 reads a branch, a parameter, a parameter's pair component or a ``let``
@@ -48,7 +49,6 @@ from .syntax import (
     DataDef,
     FunDef,
     FunctionRef,
-    GeneralApply,
     KEYWORDS,
     Pattern,
     Program,
@@ -356,16 +356,12 @@ class _Parser:
         token = self.peek()
         if token.kind == "name" and self.peek(1).kind in _ATOM_START:
             self.advance()
-            return self._application(FunctionRef(token.text, offset=token.start))
-        if token.kind == "(" and self.peek(1).kind == "invert":
-            return self._application(self.parse_funref())
-        return self.parse_atom_term()
-
-    def _application(self, callee: FunctionRef) -> Term:
-        argument = self.parse_atom_term()
-        if isinstance(argument, (Var, Con)):
-            return Apply(callee, argument, offset=callee.offset)
-        return GeneralApply(callee, argument, offset=callee.offset)
+            callee = FunctionRef(token.text, offset=token.start)
+        elif token.kind == "(" and self.peek(1).kind == "invert":
+            callee = self.parse_funref()
+        else:
+            return self.parse_atom_term()
+        return Apply(callee, self.parse_atom_term(), offset=callee.offset)
 
     def parse_atom_term(self) -> Term:
         self._enter()

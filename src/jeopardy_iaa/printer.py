@@ -30,7 +30,6 @@ from .syntax import (
     DataDef,
     FunDef,
     FunctionRef,
-    GeneralApply,
     Pattern,
     Program,
     Term,
@@ -85,9 +84,9 @@ class _Parens:
 
 
 def _atom(term: Term) -> Term | _Parens:
-    """``term`` as an argument of a list cell, ``[c …]`` or general application."""
+    """``term`` as an argument of a list cell, ``[c …]`` or application."""
     kind = type(term)
-    return _Parens(term) if kind is Apply or kind is GeneralApply or kind is Case else term
+    return _Parens(term) if kind is Apply or kind is Case else term
 
 
 def _write(
@@ -159,9 +158,6 @@ def _write(
                     stack += (")", node.term)
                 elif kind is Apply:
                     out.append(f"{pretty_funref(node.callee)}{_lab(node.label, labels)} ")
-                    stack.append(node.argument)
-                elif kind is GeneralApply:
-                    out.append(f"{pretty_funref(node.callee)} ")
                     stack.append(_atom(node.argument))
                 elif kind is Case:
                     pad = "\n" + " " * (indent + 2) + "; "

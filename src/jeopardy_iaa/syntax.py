@@ -139,12 +139,13 @@ Pattern = Union[Var, Con]
 
 @record("offset")
 class Apply:
-    """Core application ``g p`` of a function reference to a pattern."""
+    """Application ``g t`` of a function reference to a term: core when
+    the argument is a pattern, a ``Var`` or ``Con``, and sugar otherwise."""
 
     kind = "application"
 
     callee: "FunctionRef"
-    argument: Pattern
+    argument: "Term"
     label: int | None = None
     offset: int | None = None
 
@@ -164,7 +165,8 @@ class Case:
 
 # Sugared terms, eliminated by the desugarer.  The parser reads pairs,
 # list cells and ``let`` as the constructor terms and cases they stand
-# for, so these two are the only sugar left.
+# for, so the only sugar left is a constructor term below and an
+# ``Apply`` whose argument is not a pattern.
 
 
 @record("offset")
@@ -176,16 +178,7 @@ class ConApp:
     offset: int | None = None
 
 
-@record("offset")
-class GeneralApply:
-    """Application whose argument is an arbitrary term, not yet a pattern."""
-
-    callee: "FunctionRef"
-    argument: "Term"
-    offset: int | None = None
-
-
-Term = Union[Var, Con, Apply, Case, ConApp, GeneralApply]
+Term = Union[Var, Con, Apply, Case, ConApp]
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +202,13 @@ class FunctionRef:
 
 
 def flip(ref: FunctionRef) -> FunctionRef:
-    """The reference interpreted in the other direction.
+    """The reference interpreted in the other direction: the bare name
+    when ``ref`` runs backward, otherwise the name under one marker.
 
-    Unwraps one inversion marker when present, otherwise adds one.
+    The result has at most one marker, so two references that run in the
+    same direction flip to the same reference.
     """
-    return FunctionRef(ref.name, ref.inversions - 1 if ref.inversions else 1)
+    return FunctionRef(ref.name, 0 if ref.backward else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def nodes(root: Pattern | Term) -> Iterator[Pattern | Term]:
             continue
         if kind is Con or kind is ConApp:
             stack += node.args[::-1]
-        elif kind is Apply or kind is GeneralApply:
+        elif kind is Apply:
             push(node.argument)
         elif kind is Case:
             for pattern, body in reversed(node.branches):
@@ -469,9 +464,6 @@ def validate(program: Program) -> list[Diagnostic]:
             _check_pattern(term, table, diagnostics, bound)
         elif isinstance(term, Apply):
             check_ref(term.callee, term.offset)
-            _check_pattern(term.argument, table, diagnostics, bound)
-        elif isinstance(term, GeneralApply):
-            check_ref(term.callee, term.offset)
             check_term(term.argument, bound)
         elif isinstance(term, Case):
             check_term(term.scrutinee, bound)
@@ -485,9 +477,7 @@ def validate(program: Program) -> list[Diagnostic]:
         else:  # pragma: no cover - exhaustive over Term
             raise TypeError(f"unknown term node: {term!r}")
 
-    for definition in fun_defs(program):
-        if definition.name in functions and functions[definition.name] is not definition:
-            continue  # duplicate, already reported
+    for definition in functions.values():
         bound = frozenset(_check_pattern(definition.parameter, table, diagnostics))
         check_term(definition.body, bound)
 

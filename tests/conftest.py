@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse, validate
 from jeopardy_iaa.parser import tokenize
-from jeopardy_iaa.syntax import ConApp, GeneralApply, Program, Var, fun_defs, nodes
+from jeopardy_iaa.syntax import Apply, Con, ConApp, Program, Var, fun_defs, nodes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,12 +33,18 @@ def load_labeled(name: str):
     return annotate(load_core(name))
 
 
+def is_general_application(node) -> bool:
+    """Whether ``node`` is an application whose argument is not a pattern,
+    the one application that desugaring rewrites."""
+    return type(node) is Apply and type(node.argument) is not Var and type(node.argument) is not Con
+
+
 def assert_core(program: Program) -> None:
     """Raise if any sugared node survived desugaring."""
     for definition in fun_defs(program):
         if not isinstance(definition.parameter, Var):
             raise AssertionError(f"function '{definition.name}' still has a pattern parameter")
-        if any(isinstance(node, (ConApp, GeneralApply)) for node in nodes(definition.body)):
+        if any(type(node) is ConApp or is_general_application(node) for node in nodes(definition.body)):
             raise AssertionError(f"function '{definition.name}' still contains sugar")
 
 

@@ -48,7 +48,6 @@ from jeopardy_iaa.syntax import (
     DataDef,
     FunDef,
     FunctionRef,
-    GeneralApply,
     Pattern,
     Program,
     Term,
@@ -61,6 +60,7 @@ from jeopardy_iaa.syntax import (
 from conftest import (
     ALL_FIXTURES,
     fixture_source,
+    is_general_application,
     label_rows,
     mutate,
     nested_scrutinees,
@@ -316,13 +316,13 @@ class _Desugarer:
         return definition.rebuilt(parameter, self.desugar_term(body))
 
     def desugar_term(self, term: Term) -> Term:
-        if isinstance(term, (Var, Con, Apply)):
+        if isinstance(term, (Var, Con, Apply)) and not is_general_application(term):
             return term
         if isinstance(term, Case):
             scrutinee = self.desugar_term(term.scrutinee)
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
             return Case(scrutinee, term.scrutinee_type, branches, term.label, term.offset)
-        if isinstance(term, GeneralApply):
+        if is_general_application(term):
             # the rebuilt application starts where the source application
             # did, so a runtime error there is located
             callee, offset = term.callee, term.offset
@@ -390,13 +390,13 @@ class _ReplaceDesugarer(_Desugarer):
     def desugar_term(self, term: Term) -> Term:
         if isinstance(term, (Var, Con)):
             return term
-        if isinstance(term, Apply):
+        if isinstance(term, Apply) and not is_general_application(term):
             return term
         if isinstance(term, Case):
             scrutinee = self.desugar_term(term.scrutinee)
             branches = tuple((p, self.desugar_term(b)) for p, b in term.branches)
             return replace(term, scrutinee=scrutinee, branches=branches)
-        if isinstance(term, GeneralApply):
+        if is_general_application(term):
             return self._desugar_application(term.callee, term.argument)
         if isinstance(term, ConApp):
             return self.desugar_constructor(term.name, term.args)
@@ -571,7 +571,7 @@ def located(program: Program) -> list:
         for root in (definition.parameter, definition.body):
             for node in nodes(root):
                 found.append(node)
-                if type(node) is Apply or type(node) is GeneralApply:
+                if type(node) is Apply:
                     found.append(node.callee)
     return found
 
@@ -602,17 +602,18 @@ def assert_labeled_alike(program: Program) -> None:
 
 def assert_desugared_alike(program: Program) -> int:
     """Compare the desugarers; the count of applications rebuilt from a
-    ``GeneralApply``, the one place where their offsets differ."""
+    general application, one whose argument is not a pattern, the one
+    place where their offsets differ."""
     new, old = desugar_program(program), _ReplaceDesugarer(program).run()
     assert new == old
     # the one intended difference: the application rebuilt from a
-    # GeneralApply keeps its offset, where the reference left it none
+    # general application keeps its offset, where the reference left it none
     rebuilt = {
         id(node.callee): node.offset
         for definition in program.definitions
         if type(definition) is FunDef
         for node in nodes(definition.body)
-        if type(node) is GeneralApply
+        if is_general_application(node)
     }
     assert_offsets_alike(new, old, rebuilt)
     return len(rebuilt)

@@ -16,7 +16,6 @@ from jeopardy_iaa.syntax import (
     ConApp,
     FunDef,
     FunctionRef,
-    GeneralApply,
     Program,
     Var,
     fun_defs,
@@ -200,10 +199,11 @@ def test_the_index_is_the_labeled_tree_of_a_random_program():
 @pytest.mark.parametrize(
     "sugar",
     [
-        GeneralApply(FunctionRef("f"), Apply(FunctionRef("f"), Var("y"))),
+        Apply(FunctionRef("f"), Apply(FunctionRef("f"), Var("y"))),
+        Apply(FunctionRef("f"), Case(Var("y"), None, ((Var("z"), Var("z")),))),
         ConApp("pair", (Apply(FunctionRef("f"), Var("y")), Var("y"))),
     ],
-    ids=["general-apply", "con-app"],
+    ids=["general-apply", "apply-case", "con-app"],
 )
 def test_annotate_refuses_sugar_in_a_case_branch(sugar):
     body = Case(Var("x"), None, ((Con("zero"), Var("x")), (Var("y"), sugar)))

@@ -22,7 +22,6 @@ from jeopardy_iaa.syntax import (
     DataDef,
     FunDef,
     FunctionRef,
-    GeneralApply,
     Program,
     Var,
     constructor_table,
@@ -35,7 +34,7 @@ from jeopardy_iaa.syntax import (
 from conftest import ALL_FIXTURES, assert_core, fixture_source, label_rows, random_labeled_program
 from reference_analysis import labels_of
 
-NODE_TYPES = (Var, Con, Apply, Case, ConApp, GeneralApply)
+NODE_TYPES = (Var, Con, Apply, Case, ConApp)
 
 
 def reference_preorder(node):
@@ -85,7 +84,7 @@ terms = st.recursive(
         st.builds(ConApp, _names, st.lists(inner, min_size=1, max_size=3).map(tuple)),
         # pair and list sugar, as the parser builds it
         st.builds(ConApp, st.sampled_from(["pair", "cons"]), st.tuples(inner, inner)),
-        st.builds(GeneralApply, _refs, inner),
+        st.builds(Apply, _refs, inner),
     ),
     max_leaves=6,
 )

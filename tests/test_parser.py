@@ -11,7 +11,6 @@ from jeopardy_iaa.syntax import (
     ConApp,
     DataDef,
     FunctionRef,
-    GeneralApply,
     Var,
     fun_defs,
 )
@@ -44,7 +43,7 @@ def test_inverted_application():
 
 def test_an_inverted_reference_in_argument_position_takes_the_next_atom():
     body = next(fun_defs(parse("f x = h (invert g) x. main f."))).body
-    assert body == GeneralApply(FunctionRef("h"), Apply(FunctionRef("g", 1), Var("x")))
+    assert body == Apply(FunctionRef("h"), Apply(FunctionRef("g", 1), Var("x")))
     with pytest.raises(ParseError, match="expected '.' after function body, found 'x'"):
         parse("f x = h g x. main f.")
 
@@ -68,7 +67,7 @@ def test_tuple_with_application_stays_sugar():
 def test_application_argument_kinds():
     program = parse("f x = f (f x). g y = f y. main f.")
     f_body = next(fun_defs(program)).body
-    assert isinstance(f_body, GeneralApply)
+    assert isinstance(f_body, Apply)
     assert isinstance(f_body.argument, Apply)
     g_body = list(fun_defs(program))[1].body
     assert g_body == Apply(FunctionRef("f"), Var("y"))

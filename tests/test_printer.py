@@ -21,7 +21,6 @@ from jeopardy_iaa.syntax import (
     ConApp,
     FunDef,
     FunctionRef,
-    GeneralApply,
     Pattern,
     Program,
     Term,
@@ -134,9 +133,10 @@ _case = Case(Var("a"), None, ((Con("a"), Var("b")), (Var("c"), Var("c"))))
 # a case as a branch body other than the last, and as a scrutinee
 @example(Case(Var("a"), None, ((Con("a"), _case), (Var("b"), Var("b")))))
 @example(Case(_case, None, ((Var("b"), Var("b")),)))
-# an application, a general application and a case in a list cell and in [c …]
-@example(ConApp("cons", (Apply(_b, Var("a")), ConApp("cons", (GeneralApply(_b, _case), _case)))))
-@example(ConApp("c", (Apply(_b, Var("a")), GeneralApply(_b, Apply(_b, Var("a"))), _case)))
+# applications to a pattern, to a case and to an application, and a case,
+# in a list cell and in [c …]
+@example(ConApp("cons", (Apply(_b, Var("a")), ConApp("cons", (Apply(_b, _case), _case)))))
+@example(ConApp("c", (Apply(_b, Var("a")), Apply(_b, Apply(_b, Var("a"))), _case)))
 # a case as a pair's first element
 @example(ConApp("pair", (_case, Var("a"))))
 def test_printed_terms_read_back(term):

@@ -179,3 +179,22 @@ def test_the_text_report_says_what_the_json_report_says(seed, budget, branching)
 def test_the_text_report_says_what_the_json_report_says_on_the_corpus():
     for program in corpus():
         check_the_formats_agree(program)
+
+
+# (invert g) and (invert (invert (invert g))) both run backward, so a call
+# through either, read backward, runs g forward: one callee, one row
+ODD_MARKERS = """
+data nat = [z] [s nat].
+g v = case v of ; [z] -> [z] ; [s w] -> [s w].
+f x = case x of ; [z] -> (invert g) x ; [s k] -> (invert (invert (invert g))) x.
+main f.
+"""
+
+
+def test_references_in_one_direction_share_a_row():
+    program = annotate(desugar_program(parse(ODD_MARKERS)))
+    rows = json.loads(analysis_report(program, "json"))["configurations"]
+    assert len({json.dumps(row, sort_keys=True) for row in rows}) == len(rows) == 5
+    lines = analysis_report(program, "text").split("\n")
+    assert len(set(lines)) == len(lines) == 5
+    check_the_formats_agree(program)

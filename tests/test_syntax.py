@@ -22,7 +22,6 @@ from jeopardy_iaa.syntax import (
     Diagnostic,
     FunDef,
     FunctionRef,
-    GeneralApply,
     Program,
     Var,
     flip,
@@ -99,6 +98,7 @@ def test_function_ref_helpers():
     assert (ref.name, ref.inversions) == ("f", 2)
     assert flip(ref) == FunctionRef("f", 1)
     assert flip(FunctionRef("f")) == FunctionRef("f", 1)
+    assert flip(FunctionRef("f", 3)) == FunctionRef("f", 0)
 
 
 def diagnosed(program_text: str) -> list[tuple[str, str]]:
@@ -120,7 +120,7 @@ def test_pattern_diagnostics_put_constructors_before_variables():
 # -- records -------------------------------------------------------------------
 
 # the classes whose ``offset`` stays out of ==, hash and repr
-LOCATED = (Var, Con, Apply, Case, ConApp, GeneralApply, FunctionRef, DataDef, FunDef)
+LOCATED = (Var, Con, Apply, Case, ConApp, FunctionRef, DataDef, FunDef)
 RECORDS = LOCATED + (
     Program,
     Diagnostic,
@@ -144,7 +144,7 @@ def test_the_properties_cover_every_record_class():
         if isinstance(value, type) and value.__setattr__ is syntax._immutable
     }
     assert found == set(RECORDS)
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 15
 
 
 def _compared(cls: type) -> tuple[str, ...]:
