@@ -13,11 +13,12 @@ Every command validates the program before running any later stage.
 JSON output is deterministic: the same input file always produces
 identical bytes.
 One walk over the analysis' groups of label masks, keyed by (caller,
-callee, argument mask), writes the report: it orders the groups once,
-sorts only a group of two or more implicit masks, and writes a group's
-row up to its implicit labels once.  A mask's bits rise in the report's
-label order, integers then ``input`` then ``output``, so sorting masks
-by their bit lists is sorting label sets.  Each label becomes text once
+callee, argument mask), writes the report to stdout in pieces, a row at
+a time, never as one document.  It orders the groups once, sorts only a
+group of two or more implicit masks, and writes a group's row up to its
+implicit labels once.  A mask's bits rise in the report's label order,
+integers then ``input`` then ``output``, so sorting masks by their bit
+lists is sorting label sets.  Each label becomes text once
 per report, and a mask becomes text with no label list between: a run of
 bits joins a slice of those texts, any other mask one text per byte from
 the report's per-byte tables.  The text and JSON formats differ only in
@@ -203,22 +204,10 @@ def _mask_texts(texts: list[str], brackets: tuple) -> Callable[[int], str]:
     return labels
 
 
-def _splice(parts: list[str], head: str, brackets: str, items: list[str]) -> None:
-    """Appends a JSON report member to ``parts``: ``head``, then its list
-    or dict of ``items``, one item per line at indentation 4."""
-    if not items:
-        parts.append(head + brackets)
-        return
-    spliced = [",\n    "] * (2 * len(items))
-    spliced[0] = head + brackets[0] + "\n    "
-    spliced[1::2] = items
-    parts += spliced
-    parts.append("\n  " + brackets[1])
-
-
-def analysis_report(labeled: LabeledProgram, form: str) -> str:
-    """The analyze command's report in ``form``, ``"text"`` or ``"json"``:
-    configurations, hints and, in JSON, the label index.
+def analysis_report(labeled: LabeledProgram, form: str, write: Callable[[str], object]) -> None:
+    """Writes the analyze command's report in ``form``, ``"text"`` or
+    ``"json"``, through ``write``, with no final newline: configurations,
+    hints and, in JSON, the label index.
 
     Configurations are listed by caller, callee name, inversion depth,
     argument labels and implicit labels, each label set in bit order:
@@ -226,6 +215,12 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
     (caller, callee, argument mask): the groups are ordered once, only a
     group of two or more implicit masks is sorted, and a group's row is
     written up to its implicit labels once.  ``_mask_texts`` writes masks.
+
+    The report goes out in pieces, never as one document: each row with
+    the separator before it, then the hints, then the JSON label index.
+    The analysis runs before the first piece, so its errors leave no
+    output.  Only the two seed rows, last, name the top-level caller
+    ``⊤``, so every other piece is ASCII and is encoded as a plain copy.
     """
     found = configurations(labeled)
     hints = symmetry_hints(labeled, found)
@@ -244,7 +239,8 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
         ((caller, callee.name, callee.inversions, order(arguments)), callee, arguments, masks)
         for (caller, callee, arguments), masks in found.groups.items()
     )
-    rows = []
+    # the two seeds make two rows, so the configurations are never empty
+    before, between = ('{\n  "configurations": [\n    ', ",\n    ") if form == "json" else ("", "\n")
     for (caller, name, _, _), callee, arguments, masks in groups:
         inverted = callee.backward
         fields = {
@@ -258,7 +254,9 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
         # a key spells every bit up to the mask's highest, even for one mask
         if len(masks) > 1:
             masks = sorted(masks, key=order)
-        rows += [group_head + labels(implicits) + group_tail for implicits in masks]
+        for implicits in masks:
+            write(f"{before}{group_head}{labels(implicits)}{group_tail}")
+            before = between
     # a hint has one witness label or more
     hint_rows = [
         hint_row.format(
@@ -269,7 +267,11 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
         for hint in hints
     ]
     if form == "text":
-        return "\n".join(rows + ["", "hints:"] + hint_rows if hint_rows else rows)
+        if hint_rows:
+            write("\n\nhints:\n" + "\n".join(hint_rows))
+        return
+    hint_list = "[\n    " + ",\n    ".join(hint_rows) + "\n  ]" if hint_rows else "[]"
+    write(f'\n  ],\n  "hints": {hint_list}')
     # a function's labels run from its parameter's label to the next
     # function's, and the labels of a (function, kind) share their row's
     # text; the keys are digit strings, sorted as strings, and the index
@@ -284,26 +286,23 @@ def analysis_report(labeled: LabeledProgram, form: str) -> str:
             for kind in set(run)
         }
         rows_by_label += map(row_of.__getitem__, run)
-    entries = [
-        f'"{texts[label]}": {rows_by_label[label]}'
-        for label in sorted(range(len(rows_by_label)), key=texts.__getitem__)
-    ]
-    # A member joined on its own would be copied again into the
-    # document's text; that copy raised the peak RSS of analyze on
-    # ring-144 from 29 to 36 MB (Linux, CPython 3.11).
-    parts: list[str] = []
-    _splice(parts, '{\n  "configurations": ', "[]", rows)
-    _splice(parts, ',\n  "hints": ', "[]", hint_rows)
-    _splice(parts, ',\n  "labels": ', "{}", entries)
-    parts.append("\n}")
-    return "".join(parts)
+    # main's parameter has a label, so the index is never empty
+    entries = ",\n    ".join(
+        [
+            f'"{texts[label]}": {rows_by_label[label]}'
+            for label in sorted(range(len(rows_by_label)), key=texts.__getitem__)
+        ]
+    )
+    write(f',\n  "labels": {{\n    {entries}\n  }}\n}}')
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     _, labeled = _core(args.file)
     if args.show_labels:
         print(pretty_program(labeled.program, labels=True))
-    print(analysis_report(labeled, args.format))
+    write = sys.stdout.write
+    analysis_report(labeled, args.format, write)
+    write("\n")
 
 
 def _runtime_error(path: str, source: str, labeled: LabeledProgram, error: EvalError) -> str:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse, validate
+from jeopardy_iaa.cli import analysis_report
 from jeopardy_iaa.parser import tokenize
 from jeopardy_iaa.syntax import Apply, Con, ConApp, Program, Var, fun_defs, nodes
 
@@ -31,6 +32,14 @@ def load_core(name: str):
 
 def load_labeled(name: str):
     return annotate(load_core(name))
+
+
+def report_text(labeled, form: str) -> str:
+    """The analyze report of ``labeled`` in ``form``: what
+    ``analysis_report`` writes, joined."""
+    pieces: list[str] = []
+    analysis_report(labeled, form, pieces.append)
+    return "".join(pieces)
 
 
 def is_general_application(node) -> bool:

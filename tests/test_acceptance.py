@@ -15,7 +15,6 @@ from contextlib import contextmanager
 
 from jeopardy_iaa import parse
 from jeopardy_iaa.analysis import call, configurations, symmetry_hints
-from jeopardy_iaa.cli import analysis_report
 from jeopardy_iaa.desugar import desugar_program
 from jeopardy_iaa.evaluator import run_main
 from jeopardy_iaa.parser import ParseError
@@ -28,6 +27,7 @@ from conftest import (
     pointwise_below,
     random_label_sets,
     random_labeled_program,
+    report_text,
 )
 from reference_analysis import seed_configurations, term_down, term_up
 
@@ -52,7 +52,7 @@ def nat(n: int) -> Con:
 def test_criterion_1_flagship_reproduction(fib_labeled, fib_oracle):
     with criterion(1, "flagship configuration set"):
         started = time.perf_counter()
-        report = json.loads(analysis_report(fib_labeled, "json"))
+        report = json.loads(report_text(fib_labeled, "json"))
         elapsed = time.perf_counter() - started
 
         assert report["configurations"] == fib_oracle["configurations"]

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
-from jeopardy_iaa.cli import analysis_report, build_arg_parser, main
+from jeopardy_iaa.cli import build_arg_parser, main
 from jeopardy_iaa.printer import pretty_program
 
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     fixture_source,
     mutate,
     random_core_program,
+    report_text,
     sugar_library,
 )
 
@@ -778,14 +779,14 @@ def test_sugar_under_a_user_constructor_of_another_arity(capsys, tmp_path, comma
     assert err == f"{path}:{diagnostic} argument(s), got 2\n"
 
 
-def _printed(command: str, source: str) -> str:
-    """What ``command`` prints for ``source``, ``analyze`` as JSON."""
+def _printed(command: str, source: str, form: str = "json") -> str:
+    """What ``command`` prints for ``source``, ``analyze`` in ``form``."""
     program = parse(source)
     if command == "parse":
         return pretty_program(program)
     labeled = annotate(desugar_program(program))
     if command == "analyze":
-        return analysis_report(labeled, "json")
+        return report_text(labeled, form)
     return pretty_program(labeled.program, labels=command == "label")
 
 
@@ -797,14 +798,19 @@ def _child_env(**settings: str) -> dict[str, str]:
     return dict(env, **settings)
 
 
-@pytest.mark.parametrize("command", ["parse", "desugar", "label", "analyze"])
-def test_printing_into_a_closed_pipe_exits_without_a_traceback(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, form",
+    [("parse", None), ("desugar", None), ("label", None), ("analyze", "json"), ("analyze", "text")],
+    ids=["parse", "desugar", "label", "analyze", "analyze-text"],
+)
+def test_printing_into_a_closed_pipe_exits_without_a_traceback(tmp_path, command, form):
     # The output is at least four times what a pipe holds, so the writer
     # is still writing when the reader closes its end, however it splits
-    # its writes.  Unbuffered, a raw stdout hands the output to one
-    # write(2), and the text layer drops what a pipe closed half-way did
-    # not take; with no later write the loss would go unseen unless main
-    # buffers it, so both modes run.
+    # its writes: analyze meets the closed pipe part-way through its rows.
+    # Unbuffered, a raw stdout hands the output to one write(2), and the
+    # text layer drops what a pipe closed half-way did not take; with no
+    # later write the loss would go unseen unless main buffers it, so both
+    # modes run.
     read_end, write_end = os.pipe()
     try:
         capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
@@ -815,10 +821,10 @@ def test_printing_into_a_closed_pipe_exits_without_a_traceback(tmp_path, command
         sources = (diamond(k) for k in itertools.count(7))
     else:
         sources = (sugar_library(250 << i, random.Random(5)) for i in itertools.count())
-    text = next(text for text in sources if len(_printed(command, text)) >= 4 * capacity)
+    text = next(text for text in sources if len(_printed(command, text, form)) >= 4 * capacity)
     source = tmp_path / "big.jpd"
     source.write_text(text, encoding="utf-8")
-    options = ["--format", "json"] if command == "analyze" else []
+    options = ["--format", form] if command == "analyze" else []
     for env in (_child_env(), _child_env(PYTHONUNBUFFERED="1")):
         child = subprocess.Popen(
             [sys.executable, "-m", "jeopardy_iaa", command, str(source), *options],
@@ -833,6 +839,46 @@ def test_printing_into_a_closed_pipe_exits_without_a_traceback(tmp_path, command
         assert child.wait(timeout=60) == 2, env.get("PYTHONUNBUFFERED")
         assert "Traceback" not in err
         assert "broken pipe" in err
+
+
+# A child that measures how much its own peak RSS grows in main.  Linux
+# records the old address space's high-water mark at exec, so a child of
+# this grown process would start from that mark and see no growth; it
+# is started from a small process in between, as perfbench's Launcher is.
+_REPORT_GROWTH = """
+import resource, sys
+from jeopardy_iaa.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(sys.argv[1:])
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(code, grown, file=sys.stderr)
+"""
+_SPAWN = (
+    "import os, sys; pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ);"
+    " sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+def test_analyze_writes_its_report_without_holding_it(tmp_path):
+    # diamond-12's JSON report is 4.8 MB; a writer that joined it into one
+    # document grew the child by 19.5 MB, one that writes each row by 1.3 MB
+    # (CPython 3.11)
+    source = diamond(12)
+    path = tmp_path / "diamond-12.jpd"
+    path.write_text(source, encoding="utf-8")
+    size = len(_printed("analyze", source).encode("utf-8"))
+    for env in (_child_env(), _child_env(PYTHONUNBUFFERED="1")):
+        child = subprocess.run(
+            [sys.executable, "-c", _SPAWN, "-c", _REPORT_GROWTH, "analyze", str(path), "--format", "json"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+        code, grown_kib = map(int, child.stderr.split())
+        assert code == 0
+        assert grown_kib * 1024 < size / 2, env.get("PYTHONUNBUFFERED")
 
 
 @pytest.mark.parametrize(

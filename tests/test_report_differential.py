@@ -21,7 +21,6 @@ import pytest
 
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import Hint, configurations, symmetry_hints
-from jeopardy_iaa.cli import analysis_report
 from jeopardy_iaa.labeler import LabeledProgram
 from jeopardy_iaa.syntax import INPUT, OUTPUT
 
@@ -32,6 +31,7 @@ from conftest import (
     load_labeled,
     nested_scrutinees,
     random_labeled_program,
+    report_text,
     ring,
 )
 
@@ -159,7 +159,7 @@ def stdlib_text(report: dict) -> str:
 
 def _check(program: LabeledProgram) -> None:
     expected = _outcome(reference_report, program)
-    text = _outcome(lambda p: analysis_report(p, "json"), program)
+    text = _outcome(lambda p: report_text(p, "json"), program)
     if isinstance(expected, type):
         assert text is expected
         return
@@ -196,7 +196,7 @@ def test_grouped_report_matches_the_reference_on_random_programs():
 
 def _check_text(program: LabeledProgram) -> None:
     expected = _outcome(reference_report, program)
-    text = _outcome(lambda p: analysis_report(p, "text"), program)
+    text = _outcome(lambda p: report_text(p, "text"), program)
     if isinstance(expected, type):
         assert text is expected
         return

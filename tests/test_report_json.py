@@ -12,13 +12,14 @@ import json
 import random
 import re
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jeopardy_iaa import annotate, desugar_program, parse
 from jeopardy_iaa.analysis import Configurations, configurations
 from jeopardy_iaa.cli import _TEMPLATES, _mask_texts, analysis_report
 
-from conftest import ALL_FIXTURES, load_labeled, random_labeled_program, sugar_library
+from conftest import ALL_FIXTURES, load_labeled, random_labeled_program, report_text, sugar_library
 from test_report_differential import reference_report, stdlib_text
 
 
@@ -26,7 +27,7 @@ from test_report_differential import reference_report, stdlib_text
 @given(st.integers(0, 2**32 - 1), st.integers(6, 30), st.booleans())
 def test_json_report_is_the_stdlib_text_of_the_reference(seed, budget, branching):
     program = random_labeled_program(random.Random(seed), budget, branching)
-    assert analysis_report(program, "json") == stdlib_text(reference_report(program))
+    assert report_text(program, "json") == stdlib_text(reference_report(program))
 
 
 def corpus() -> list:
@@ -40,12 +41,28 @@ def corpus() -> list:
 # writes once and reuses
 def test_json_report_writes_shared_rows_as_the_stdlib_does():
     for program in corpus():
-        assert analysis_report(program, "json") == stdlib_text(reference_report(program))
+        assert report_text(program, "json") == stdlib_text(reference_report(program))
+
+
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_only_the_seed_rows_are_written_in_pieces_that_are_not_ascii(form):
+    # the text layer copies an ASCII piece into its output as it is; a
+    # piece that names the top-level caller, ⊤, is stored at two bytes a
+    # character and encoded a character at a time, so no other row may
+    # share one with it
+    for program in corpus():
+        pieces: list[str] = []
+        analysis_report(program, form, pieces.append)
+        wide = [piece for piece in pieces if not piece.isascii()]
+        assert len(wide) <= 2
+        for piece in wide:
+            assert "⊤" in piece
+            assert piece.count('"caller": ' if form == "json" else " -> ") <= 1
 
 
 def test_the_corpus_holds_the_cases_the_writer_special_cases():
     programs = corpus()
-    texts = [analysis_report(program, "json") for program in programs]
+    texts = [report_text(program, "json") for program in programs]
     reports = [json.loads(text) for text in texts]
     rows = [row for report in reports for row in report["configurations"]]
     # the seeds, whose implicit labels are empty, called by the top level
@@ -123,7 +140,7 @@ def test_a_mask_is_written_as_its_label_list(universe_and_masks):
 
 def test_inverted_is_written_as_a_bool_in_a_report_with_label_1():
     # True and 1 are one dict key, so a memo of label texts must not see bools
-    text = analysis_report(load_labeled("fib.jpd"), "json")
+    text = report_text(load_labeled("fib.jpd"), "json")
     rows = json.loads(text)["configurations"]
     assert any(1 in row["argument_labels"] + row["implicit_labels"] for row in rows)
     assert any(row["inverted"] is True for row in rows)
@@ -147,8 +164,8 @@ def label_list(text: str) -> list:
 
 def check_the_formats_agree(program) -> None:
     """Each line of the text report parses back to its JSON row or hint."""
-    report = json.loads(analysis_report(program, "json"))
-    lines = analysis_report(program, "text").split("\n")
+    report = json.loads(report_text(program, "json"))
+    lines = report_text(program, "text").split("\n")
     rows, hints = report["configurations"], report["hints"]
     if hints:
         assert lines[len(rows) : len(rows) + 2] == ["", "hints:"]
@@ -193,8 +210,8 @@ main f.
 
 def test_references_in_one_direction_share_a_row():
     program = annotate(desugar_program(parse(ODD_MARKERS)))
-    rows = json.loads(analysis_report(program, "json"))["configurations"]
+    rows = json.loads(report_text(program, "json"))["configurations"]
     assert len({json.dumps(row, sort_keys=True) for row in rows}) == len(rows) == 5
-    lines = analysis_report(program, "text").split("\n")
+    lines = report_text(program, "text").split("\n")
     assert len(set(lines)) == len(lines) == 5
     check_the_formats_agree(program)
