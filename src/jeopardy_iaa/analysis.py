@@ -32,7 +32,7 @@ body root as its argument, and a case walks its branch bodies before
 its scrutinee.  It keeps a set of availability sets per call, since
 only the union over paths is ever used, walks each node once, and
 builds an availability set only where a call records it or a later
-node reads it; the body's own result is never read.
+node may read it; the body's own result is never read.
 
 ``configurations`` builds each summary once, the first time a callee is
 reached in a direction, and closes over the summaries with a FIFO
@@ -209,12 +209,10 @@ def configurations(program: LabeledProgram) -> Configurations:
         available, (keep, reachable, expanded) = queue.popleft()
         entering = available & keep
         # the successors of a pop depend only on its summary and entering
-        # mask; a mask is recorded only for summaries with several
-        # successors, where expanding it again costs more than hashing it
-        if len(reachable) > 1:
-            if entering in expanded:
-                continue
-            expanded.add(entering)
+        # mask, so a pair already expanded is skipped
+        if entering in expanded:
+            continue
+        expanded.add(entering)
         for arguments, gained, group, key in reachable:
             implicit = entering | gained
             if implicit not in group:
@@ -302,12 +300,11 @@ def _walk_up(
     scrutinee on the union of its branches' results, not once per path
     through the branch bodies.
 
-    A mask is built only where an application records it or a later
-    node reads it.  ``then`` is None where nothing reads the result: the
-    walk then records calls and returns an empty set, and a case whose
-    scrutinee holds no application walks its branches for their calls
-    only.  A pattern scrutinee's labels go into each branch's ``then``,
-    so each path pays one union there.
+    ``then`` is None where nothing reads the result: the walk then
+    records calls and returns an empty set.  A scrutinee that is not a
+    pattern reads its branches' results, so their bodies get their
+    pattern's labels as ``then``.  A pattern scrutinee's labels go into
+    each branch's ``then``, so each path pays one union there.
     """
     kind = type(term)
     if kind is Apply:
@@ -325,11 +322,9 @@ def _walk_up(
                 branch_then = None if then is None else label_mask(pattern) | then
                 available |= _walk_up(implicits, body, branch_then, program, calls)
             return available
-        bodies_read = then is not None or any(type(node) is Apply for node in nodes(scrutinee))
         scrutinee_implicits: set[int] = set()
         for pattern, body in term.branches:
-            body_then = label_mask(pattern) if bodies_read else None
-            scrutinee_implicits |= _walk_up(implicits, body, body_then, program, calls)
+            scrutinee_implicits |= _walk_up(implicits, body, label_mask(pattern), program, calls)
         return _walk_up(scrutinee_implicits, scrutinee, then, program, calls)
     if then is None:
         return set()

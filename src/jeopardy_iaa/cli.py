@@ -8,7 +8,8 @@
 
 Exit codes: 0 success, 1 language-level diagnostics, 2 I/O errors
 (a closed output pipe and a source that is not UTF-8 too), 3 runtime
-errors, located as ``FILE:line:col:`` where their labeled node starts.
+errors, located as ``FILE:line:col:`` where their labeled node starts,
+and running out of memory, ``FILE: out of memory``.
 Every command validates the program before running any later stage.
 JSON output is deterministic: the same input file always produces
 identical bytes.
@@ -425,6 +426,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CommandError as error:
         print(error.message, file=sys.stderr)
         return error.code
+    except MemoryError:
+        print(f"{args.file}: out of memory", file=sys.stderr)
+        return EXIT_RUNTIME
     except BrokenPipeError:
         # the reader went away: send what is still buffered to the null
         # device, so that the flush at exit does not fail as well

@@ -34,6 +34,7 @@ from __future__ import annotations
 from itertools import count
 
 from .syntax import (
+    BUILTIN_CONSTRUCTORS,
     Apply,
     Case,
     Con,
@@ -91,7 +92,7 @@ def desugar_program(program: Program) -> Program:
                 return t
             args, ascriptions = (argument,), (fun_types.get(t.callee.name),)
         elif kind is ConApp:
-            args, ascriptions = t.args, constructors[t.name].components
+            args, ascriptions = t.args, constructors.get(t.name, (None,) * len(t.args))
         else:  # pragma: no cover - exhaustive over Term
             raise TypeError(f"unknown term node: {t!r}")
         # desugar every argument, then bind each one that is not a pattern
@@ -135,14 +136,14 @@ def desugar_program(program: Program) -> Program:
     # that reference counting, not the cycle collector, frees what it holds
     del term
     # a mentioned pair/cons/nil the program does not declare
-    builtins = sorted(name for name in mentioned if constructors[name].builtin)
+    builtins = sorted(mentioned - constructors.keys())
     if builtins:
         type_name = "builtin"
         suffix = 1
         while type_name in used:
             suffix += 1
             type_name = f"builtin{suffix}"
-        components = tuple((name, (type_name,) * constructors[name].arity) for name in builtins)
+        components = tuple((name, (type_name,) * BUILTIN_CONSTRUCTORS[name]) for name in builtins)
         definitions.append(DataDef(type_name, components))
     return Program(tuple(definitions), program.main)
 

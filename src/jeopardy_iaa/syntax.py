@@ -291,12 +291,6 @@ def fun_defs(program: Program) -> Iterator[FunDef]:
             yield definition
 
 
-def data_defs(program: Program) -> Iterator[DataDef]:
-    for definition in program.definitions:
-        if isinstance(definition, DataDef):
-            yield definition
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -314,28 +308,18 @@ class Diagnostic:
         return f"{self.kind}: {self.message}"
 
 
-@record()
-class ConstructorInfo:
-    """Declared shape of one constructor."""
+def constructor_table(program: Program) -> tuple[dict[str, tuple[str, ...]], list[Diagnostic]]:
+    """Each constructor the program declares, with its component types.
 
-    components: tuple[str | None, ...]
-    builtin: bool = False
-
-    @property
-    def arity(self) -> int:
-        return len(self.components)
-
-
-def constructor_table(program: Program) -> tuple[dict[str, ConstructorInfo], list[Diagnostic]]:
-    """Constructor environment for a program.
-
-    User declarations win over the built-in pair/cons/nil entries; a
-    built-in entry is added only when the name is not declared at all.
-    Duplicate declarations are reported, first declaration kept.
+    Duplicate declarations are reported, first declaration kept.  The
+    built-in pair/cons/nil are not in the table: a program that leaves one
+    undeclared may still use it, at its ``BUILTIN_CONSTRUCTORS`` arity.
     """
-    table: dict[str, ConstructorInfo] = {}
+    table: dict[str, tuple[str, ...]] = {}
     diagnostics: list[Diagnostic] = []
-    for definition in data_defs(program):
+    for definition in program.definitions:
+        if not isinstance(definition, DataDef):
+            continue
         for con_name, components in definition.constructors:
             if con_name in table:
                 diagnostics.append(
@@ -346,18 +330,16 @@ def constructor_table(program: Program) -> tuple[dict[str, ConstructorInfo], lis
                     )
                 )
                 continue
-            table[con_name] = ConstructorInfo(tuple(components))
-    for con_name, arity in BUILTIN_CONSTRUCTORS.items():
-        if con_name not in table:
-            table[con_name] = ConstructorInfo((None,) * arity, builtin=True)
+            table[con_name] = tuple(components)
     return table, diagnostics
 
 
 def _check_constructor(
-    name: str, argc: int, offset: int | None, table: dict[str, ConstructorInfo], out: list[Diagnostic]
+    name: str, argc: int, offset: int | None, table: dict[str, tuple[str, ...]], out: list[Diagnostic]
 ) -> None:
-    info = table.get(name)
-    if info is None:
+    components = table.get(name)
+    arity = BUILTIN_CONSTRUCTORS.get(name) if components is None else len(components)
+    if arity is None:
         out.append(
             Diagnostic(
                 "undefined-constructor",
@@ -365,11 +347,11 @@ def _check_constructor(
                 offset,
             )
         )
-    elif info.arity != argc:
+    elif arity != argc:
         out.append(
             Diagnostic(
                 "arity-mismatch",
-                f"constructor '{name}' takes {info.arity} "
+                f"constructor '{name}' takes {arity} "
                 f"argument(s), got {argc}",
                 offset,
             )
@@ -378,7 +360,7 @@ def _check_constructor(
 
 def _check_pattern(
     root: Pattern,
-    table: dict[str, ConstructorInfo],
+    table: dict[str, tuple[str, ...]],
     out: list[Diagnostic],
     bound: frozenset[str] | None = None,
 ) -> set[str]:
@@ -489,7 +471,7 @@ def validate(program: Program) -> list[Diagnostic]:
     return diagnostics
 
 
-def validate_value(value: Con, table: dict[str, ConstructorInfo]) -> list[Diagnostic]:
+def validate_value(value: Con, table: dict[str, tuple[str, ...]]) -> list[Diagnostic]:
     """Check a runtime value, a ``Con`` tree without variables or labels,
     against a program's constructor table."""
     diagnostics: list[Diagnostic] = []

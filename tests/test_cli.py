@@ -366,12 +366,13 @@ def test_run_budget_spent_at_the_top_level_call_names_the_input(capsys):
 
 
 def test_run_refuses_a_negative_call_budget(capsys):
-    with pytest.raises(SystemExit) as stopped:
-        main(["run", FIB, "3", "--max-calls", "-1"])
-    captured = capsys.readouterr()
-    assert (stopped.value.code, captured.out) == (2, "")
-    assert captured.err.startswith("usage: jeopardy-iaa run ")
-    assert captured.err.endswith("error: argument --max-calls: must be 0 or more, got -1\n")
+    for budget, problem in [("-1", "must be 0 or more, got -1"), ("abc", "invalid int value: 'abc'")]:
+        with pytest.raises(SystemExit) as stopped:
+            main(["run", FIB, "3", "--max-calls", budget])
+        captured = capsys.readouterr()
+        assert (stopped.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: jeopardy-iaa run ")
+        assert captured.err.endswith(f"error: argument --max-calls: {problem}\n")
 
 
 def test_run_inverted_main(capsys, tmp_path):
@@ -879,6 +880,37 @@ def test_analyze_writes_its_report_without_holding_it(tmp_path):
         code, grown_kib = map(int, child.stderr.split())
         assert code == 0
         assert grown_kib * 1024 < size / 2, env.get("PYTHONUNBUFFERED")
+
+
+# A child that limits its own address space to what it holds after
+# importing the package, plus 40 MB, and then runs main.
+_OUT_OF_MEMORY = """
+import os, resource, sys
+from jeopardy_iaa.cli import main
+with open("/proc/self/statm") as statm:
+    pages = int(statm.read().split()[0])
+limit = pages * os.sysconf("SC_PAGE_SIZE") + (40 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the address space from /proc")
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path):
+    # diamond-20's analysis peaks near 400 MB, ten times the headroom; the
+    # backward walk meets the limit within a second (CPython 3.11)
+    path = tmp_path / "diamond-20.jpd"
+    path.write_text(diamond(20), encoding="utf-8")
+    for env in (_child_env(), _child_env(PYTHONUNBUFFERED="1")):
+        child = subprocess.run(
+            [sys.executable, "-c", _OUT_OF_MEMORY, "analyze", str(path), "--format", "json"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+        err = child.stderr.decode("utf-8")
+        assert (child.returncode, err) == (3, f"{path}: out of memory\n")
 
 
 @pytest.mark.parametrize(

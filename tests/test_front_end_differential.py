@@ -40,6 +40,7 @@ from jeopardy_iaa import desugar_program, labeler, parse
 from jeopardy_iaa.parser import ParseError, _Parser, parse_value, tokenize as scan
 from jeopardy_iaa.printer import pretty_program, pretty_value
 from jeopardy_iaa.syntax import (
+    BUILTIN_CONSTRUCTORS,
     KEYWORDS,
     Apply,
     Case,
@@ -291,7 +292,7 @@ class _Desugarer:
             definitions.append(self.desugar_fun_def(definition))
         # a mentioned pair/cons/nil the program does not declare
         builtins = sorted(
-            name for name in self.mentioned if self.constructors[name].builtin
+            name for name in self.mentioned if name not in self.constructors
         )
         if builtins:
             type_name = "builtin"
@@ -300,7 +301,7 @@ class _Desugarer:
                 suffix += 1
                 type_name = f"builtin{suffix}"
             constructors = tuple(
-                (name, (type_name,) * self.constructors[name].arity) for name in builtins
+                (name, (type_name,) * BUILTIN_CONSTRUCTORS[name]) for name in builtins
             )
             definitions.append(DataDef(type_name, constructors))
         return Program(tuple(definitions), self.program.main)
@@ -334,7 +335,7 @@ class _Desugarer:
         if isinstance(term, ConApp):
             name = term.name
             return self._hoisted(
-                term.args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
+                term.args, self.constructors.get(name, (None,) * len(term.args)), lambda *patterns: Con(name, patterns)
             )
         raise TypeError(f"unknown term node: {term!r}")  # pragma: no cover
 
@@ -404,7 +405,7 @@ class _ReplaceDesugarer(_Desugarer):
 
     def desugar_constructor(self, name: str, args: tuple[Term, ...]) -> Term:
         return self._hoisted(
-            args, self.constructors[name].components, lambda *patterns: Con(name, patterns)
+            args, self.constructors.get(name, (None,) * len(args)), lambda *patterns: Con(name, patterns)
         )
 
     def _desugar_application(self, callee: FunctionRef, argument: Term) -> Term:

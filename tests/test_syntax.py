@@ -17,7 +17,6 @@ from jeopardy_iaa.syntax import (
     Case,
     Con,
     ConApp,
-    ConstructorInfo,
     DataDef,
     Diagnostic,
     FunDef,
@@ -124,7 +123,6 @@ LOCATED = (Var, Con, Apply, Case, ConApp, FunctionRef, DataDef, FunDef)
 RECORDS = LOCATED + (
     Program,
     Diagnostic,
-    ConstructorInfo,
     CallConfiguration,
     Hint,
     CallEvent,
@@ -144,7 +142,7 @@ def test_the_properties_cover_every_record_class():
         if isinstance(value, type) and value.__setattr__ is syntax._immutable
     }
     assert found == set(RECORDS)
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
 
 
 def _compared(cls: type) -> tuple[str, ...]:
@@ -190,7 +188,6 @@ def test_record_keywords_and_defaults():
     assert (Var("x").label, Var("x").offset) == (None, None)
     assert (Con("c").args, FunctionRef("f").inversions) == ((), 0)
     assert Diagnostic("k", "m").offset is None
-    assert ConstructorInfo((None,)).builtin is False
     with pytest.raises(TypeError):
         Var()
     with pytest.raises(TypeError):
